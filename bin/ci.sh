@@ -169,6 +169,18 @@ diff "$chaos_fresh.cases" "$solver_out.cases" > /dev/null \
 rm -f "$chaos_fresh.cases" "$solver_out.cases"
 echo "CI: chaos solver differential passed (incremental degrades like fresh)"
 
+# Cold-solve exactness: case bytes are a function of the cold solve's CNF
+# and search trajectory (DESIGN.md §12), so a solver change that moves a
+# single decision can change them.  The two case-heavy benchmark
+# workloads must still emit exactly their committed expected case sets.
+for w in solver-pcnet cases-rtl8029; do
+  last=$(dune exec bench/e2e/e2e.exe -- one --workload "$w" | tail -n 1)
+  printf '%s\n' "$last" | grep -q '"correct":true' \
+    && printf '%s\n' "$last" | grep -q '"failed":0[,}]' \
+    || { echo "CI: $w cases differ from bench/e2e/expected" >&2; exit 1; }
+done
+echo "CI: cold-solve exactness smoke test passed (solver-pcnet, cases-rtl8029)"
+
 # Chaos smoke test: exploration with an armed fault plan and solver
 # watchdog must complete cleanly in both execution modes (recovery, not
 # crashes) and report a nonzero injected-fault count.

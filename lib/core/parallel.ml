@@ -409,20 +409,22 @@ let rec expand_cases ~ctx constraints (tree : State.case_tree) =
     one, dropping unsatisfiable combinations (suffix pairs that never
     coexisted on a real path).  Sorted case lists therefore compare equal
     between [--merge] and plain enumeration. *)
-let test_cases ?ctx (s : State.t) =
+let test_cases (s : State.t) =
   match s.State.cases with
   | State.Case_leaf -> [ test_case s ]
   | tree ->
       Obs.Trace.set_current_path s.State.id;
-      (* One shared context across the expansion: sibling leaves differ
-         only in the substituted suffixes, so in incremental mode their
-         pruning queries are assumption probes on the same live SAT
-         instance.  Callers with a long-lived context (the dist workers'
-         per-slice loop) pass it in, batching the expansions of every
-         state between heartbeats onto the same instance ring; the
-         verdicts and case bytes are context-history-independent, so
-         sharing is safe. *)
-      let ctx = match ctx with Some c -> c | None -> Solver.create_ctx () in
+      (* One context per state: sibling leaves differ only in the
+         substituted suffixes, so in incremental mode their pruning
+         queries are assumption probes on the same live SAT instance.
+         Sharing one context across states is slower, not faster: on
+         merged rtl8029 (40 states, 3378 cases) expanding every state on
+         one shared context took 1.5-1.7x as long as a context per state,
+         and a two-worker merged run whose workers shared one context per
+         session took 11-14 s against 5-6 s.  A shared ring keeps
+         instances encoding earlier states, whose variables every solve
+         on them must still assign. *)
+      let ctx = Solver.create_ctx () in
       expand_cases ~ctx s.State.constraints tree
       |> List.filter_map (model_of ~ctx)
 

@@ -60,17 +60,14 @@ val test_case : State.t -> (string * int64) list
     deterministic cold-context model, sorted.  Equal across serial and
     parallel explorations of the same tree. *)
 
-val test_cases :
-  ?ctx:S2e_solver.Solver.ctx -> State.t -> (string * int64) list list
+val test_cases : State.t -> (string * int64) list list
 (** All test cases a terminated state stands for.  A never-merged state
     yields exactly [[test_case s]].  A state produced by [--merge]
     ite-joins expands its case tree — each join recorded both sides'
     original constraint suffixes — back into the enumerated paths'
     constraint lists and solves each, dropping unsatisfiable
     combinations, so sorted case lists compare equal between merged and
-    enumerated exploration.  [ctx] (default: a private throwaway context)
-    lets a long-lived caller batch many expansions onto one incremental
-    instance ring; cases are context-history-independent either way. *)
+    enumerated exploration.  Each call solves on a private context. *)
 
 val test_case_to_string : (string * int64) list -> string
 (** ["name=value,..."] rendering of {!test_case}. *)

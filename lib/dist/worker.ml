@@ -43,11 +43,11 @@ exception Done
    into it; when the coordinator asked for cases it gets one path per
    case-tree leaf, so merged and enumerated runs report comparable case
    sets. *)
-let paths_of_state ?ctx ~cases (s : State.t) =
+let paths_of_state ~cases (s : State.t) =
   let status = State.report_string s in
   if not cases then [ { Proto.p_status = status; p_case = [] } ]
   else
-    match Parallel.test_cases ?ctx s with
+    match Parallel.test_cases s with
     | [] -> [ { Proto.p_status = status; p_case = [] } ]
     | tcs -> List.map (fun tc -> { Proto.p_status = status; p_case = tc }) tcs
 
@@ -280,12 +280,6 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
          { obs = Obs.Metrics.snapshot (); now = Unix.gettimeofday ();
            trace = trace_chunk () })
   in
-  (* One session-lifetime solver context for case conversion: every
-     per-slice expansion between heartbeats lands on the same incremental
-     instance ring, so merged states drained back-to-back reuse each
-     other's encodings and learned clauses.  Safe to share across items —
-     case verdicts and bytes are context-history-independent. *)
-  let cases_ctx = Solver.create_ctx () in
   let run_item ~item ~budget ~cases blob =
     let deadline =
       if budget <= 0. then infinity else Unix.gettimeofday () +. budget
@@ -306,7 +300,7 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
                 (fun p ->
                   paths := p :: !paths;
                   maybe_hb frontier)
-                (paths_of_state ~ctx:cases_ctx ~cases s))
+                (paths_of_state ~cases s))
             pending
     in
     let checkpoint () =

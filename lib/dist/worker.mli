@@ -62,12 +62,10 @@ val serve_tcp :
     items on its own boot engine when every worker is gone) and for
     tests. *)
 
-val paths_of_state :
-  ?ctx:Solver.ctx -> cases:bool -> State.t -> Proto.path list
+val paths_of_state : cases:bool -> State.t -> Proto.path list
 (** Reportable paths of a terminated state: one per case-tree leaf when
-    [cases] is set (each model solved with one cold query; [ctx] batches
-    the case-tree pruning queries of consecutive states onto one shared
-    incremental instance ring), else a single status-only entry. *)
+    [cases] is set (each model solved with one cold query), else a single
+    status-only entry. *)
 
 val copy_exec_stats : Executor.stats -> Executor.stats
 val copy_solver_stats : Solver.stats -> Solver.stats

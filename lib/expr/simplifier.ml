@@ -91,11 +91,11 @@ let memo_store tbl key v =
   if Hashtbl.length tbl >= memo_cap then Hashtbl.reset tbl;
   Hashtbl.replace tbl key v
 
-(* Memoizing a node smaller than this costs more in table traffic than
-   the recomputation it saves; the cached [Expr.size] makes the gate
-   O(1).  Translated guest code produces both shapes: tiny flag tests
-   (skip the memo) and deep address-arithmetic chains (where the memo
-   kills [replace_known]'s quadratic behaviour). *)
+(* [known_bits] memoizes only nodes of at least this size: it is called
+   once per level of [replace_known]'s descent, so the memo exists to kill
+   that quadratic behaviour on deep address-arithmetic chains, and on a
+   tiny flag test the lookup costs about what it saves.  The cached
+   [Expr.size] makes the gate O(1). *)
 let memo_min_size = 16
 
 (* Bottom-up known-bits computation.  [replace_known] queries it at every
@@ -310,14 +310,14 @@ let simplify_raw e =
   let e = demand e (mask (width e)) in
   replace_known e
 
-(* Memoized by node id: re-simplifying a query's shared constraint prefix
-   (the common case — the solver simplifies the full constraint list per
-   query) becomes a table hit per constraint.  Tiny constraints skip the
-   table: re-simplifying them outright is cheaper than the traffic. *)
+(* Memoized by node id, every non-leaf node regardless of size: the
+   solver re-simplifies every constraint of every query, so a path
+   condition's constraints come back once per query on that path, and a
+   hit is one table lookup where even a small constraint's recomputation
+   rebuilds it through the interning constructors. *)
 let simplify e =
   match e with
   | Const _ | Var _ -> e
-  | _ when size e < memo_min_size -> simplify_raw e
   | _ -> (
       let tbl = Domain.DLS.get simplify_memo in
       match Hashtbl.find_opt tbl (node_id e) with

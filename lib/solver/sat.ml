@@ -58,6 +58,13 @@ type t = {
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
+  (* Branching order: a binary max-heap of variables on (activity desc,
+     index asc).  Every unassigned variable is in it; assigned ones may
+     linger and are discarded when popped.  [heap_pos.(v)] is [v]'s slot,
+     or -1. *)
+  mutable heap : int array;
+  mutable heap_len : int;
+  mutable heap_pos : int array;
   mutable polarity : Bytes.t; (* saved phase: 1 = last true *)
   (* Assumption stack: retractable asserted literals, oldest first.
      [frame_lim] holds the assumption count at each {!push}. *)
@@ -95,6 +102,9 @@ let create () =
     qhead = 0;
     activity = Array.make 8 0.0;
     var_inc = 1.0;
+    heap = Array.make 8 0;
+    heap_len = 0;
+    heap_pos = Array.make 8 (-1);
     polarity = Bytes.make 8 '\000';
     assumptions = Array.make 8 0;
     n_assumptions = 0;
@@ -127,6 +137,75 @@ let grow_bytes b n =
     b'
   end
 
+(* ------------------------------------------------------------------ *)
+(* Branching heap                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The heap order breaks activity ties on the lower index, so its top is
+   exactly the variable a linear scan keeping the first strict maximum
+   would pick: the cold-solve trajectory, and with it every emitted case
+   byte, does not depend on which of the two picks the branch. *)
+let before s a b =
+  let aa = s.activity.(a) and ab = s.activity.(b) in
+  aa > ab || (aa = ab && a < b)
+
+let heap_set s i v =
+  s.heap.(i) <- v;
+  s.heap_pos.(v) <- i
+
+let sift_up s i =
+  let v = s.heap.(i) in
+  let i = ref i in
+  while !i > 0 && before s v s.heap.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    heap_set s !i s.heap.(parent);
+    i := parent
+  done;
+  heap_set s !i v
+
+let sift_down s i =
+  let v = s.heap.(i) in
+  let i = ref i in
+  let settled = ref false in
+  while not !settled do
+    let l = (2 * !i) + 1 in
+    if l >= s.heap_len then settled := true
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < s.heap_len && before s s.heap.(r) s.heap.(l) then r else l
+      in
+      if before s s.heap.(c) v then begin
+        heap_set s !i s.heap.(c);
+        i := c
+      end
+      else settled := true
+    end
+  done;
+  heap_set s !i v
+
+let heap_insert s v =
+  if s.heap_pos.(v) < 0 then begin
+    heap_set s s.heap_len v;
+    s.heap_len <- s.heap_len + 1;
+    sift_up s (s.heap_len - 1)
+  end
+
+let heap_pop s =
+  let v = s.heap.(0) in
+  s.heap_pos.(v) <- -1;
+  s.heap_len <- s.heap_len - 1;
+  if s.heap_len > 0 then begin
+    heap_set s 0 s.heap.(s.heap_len);
+    sift_down s 0
+  end;
+  v
+
+let heap_rebuild s =
+  for i = (s.heap_len / 2) - 1 downto 0 do
+    sift_down s i
+  done
+
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
@@ -136,7 +215,10 @@ let new_var s =
   s.reason <- grow_array s.reason s.nvars (-1);
   s.trail <- grow_array s.trail s.nvars 0;
   s.activity <- grow_array s.activity s.nvars 0.0;
+  s.heap <- grow_array s.heap s.nvars 0;
+  s.heap_pos <- grow_array s.heap_pos s.nvars (-1);
   s.watches <- grow_array s.watches (2 * s.nvars) [];
+  heap_insert s v;
   v
 
 (* Value of a literal: 0 unassigned, 1 true, 2 false. *)
@@ -160,8 +242,12 @@ let bump s v =
     for i = 0 to s.nvars - 1 do
       s.activity.(i) <- s.activity.(i) *. 1e-100
     done;
-    s.var_inc <- s.var_inc *. 1e-100
+    s.var_inc <- s.var_inc *. 1e-100;
+    (* Rounding can tie activities that differed, and ties order on the
+       index: re-heapify rather than trust the old shape. *)
+    heap_rebuild s
   end
+  else if s.heap_pos.(v) >= 0 then sift_up s s.heap_pos.(v)
 
 let decay s = s.var_inc <- s.var_inc /. 0.95
 
@@ -188,7 +274,8 @@ let backtrack s target_level =
       let v = lit_var l in
       Bytes.set s.polarity v (if lit_sign l then '\001' else '\000');
       Bytes.set s.assign v '\000';
-      s.reason.(v) <- -1
+      s.reason.(v) <- -1;
+      heap_insert s v
     done;
     s.trail_len <- bound;
     s.qhead <- bound;
@@ -215,23 +302,54 @@ let add_clause_internal s lits learned =
 (** Add a problem clause.  Performs top-level simplification: satisfied
     clauses are dropped, false literals removed.  The solver backtracks to
     decision level 0 first, so clauses can be added between incremental
-    solves (any model from the previous solve must be read before). *)
+    solves (any model from the previous solve must be read before).  The
+    stored clause keeps its literals in ascending order. *)
 let add_clause s lits =
   if not s.unsat then begin
     backtrack s 0;
-    let lits =
-      List.sort_uniq compare lits
-      |> List.filter (fun l -> lit_value s l <> 2)
-    in
-    let tautology =
-      List.exists (fun l -> List.mem (lit_neg l) lits) lits
-      || List.exists (fun l -> lit_value s l = 1) lits
-    in
-    if not tautology then
-      match lits with
-      | [] -> s.unsat <- true
-      | [ l ] -> if lit_value s l = 0 then enqueue s l (-1)
-      | lits -> ignore (add_clause_internal s (Array.of_list lits) false)
+    (* Insertion sort: the bit-blaster's clauses have at most three
+       literals, where it beats a general sort's setup. *)
+    let a = Array.of_list lits in
+    for i = 1 to Array.length a - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done;
+    (* Compact in place.  Sorting puts duplicates side by side, and a
+       literal next to its negation (2v, 2v+1), so both are checks on the
+       previous literal. *)
+    let n = Array.length a in
+    let k = ref 0 in
+    let prev = ref (-1) in
+    let tautology = ref false in
+    let i = ref 0 in
+    while !i < n && not !tautology do
+      let l = a.(!i) in
+      if l <> !prev then begin
+        if l = lit_neg !prev then tautology := true
+        else begin
+          match lit_value s l with
+          | 1 -> tautology := true
+          | 2 -> ()
+          | _ ->
+              a.(!k) <- l;
+              incr k
+        end;
+        prev := l
+      end;
+      incr i
+    done;
+    if not !tautology then
+      match !k with
+      | 0 -> s.unsat <- true
+      | 1 -> enqueue s a.(0) (-1)
+      | k ->
+          let lits = if k = n then a else Array.sub a 0 k in
+          ignore (add_clause_internal s lits false)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -475,17 +593,13 @@ let reduce_db s =
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Pick the unassigned variable with the highest activity. *)
-let pick_branch s =
-  let best = ref (-1) in
-  let best_act = ref (-1.0) in
-  for v = 0 to s.nvars - 1 do
-    if Bytes.get s.assign v = '\000' && s.activity.(v) > !best_act then begin
-      best := v;
-      best_act := s.activity.(v)
-    end
-  done;
-  !best
+(* Pick the unassigned variable with the highest activity (lowest index
+   on ties), or -1 when every variable is assigned. *)
+let rec pick_branch s =
+  if s.heap_len = 0 then -1
+  else
+    let v = heap_pop s in
+    if Bytes.get s.assign v = '\000' then v else pick_branch s
 
 type result = Sat | Unsat | Unknown
 

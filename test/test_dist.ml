@@ -524,8 +524,9 @@ let fork_tcp_worker ?(delay = 0.) ~port ~make_engine () =
       done;
       if delay > 0. then Unix.sleepf delay;
       (try
-         (* heartbeat 0.02: ~50 liveness draws/sec, so a probabilistic
-            chaos plan reliably fires even on short runs *)
+         (* heartbeat 0.02: the liveness probes, where chaos plans fire,
+            start within tens of milliseconds of joining, well before
+            even a short run ends *)
          Worker.serve_tcp ~jobs:1 ~slice:0.01 ~heartbeat:0.02 ~max_retries:60
            ~host:"127.0.0.1" ~port ~make_engine ()
        with _ -> ());
@@ -538,9 +539,12 @@ let reap_worker pid =
 
 let boot_entry eng = Executor.boot eng ~entry:0x1000 ()
 
-(* The acceptance scenario: two TCP workers under disconnect chaos
-   (every heartbeat draw has a 5% chance of abruptly severing the
-   connection).  Workers must keep rejoining with their session tokens;
+(* The acceptance scenario: two TCP workers under disconnect chaos.  The
+   plan fires on every heartbeat draw up to a cap of two per worker
+   process, so each worker severs its connection abruptly on its first
+   two heartbeats, however long the run takes — a per-draw probability
+   made the disconnect count, and with it the assertions below, depend
+   on run length.  Workers must rejoin with their session tokens;
    transport loss must never bleed into abandonment; and the final case
    set must match a serial run exactly. *)
 let test_tcp_disconnect_chaos () =
@@ -550,7 +554,7 @@ let test_tcp_disconnect_chaos () =
   let port = Proto.bound_port lfd in
   let pids = ref [] in
   let r =
-    with_plan "proto=disconnect:0.05" (fun () ->
+    with_plan "proto=disconnect:1.0#2" (fun () ->
         pids :=
           [
             fork_tcp_worker ~port ~make_engine ();

@@ -398,6 +398,164 @@ let test_mode_differential () =
     "portfolio serial = fresh" fresh
     (explore_cases Solver.Portfolio 1)
 
+(* --- cold-solve trajectory lock ---------------------------------------- *)
+
+(* Emitted case bytes are a function of the cold solve's CNF and of its
+   search trajectory, so a change to clause intake, branching order or
+   simplification that moves a single decision can change the bytes.
+   This golden test pins the trajectory on a fixed seeded corpus: random
+   CNFs driven through [Sat] directly (with duplicate and complementary
+   literals, incremental frames, clauses added after a solve, and one
+   instance long enough to rescale the activities), plus random width-1
+   [Expr] constraint lists through [Solver.check_model].  Every verdict,
+   model, decisions/conflicts/propagations count and clause count feeds
+   one digest, recorded before the solver's fixed costs were cut. *)
+
+let sat_trace buf tag s nvars r =
+  let st = Sat.stats s in
+  Printf.bprintf buf "%s %s d%d c%d p%d r%d l%d n%d " tag (result_tag r)
+    st.Sat.decisions st.Sat.conflicts st.Sat.propagations st.Sat.restarts
+    st.Sat.learned (Sat.size s);
+  if r = Sat.Sat then
+    for v = 0 to nvars - 1 do
+      Buffer.add_char buf (if Sat.model_value s v then '1' else '0')
+    done;
+  Buffer.add_char buf '\n'
+
+let rand_lit rng nvars =
+  let v = Random.State.int rng nvars in
+  if Random.State.bool rng then Sat.pos v else Sat.neg v
+
+let random_cnf rng s nvars nclauses =
+  for _ = 1 to nclauses do
+    let c = List.init 3 (fun _ -> rand_lit rng nvars) in
+    let c =
+      match Random.State.int rng 16 with
+      | 0 -> List.hd c :: c (* duplicate literal *)
+      | 1 -> Sat.lit_neg (List.hd c) :: c (* tautology *)
+      | _ -> c
+    in
+    Sat.add_clause s c
+  done
+
+let cnf_corpus buf =
+  let rng = Random.State.make [| 0x7EA; 12 |] in
+  for i = 1 to 24 do
+    let nvars = 30 + Random.State.int rng 60 in
+    let s = Sat.create () in
+    for _ = 1 to nvars do
+      ignore (Sat.new_var s)
+    done;
+    random_cnf rng s nvars (nvars * 4);
+    let tag = Printf.sprintf "cnf%d" i in
+    sat_trace buf tag s nvars (Sat.solve s);
+    for _ = 1 to 3 do
+      Sat.push s;
+      Sat.assume s (rand_lit rng nvars);
+      sat_trace buf tag s nvars (Sat.solve_assuming s [ rand_lit rng nvars ]);
+      Sat.pop s
+    done;
+    random_cnf rng s nvars 4;
+    sat_trace buf tag s nvars (Sat.solve s)
+  done;
+  (* Pigeonhole 8 into 7 takes over 4500 conflicts, past which the
+     activity increment (growing 1/0.95 per conflict) overflows 1e100 and
+     every activity is rescaled, which can tie variables that were
+     distinct. *)
+  let s = Sat.create () in
+  let v = Array.init 8 (fun _ -> Array.init 7 (fun _ -> Sat.new_var s)) in
+  Array.iter (fun row -> Sat.add_clause s (Array.to_list (Array.map Sat.pos row))) v;
+  for h = 0 to 6 do
+    for p1 = 0 to 7 do
+      for p2 = p1 + 1 to 7 do
+        Sat.add_clause s [ Sat.neg v.(p1).(h); Sat.neg v.(p2).(h) ]
+      done
+    done
+  done;
+  sat_trace buf "php8" s 56 (Sat.solve s);
+  (Sat.stats s).Sat.conflicts
+
+let rec random_bool rng vars depth =
+  let leaf () =
+    let v = vars.(Random.State.int rng (Array.length vars)) in
+    if Random.State.bool rng then v else Expr.log_not v
+  in
+  if depth = 0 || Random.State.int rng 4 = 0 then leaf ()
+  else
+    let sub () = random_bool rng vars (depth - 1) in
+    match Random.State.int rng 6 with
+    | 0 | 1 -> Expr.bor (sub ()) (sub ())
+    | 2 -> Expr.band (sub ()) (sub ())
+    | 3 -> Expr.bxor (sub ()) (sub ())
+    | 4 -> Expr.ite (sub ()) (sub ()) (sub ())
+    | _ -> Expr.eq (sub ()) (sub ())
+
+(* The cold solve [Solver.check_model] runs, replayed step by step so its
+   [Sat.stats] can be read. *)
+let replay_cold constraints =
+  let cs = List.map Simplifier.simplify constraints in
+  if List.exists (fun c -> Expr.equal c Expr.bool_f) cs then None
+  else
+    let cs = List.filter (fun c -> not (Expr.equal c Expr.bool_t)) cs in
+    let sat = Sat.create () in
+    let bctx = Bitblast.create sat in
+    List.iter (Bitblast.assert_true bctx) cs;
+    let r = Sat.solve ~max_conflicts:200_000 sat in
+    Some (sat, bctx, r)
+
+let expr_corpus buf =
+  let rng = Random.State.make [| 0xE1; 12 |] in
+  for i = 1 to 30 do
+    let nvars = 12 + Random.State.int rng 16 in
+    let vars =
+      Array.init nvars (fun j -> Expr.fresh_var ~width:1 (Printf.sprintf "t%d" j))
+    in
+    (* Disjunctions of three random subformulas: each holds on ~7/8 of
+       the assignments, so lists of 3n to 9n of them straddle the
+       sat/unsat threshold and the solves take real conflicts. *)
+    let constraints =
+      List.init ((3 * nvars) + Random.State.int rng (6 * nvars)) (fun _ ->
+          Expr.bor
+            (Expr.bor (random_bool rng vars 2) (random_bool rng vars 2))
+            (random_bool rng vars 2))
+    in
+    let ctx = Solver.create_ctx ~max_conflicts:200_000 () in
+    let r = Solver.check_model ~ctx constraints in
+    Printf.bprintf buf "expr%d %s l%d " i (verdict_tag r)
+      ctx.Solver.ctx_stats.Solver.sat_learned;
+    (match r with
+    | Solver.Sat m ->
+        Array.iter
+          (fun v ->
+            let id = match v with Expr.Var { id; _ } -> id | _ -> assert false in
+            match Expr.Int_map.find_opt id m with
+            | Some b -> Printf.bprintf buf "%Ld" b
+            | None -> Buffer.add_char buf '-')
+          vars
+    | Solver.Unsat | Solver.Unknown -> ());
+    Buffer.add_char buf '\n';
+    match replay_cold constraints with
+    | None -> ()
+    | Some (sat, bctx, sr) ->
+        (match (r, sr) with
+        | Solver.Sat m, Sat.Sat ->
+            Alcotest.(check bool) "replay finds check_model's model" true
+              (Expr.Int_map.equal Int64.equal m (Bitblast.model bctx))
+        | _ ->
+            Alcotest.(check string) "replay verdict = check_model verdict"
+              (verdict_tag r) (result_tag sr));
+        sat_trace buf (Printf.sprintf "expr%d" i) sat 0 sr
+  done
+
+let test_trajectory_lock () =
+  let buf = Buffer.create 4096 in
+  let big_conflicts = cnf_corpus buf in
+  Alcotest.(check bool) "corpus rescales activities" true (big_conflicts > 4500);
+  expr_corpus buf;
+  Alcotest.(check string) "cold-solve trajectory digest"
+    "9cee5f02dc2bc7fe027997494c089eda"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let tests =
   [
     Alcotest.test_case "sat basic" `Quick test_sat_basic;
@@ -422,6 +580,7 @@ let tests =
       test_bitblast_literal_stable;
     Alcotest.test_case "solver modes explore identical case sets" `Quick
       test_mode_differential;
+    Alcotest.test_case "cold-solve trajectory lock" `Quick test_trajectory_lock;
     QCheck_alcotest.to_alcotest prop_models_satisfy;
     QCheck_alcotest.to_alcotest prop_solver_vs_brute;
   ]
