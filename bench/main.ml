@@ -1125,7 +1125,7 @@ let trace_overhead () =
      exploration itself (paths and test cases) is unchanged.\n"
 
 (* ---------------------------------------------------------------- *)
-(* Distributed exploration: multi-process fork-server throughput      *)
+(* Distributed exploration: multi-process throughput                  *)
 (* ---------------------------------------------------------------- *)
 
 (* Same solver-heavy workload as the `parallel` experiment, distributed
@@ -1134,7 +1134,7 @@ let trace_overhead () =
    FIRST in [experiments]: Fork-mode workers must be spawned before any
    experiment has spun up OCaml domains. *)
 let dist () =
-  section "Distributed exploration: multi-process fork-server throughput";
+  section "Distributed exploration: multi-process throughput";
   let module Coordinator = S2e_dist.Coordinator in
   let img =
     Guest.build
@@ -1199,10 +1199,10 @@ let dist () =
           ("unexplored", Bench_json.Int r.unexplored);
         ])
     results;
-  (* Elastic TCP leg: the same workload through the cluster transport
-     (coordinator listener + 2 TCP workers), pricing the lease/rejoin
-     machinery and the delta snapshot encoding against the shared
-     baseline. *)
+  (* Remote-worker leg: the same workload with no owned workers and 2
+     remote workers dialing a caller-owned listener, pricing the
+     lease/rejoin machinery and the delta snapshot encoding against the
+     shared baseline. *)
   let fork_tcp_worker ~port =
     flush stdout;
     flush stderr;

@@ -213,7 +213,7 @@ diff "$serial_out.cases" "$chaos_out.cases" > /dev/null \
 rm -f "$serial_out.cases" "$chaos_out.cases"
 echo "CI: procs-mode chaos smoke test passed ($injected faults injected, cases == serial)"
 
-# Elastic TCP cluster smoke: coordinator on loopback plus two TCP
+# TCP cluster smoke: coordinator on loopback plus two remote
 # workers; SIGKILL one mid-run and join a replacement.  The run must
 # exit 0 with zero abandoned items -- transport loss requeues work, it
 # never poisons it -- and the report must count all three joins.
@@ -259,6 +259,43 @@ leaves=$(sed -n 's/^cluster: .*, \([0-9][0-9]*\) leaves.*/\1/p' "$cluster_out")
 [ -n "$leaves" ] && [ "$leaves" -ge 1 ] \
   || { echo "CI: killed worker was not counted as a leave" >&2; exit 1; }
 echo "CI: tcp cluster smoke test passed ($joins joins, $leaves leaves)"
+
+# Mixed-cluster smoke: serve spawns one owned worker (the real CLI Exec
+# path, dialing the serve listener) and one remote worker joins once the
+# port is printed.  The run must exit 0, abandon nothing, and emit
+# exactly the serial run's test cases.
+mixed_out=$(mktemp /tmp/s2e-mixed-XXXXXX.txt)
+trap 'rm -f "$stats_file" "$serial_out" "$dist_out" "$merge_out" "$solver_out" "$url_fresh" "$chaos_fresh" "$merge_stats" "$trace_json" "$traced_out" "$chaos_out" "$cluster_out" "$mixed_out"' EXIT
+"$cli" serve --driver nulldrv --workload symloop --procs 1 --cases \
+  --seconds 30 --listen 127.0.0.1:0 > "$mixed_out" &
+serve_pid=$!
+port=""
+for _ in $(seq 1 100); do
+  port=$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' "$mixed_out")
+  [ -n "$port" ] && break
+  sleep 0.1
+done
+[ -n "$port" ] || { echo "CI: mixed serve never printed its port" >&2; exit 1; }
+"$cli" worker --driver nulldrv --workload symloop \
+  --connect 127.0.0.1:"$port" > /dev/null 2>&1 &
+w1=$!
+serve_rc=0
+wait "$serve_pid" || serve_rc=$?
+kill "$w1" 2>/dev/null || true
+wait "$w1" 2>/dev/null || true
+[ "$serve_rc" -eq 0 ] \
+  || { echo "CI: mixed serve exited $serve_rc" >&2; cat "$mixed_out" >&2; exit 1; }
+if grep -q '^abandoned item' "$mixed_out"; then
+  echo "CI: mixed cluster run abandoned work" >&2
+  cat "$mixed_out" >&2
+  exit 1
+fi
+grep '|' "$serial_out" > "$serial_out.cases"
+grep '|' "$mixed_out" > "$mixed_out.cases"
+diff "$serial_out.cases" "$mixed_out.cases" > /dev/null \
+  || { echo "CI: mixed cluster test cases differ from serial" >&2; exit 1; }
+rm -f "$serial_out.cases" "$mixed_out.cases"
+echo "CI: mixed cluster smoke test passed (owned + remote worker, cases == serial)"
 
 # Distributed bench must emit its BENCH JSON line within a small budget,
 # including the TCP leg's delta-snapshot compression ratio.
@@ -330,7 +367,7 @@ echo "CI: bench merge smoke test passed"
 # and dumps a repro on any divergence), and a fresh capture of the
 # urlparse workload must also replay cleanly end to end.
 oracle_dir=$(mktemp -d /tmp/s2e-oracle-XXXXXX)
-trap 'rm -f "$stats_file" "$serial_out" "$dist_out" "$merge_out" "$solver_out" "$url_fresh" "$chaos_fresh" "$merge_stats" "$trace_json" "$traced_out" "$chaos_out"; rm -rf "$oracle_dir"' EXIT
+trap 'rm -f "$stats_file" "$serial_out" "$dist_out" "$merge_out" "$solver_out" "$url_fresh" "$chaos_fresh" "$merge_stats" "$trace_json" "$traced_out" "$chaos_out" "$cluster_out" "$mixed_out"; rm -rf "$oracle_dir"' EXIT
 dune exec bin/s2e_cli.exe -- oracle --count 500 --seed 1 \
   --corpus examples/oracle/urlparse.corpus --repro-dir "$oracle_dir" \
   > "$oracle_dir/out.txt" \

@@ -321,11 +321,9 @@ let solver_mode_arg =
      $(b,incremental) (default — a ring of live SAT instances keyed on \
      constraint-prefix hashes; a query matching a live instance pops to \
      the common ancestor and asserts only the suffix, reusing encodings \
-     and learned clauses), $(b,fresh) (one cold instance per query; the \
-     escape hatch and differential baseline), or $(b,portfolio) (two \
-     cold instances with different branching seeds racing under the \
-     watchdog).  Test-case models are always solved cold, so case sets \
-     are identical across modes."
+     and learned clauses), or $(b,fresh) (one cold instance per query; \
+     the escape hatch and differential baseline).  Test-case models are \
+     always solved cold, so case sets are identical across modes."
   in
   Arg.(value & opt string "incremental" & info [ "solver" ] ~docv:"MODE" ~doc)
 
@@ -335,9 +333,8 @@ let setup_resilience ~cmd ?(solver_mode = "incremental") ~fault_plan
   (match S2e_solver.Solver.mode_of_string solver_mode with
   | Some m -> S2e_solver.Solver.set_default_mode m
   | None ->
-      Fmt.epr "s2e %s: --solver must be incremental, fresh or portfolio \
-               (got %S)@."
-        cmd solver_mode;
+      Fmt.epr "s2e %s: --solver must be incremental or fresh (got %S)@." cmd
+        solver_mode;
       exit 2);
   if solver_timeout_ms < 0. then begin
     Fmt.epr "s2e %s: --solver-timeout-ms must be >= 0 (got %g)@." cmd
@@ -381,8 +378,8 @@ let parse_hostport ~cmd s =
       exit 2
 
 (* Merged report of a distributed run, shared by `explore --procs` and
-   `serve`.  Cluster and delta lines appear only when TCP workers were
-   involved, so fork-only runs keep their exact historical output. *)
+   `serve`.  The cluster line appears only when remote workers or solo
+   mode were involved. *)
 let print_dist_result ~jobs ~cases (r : S2e_dist.Coordinator.result) =
   let open S2e_dist in
   Fmt.pr "procs: %d@." r.Coordinator.procs;
@@ -516,9 +513,10 @@ let explore_cmd =
   let open S2e_core in
   let procs_arg =
     let doc =
-      "Distribute exploration across $(docv) worker processes (fork-server \
-       coordinator).  Composes with --jobs: each process runs that many \
-       domains.  1 keeps everything in-process."
+      "Distribute exploration across $(docv) worker processes, spawned as \
+       $(b,s2e_cli worker) children that join the coordinator over a \
+       loopback TCP listener.  Composes with --jobs: each process runs \
+       that many domains.  1 keeps everything in-process."
     in
     Arg.(value & opt int 1 & info [ "procs" ] ~docv:"N" ~doc)
   in
@@ -657,8 +655,9 @@ let explore_cmd =
              r.completed)
     end
     else begin
-      (* Distributed: fork-server coordinator + `s2e_cli worker` children
-         (each re-building the same engine spec from these arguments). *)
+      (* Distributed: `s2e_cli worker` children dial the coordinator's
+         loopback listener, each re-building the same engine spec from
+         these arguments. *)
       let argv =
         worker_argv ~driver ~workload ~model ~searcher ~merge ~jobs
           ~fault_plan ~fault_seed ~solver_timeout_ms ~solver_mode
@@ -713,9 +712,12 @@ let serve_cmd =
   in
   let procs_arg =
     let doc =
-      "Also spawn $(docv) attached worker processes locally (0 relies \
-       entirely on TCP workers; until one joins, the coordinator \
-       explores solo)."
+      "Also spawn $(docv) owned worker processes locally; they dial this \
+       listener's address (127.0.0.1 when it is bound to any address).  \
+       Losing an owned worker kills and respawns it and charges its item \
+       one attempt; a remote worker's loss only requeues the item.  0 \
+       relies entirely on remote workers; until one joins, the \
+       coordinator explores solo."
     in
     Arg.(value & opt int 0 & info [ "procs" ] ~docv:"N" ~doc)
   in
@@ -726,8 +728,8 @@ let serve_cmd =
   let lease_arg =
     let doc =
       "Worker liveness lease in seconds: a worker silent past it is \
-       presumed dead, its in-flight item requeued.  Granted to TCP \
-       workers at admission (they heartbeat at a quarter of it)."
+       presumed dead, its in-flight item requeued.  Granted to every \
+       worker at admission (they heartbeat at a quarter of it)."
     in
     Arg.(value & opt float 10. & info [ "lease" ] ~docv:"SEC" ~doc)
   in
@@ -793,7 +795,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Coordinate an elastic exploration cluster over TCP: workers \
+         "Coordinate an exploration cluster over TCP: workers \
           ($(b,s2e_cli worker --connect)) join and leave mid-run; the \
           coordinator leases them work, recovers from their crashes, and \
           degrades to exploring solo when none are left")
@@ -803,8 +805,8 @@ let serve_cmd =
       $ listen_arg $ max_workers_arg $ lease_arg $ fault_plan_arg
       $ fault_seed_arg $ solver_timeout_arg $ solver_mode_arg)
 
-(* --- worker: fork-server entry point (`explore --procs`) and TCP
-   cluster joiner (`worker --connect`) --- *)
+(* --- worker: joins a coordinator's listener (`serve`, or the loopback
+   one `explore --procs` spawns it against) --- *)
 
 let worker_cmd =
   let slice_arg =
@@ -820,13 +822,13 @@ let worker_cmd =
   in
   let connect_arg =
     let doc =
-      "Join a TCP coordinator ($(b,s2e_cli serve)) at $(docv) instead of \
-       reading a socketpair fd from the environment.  The worker keeps \
-       reconnecting with exponential backoff and resumes its session \
-       after connection losses."
+      "Join the coordinator listening at $(docv) ($(b,s2e_cli serve), or \
+       the loopback listener of $(b,explore --procs), which passes it).  \
+       The worker keeps reconnecting with exponential backoff and \
+       resumes its session after connection losses."
     in
     Arg.(
-      value
+      required
       & opt (some string) None
       & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
   in
@@ -844,34 +846,15 @@ let worker_cmd =
     let _img, make_engine =
       engine_factory ~driver ~workload ~model ~searcher ~merge
     in
-    match connect with
-    | Some hostport ->
-        let host, port = parse_hostport ~cmd:"worker" hostport in
-        S2e_dist.Worker.serve_tcp ~jobs ~slice ~host ~port ~make_engine ()
-    | None ->
-        let fd =
-          match Sys.getenv_opt "S2E_DIST_FD" with
-          | Some s -> (
-              match int_of_string_opt s with
-              | Some n when n >= 0 -> S2e_dist.Proto.fd_of_int n
-              | _ ->
-                  Fmt.epr "s2e worker: malformed S2E_DIST_FD %S@." s;
-                  exit 2)
-          | None ->
-              Fmt.epr
-                "s2e worker: pass --connect HOST:PORT to join a cluster \
-                 (without it this is the internal entry point spawned by \
-                 explore --procs, and S2E_DIST_FD is not set)@.";
-              exit 2
-        in
-        S2e_dist.Worker.serve ~jobs ~slice ~fd ~make_engine ()
+    let host, port = parse_hostport ~cmd:"worker" connect in
+    S2e_dist.Worker.serve_tcp ~jobs ~slice ~host ~port ~make_engine ()
   in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Exploration worker process: joins a TCP cluster with \
-          $(b,--connect), or serves a spawning coordinator over an \
-          inherited socketpair (explore --procs)")
+         "Exploration worker process: joins the coordinator at \
+          $(b,--connect) (a $(b,serve) cluster, or the owned workers of \
+          explore --procs)")
     Term.(
       const run $ driver_arg $ explore_workload_arg $ model_arg $ jobs_arg
       $ searcher_arg $ merge_arg $ slice_arg $ trace_flag_arg $ connect_arg

@@ -1,38 +1,43 @@
-(** Elastic coordinator: multi-process and multi-host distribution of
-    the exploration frontier (the ROADMAP's scale step past OCaml-domain
+(** Coordinator: multi-process and multi-host distribution of the
+    exploration frontier (the ROADMAP's scale step past OCaml-domain
     workers, in the style of Manticore's multiprocessing coordinator).
 
     The coordinator boots the root state on a local engine, serializes
     it, and feeds a queue of {e items} (one snapshot blob each) to its
-    workers.  Workers come in two kinds: {e attached} processes it
-    spawned itself over socketpairs (the [--procs N] fork-server path),
-    and {e remote} workers that dialed the TCP listener mid-run, were
-    admitted with a session token, and ship snapshots delta-encoded
-    against the run's shared baseline.  Load balancing is pull-based:
-    when the queue runs dry and a worker sits idle, the busiest worker
-    (by last-reported frontier size) receives a [Steal] and answers by
-    checkpointing its whole remaining frontier, which re-enters the
-    queue as fresh items.  In elastic (listener) mode, item budgets are
-    sized from each worker's observed paths/sec so slow workers return
-    their remainder sooner for fast ones to pick up.
+    workers.  Every worker joins over TCP: the coordinator listens (on
+    a loopback port of its own unless the caller passes a listener), and
+    each worker dials in, is admitted with a [Hello]/[Welcome]
+    handshake, and ships its checkpointed states back delta-encoded
+    against the run's shared baseline.  A worker is either {e owned} — a
+    process the coordinator spawned itself ([--procs N]), recognised at
+    admission by the pid in its [Hello] — or {e remote}, having dialed
+    in on its own.
+    Load balancing is pull-based: when the queue runs dry and a worker
+    sits idle, the busiest worker (by last-reported frontier size)
+    receives a [Steal] and answers by checkpointing its whole remaining
+    frontier, which re-enters the queue as fresh items.  Item budgets
+    are sized from each worker's observed paths/sec so slow workers
+    return their remainder sooner for fast ones to pick up.
 
     Crash tolerance rests on the atomic-handoff discipline of {!Proto}:
     a worker's results leave it only in the one message that retires its
-    item, so on any worker death — fd EOF, checksum-torn frame, an
+    item, so on any session loss — EOF, an unrecoverable stream, an
     expired lease — the coordinator requeues the item blob it still
-    holds.  Attached workers are respawned (bounded restarts with
-    backoff; items that repeatedly kill workers are dropped after
-    [max_item_attempts]).  A remote worker's death is presumed to be
-    transport chaos: its item is requeued without charging an attempt,
-    its session is kept, and if it rejoins with its token it resumes
-    where the queue stands.  When every worker is gone and work remains,
-    the coordinator degrades to exploring items on its own boot engine
-    (solo mode) rather than aborting — the bottom rung of the
-    degradation ladder.  SIGINT (when [handle_sigint]) and
-    wall-clock/path budgets drain gracefully: busy workers checkpoint
-    their frontiers, every worker reports its telemetry snapshot in
-    [Bye], and the merged report accounts for every path explored plus
-    every state left unexplored. *)
+    holds.  What else happens depends on process ownership alone.  An
+    owned worker is killed, reaped and respawned (bounded restarts with
+    backoff), and the loss is charged to the item as one attempt: items
+    that repeatedly kill workers are dropped after [max_item_attempts].
+    A remote worker's loss is presumed to be transport chaos: its item
+    is requeued without charging an attempt, its session is kept, and
+    if it rejoins with its token it resumes where the queue stands.
+    When every worker is gone and work remains, the coordinator explores
+    items itself (solo mode) on the serial slicer a worker would use,
+    rather than aborting — the bottom rung of the degradation ladder.
+    SIGINT (when [handle_sigint]) and wall-clock/path budgets drain
+    gracefully: busy workers checkpoint their frontiers, every worker
+    reports its telemetry snapshot in [Bye], and the merged report
+    accounts for every path explored plus every state left
+    unexplored. *)
 
 module Executor = S2e_core.Executor
 module Events = S2e_core.Events
@@ -40,15 +45,15 @@ module State = S2e_core.State
 module Solver = S2e_solver.Solver
 module Obs = S2e_obs
 
-(** How to start an attached worker process. *)
+(** How to start an owned worker process. *)
 type spawn =
   | Fork of { jobs : int; slice : float; make_engine : unit -> Executor.t }
-      (** [Unix.fork] and run {!Worker.serve} in the child.  Only safe
-          while no other domain is (or has been) active in this
+      (** [Unix.fork] and run {!Worker.serve_tcp} in the child.  Only
+          safe while no other domain is (or has been) active in this
           process; tests and benchmarks use this. *)
   | Exec of { argv : string array }
-      (** Spawn [argv] (typically [s2e_cli worker ...]); the worker end
-          of the socketpair is passed via [S2E_DIST_FD]. *)
+      (** Spawn [argv @ ["--connect"; "HOST:PORT"]] (typically
+          [s2e_cli worker ...]). *)
 
 (** Scheduling events, exposed for logging and fault-injection tests. *)
 type event =
@@ -58,10 +63,10 @@ type event =
   | Checkpointed of { pid : int; item : int; states : int }
   | Crashed of { pid : int; requeued : bool }
   | Respawned of { pid : int; slot : int }
-  | Joined of { wid : int; addr : string }  (** TCP worker admitted *)
+  | Joined of { wid : int; addr : string }  (** remote worker admitted *)
   | Rejoined of { wid : int; pid : int }  (** session resumed after loss *)
   | Left of { wid : int; requeued : bool }
-      (** TCP worker gone (EOF or lease expiry); session kept *)
+      (** remote worker gone (EOF or lease expiry); session kept *)
   | Solo of { item : int }  (** coordinator exploring an item itself *)
 
 type result = {
@@ -73,7 +78,7 @@ type result = {
   obs : Obs.Metrics.snapshot;  (** merged worker registries + local *)
   steals : int;  (** checkpoints triggered by steal requests *)
   requeues : int;  (** in-flight items recovered from dead workers *)
-  restarts : int;  (** attached worker processes respawned *)
+  restarts : int;  (** owned worker processes respawned *)
   abandoned : (int * int) list;
       (** items given up after [max_item_attempts]: (item id, attempts) *)
   naks : int;  (** damaged/out-of-order frames NAKed, both directions *)
@@ -81,9 +86,9 @@ type result = {
   injected : int;  (** transport corruptions injected by the fault plan *)
   unexplored : int;  (** frontier states left when the run stopped *)
   wall_seconds : float;
-  joins : int;  (** TCP workers admitted over the run *)
-  reconnects : int;  (** sessions resumed via [Rejoin] *)
-  leaves : int;  (** TCP connection losses (EOF or expired lease) *)
+  joins : int;  (** remote workers admitted over the run *)
+  reconnects : int;  (** remote sessions resumed via [Rejoin] *)
+  leaves : int;  (** remote session losses (EOF or expired lease) *)
   solo_paths : int;  (** paths the coordinator explored itself *)
   delta_bytes : int;  (** snapshot bytes actually shipped as deltas *)
   delta_full_bytes : int;
@@ -100,14 +105,14 @@ type item = { it_id : int; it_blob : string; mutable it_attempts : int }
 type wstatus = Starting | Idle | Busy of item
 
 type wkind =
-  | Attached of { slot : int }  (* spawned over a socketpair; respawnable *)
-  | Remote of { token : string }  (* dialed the listener; can rejoin *)
+  | Owned  (* spawned by this coordinator; respawnable *)
+  | Remote of { token : string }  (* dialed in on its own; can rejoin *)
 
 type wrk = {
-  w_id : int;  (* slot for attached workers, wid for remote ones *)
+  w_id : int;  (* slot for owned workers, wid for remote ones *)
   w_kind : wkind;
   mutable w_pid : int;
-  mutable w_conn : Proto.conn option;  (* None until spawned / after loss *)
+  mutable w_conn : Proto.conn option;  (* None until admitted / after loss *)
   mutable w_status : wstatus;
   mutable w_alive : bool;
   mutable w_shutdown : bool;  (* Shutdown already sent *)
@@ -123,13 +128,11 @@ type wrk = {
    yet; dropped if it stays silent past its deadline. *)
 type pending = { p_conn : Proto.conn; p_addr : string; p_deadline : float }
 
-let strip_dist_fd env =
-  Array.to_list env
-  |> List.filter (fun s ->
-         not (String.length s >= 12 && String.sub s 0 12 = "S2E_DIST_FD="))
-
-let spawn_process spawn ~other_fds =
-  let parent_fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+(* Start one owned worker dialing [host:port]; returns its pid.  The
+   child must not keep [other_fds] (worker sockets, the listener): an
+   inherited copy would pin a peer's connection open past its death and
+   break EOF detection. *)
+let spawn_process spawn ~host ~port ~other_fds =
   match spawn with
   | Fork { jobs; slice; make_engine } -> (
       (* Keep buffered output from being flushed twice. *)
@@ -137,29 +140,19 @@ let spawn_process spawn ~other_fds =
       flush stderr;
       match Unix.fork () with
       | 0 ->
-          Unix.close parent_fd;
           List.iter
             (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
             other_fds;
-          (try Worker.serve ~jobs ~slice ~fd:child_fd ~make_engine ()
+          (try Worker.serve_tcp ~jobs ~slice ~host ~port ~make_engine ()
            with _ -> ());
           Unix._exit 0
-      | pid ->
-          Unix.close child_fd;
-          (pid, parent_fd))
+      | pid -> pid)
   | Exec { argv } ->
-      Unix.set_close_on_exec parent_fd;
-      let env =
-        Array.of_list
-          (strip_dist_fd (Unix.environment ())
-          @ [ "S2E_DIST_FD=" ^ string_of_int (Proto.int_of_fd child_fd) ])
+      List.iter Unix.set_close_on_exec other_fds;
+      let argv =
+        Array.append argv [| "--connect"; Printf.sprintf "%s:%d" host port |]
       in
-      let pid =
-        Unix.create_process_env argv.(0) argv env Unix.stdin Unix.stdout
-          Unix.stderr
-      in
-      Unix.close child_fd;
-      (pid, parent_fd)
+      Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
 
 (* Session tokens need uniqueness per coordinator, not secrecy against
    an adversary on the socket (the transport is plaintext anyway): they
@@ -184,14 +177,30 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     ?(on_event = fun (_ : event) -> ()) ~spawn
     ~(make_engine : unit -> Executor.t) ~(boot : Executor.t -> State.t) () =
   if procs < 0 then invalid_arg "Coordinator.explore: procs must be >= 0";
-  if procs = 0 && listener = None then
-    invalid_arg "Coordinator.explore: procs = 0 requires a listener";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t0 = Unix.gettimeofday () in
   let deadline =
     match limits.Executor.max_seconds with
     | Some s -> t0 +. s
     | None -> infinity
+  in
+  (* Every worker joins over TCP; without a caller's listener the owned
+     workers get a loopback one of their own. *)
+  let lfd =
+    match listener with
+    | Some lfd -> lfd
+    | None -> Proto.listen ~host:"127.0.0.1" ~port:0
+  in
+  (* Owned workers dial the listener's bound address; one bound to any
+     address is reachable on loopback. *)
+  let dial_host, dial_port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (a, port) ->
+        ( (if a = Unix.inet_addr_any then "127.0.0.1"
+           else Unix.string_of_inet_addr a),
+          port )
+    | Unix.ADDR_UNIX _ ->
+        invalid_arg "Coordinator.explore: listener is not a TCP socket"
   in
   (* Boot locally: path/fork accounting then matches {!Parallel.explore}
      (boot counts one created state on the coordinator side). *)
@@ -228,7 +237,9 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     incr next_item
   in
   (* The root snapshot doubles as the cluster's shared delta baseline,
-     handed to every remote worker in its [Welcome]. *)
+     handed to every worker in its [Welcome].  Work ships whole: encoding
+     every dispatch here would grow the coordinator's heap for no
+     measurable byte saving. *)
   let baseline = Codec.encode_state s0 in
   enqueue_blob baseline;
   let steals = ref 0 in
@@ -266,10 +277,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
       w_dispatched = 0.;
     }
   in
-  for slot = 0 to procs - 1 do
-    workers := new_wrk ~id:slot ~kind:(Attached { slot }) :: !workers
-  done;
-  workers := List.rev !workers;
+  workers := List.init procs (fun slot -> new_wrk ~id:slot ~kind:Owned);
   let next_wid = ref procs in
   let live_fds () =
     List.fold_left
@@ -279,27 +287,21 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         | _ -> acc)
       [] !workers
   in
-  (* Every fd a forked child must NOT inherit: worker sockets, the
-     listener, half-shaken handshakes.  An inherited copy would pin a
-     peer's connection open past its death and break EOF detection. *)
+  (* Every fd a spawned child must NOT inherit: worker sockets, the
+     listener, half-shaken handshakes. *)
   let inheritable_fds () =
-    let fds = live_fds () in
-    let fds =
-      match listener with Some lfd -> lfd :: fds | None -> fds
+    List.fold_left
+      (fun acc p -> p.p_conn.Proto.fd :: acc)
+      (lfd :: live_fds ()) !pendings
+  in
+  (* An owned slot is alive from its spawn on; its connection arrives
+     when the process dials in and is admitted. *)
+  let do_spawn w =
+    let pid =
+      spawn_process spawn ~host:dial_host ~port:dial_port
+        ~other_fds:(inheritable_fds ())
     in
-    List.fold_left (fun acc p -> p.p_conn.Proto.fd :: acc) fds !pendings
-  in
-  let find_slot slot =
-    List.find
-      (fun w ->
-        match w.w_kind with Attached a -> a.slot = slot | Remote _ -> false)
-      !workers
-  in
-  let do_spawn slot =
-    let pid, fd = spawn_process spawn ~other_fds:(inheritable_fds ()) in
-    let w = find_slot slot in
     w.w_pid <- pid;
-    w.w_conn <- Some (Proto.connect fd);
     w.w_status <- Starting;
     w.w_alive <- true;
     w.w_shutdown <- false;
@@ -307,7 +309,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     w.w_steal <- 0.;
     w.w_nak <- 0.;
     w.w_frontier <- 0;
-    on_event (Spawned { pid; slot })
+    on_event (Spawned { pid; slot = w.w_id })
   in
   let close_conn w =
     (match w.w_conn with
@@ -319,6 +321,17 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     close_conn w;
     try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ()
   in
+  (* Take a worker out of service without its [Bye]: an owned process is
+     killed and reaped (left alone it would keep redialing), a remote
+     session just loses its connection. *)
+  let discard w =
+    w.w_alive <- false;
+    match w.w_kind with
+    | Owned ->
+        (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        reap w
+    | Remote _ -> close_conn w
+  in
   (* Recover the in-flight item of a failed worker.  [count_attempt]
      distinguishes process death (evidence the item may be poison) from
      transport loss (chaos; the item is blameless and must not creep
@@ -327,19 +340,12 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     match w.w_status with
     | Busy it ->
         w.w_status <- Idle;
-        if count_attempt then begin
-          it.it_attempts <- it.it_attempts + 1;
-          if it.it_attempts > max_item_attempts then begin
-            (* Give up on an item that keeps killing workers — but say
-               so: it surfaces in the final report, not a silent drop. *)
-            abandoned := (it.it_id, it.it_attempts) :: !abandoned;
-            false
-          end
-          else begin
-            Queue.push it queue;
-            incr requeues;
-            true
-          end
+        if count_attempt then it.it_attempts <- it.it_attempts + 1;
+        if it.it_attempts > max_item_attempts then begin
+          (* Give up on an item that keeps killing workers — but say so:
+             it surfaces in the final report, not a silent drop. *)
+          abandoned := (it.it_id, it.it_attempts) :: !abandoned;
+          false
         end
         else begin
           Queue.push it queue;
@@ -348,42 +354,33 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         end
     | _ -> false
   in
-  (* An attached worker died (EOF, torn frame, expired lease): recover
-     its in-flight item and respawn unless the run is draining anyway. *)
-  let crash w =
-    if w.w_alive then begin
-      w.w_alive <- false;
-      (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      reap w;
-      let requeued = requeue_item w ~count_attempt:true in
-      on_event (Crashed { pid = w.w_pid; requeued });
-      match w.w_kind with
-      | Attached { slot } when (not !draining) && !restarts < max_restarts ->
-          incr restarts;
-          (* brief backoff so a crash-looping configuration cannot spin *)
-          Unix.sleepf (Float.min 0.5 (0.05 *. float_of_int !restarts));
-          do_spawn slot;
-          on_event (Respawned { pid = (find_slot slot).w_pid; slot })
-      | _ -> ()
-    end
-  in
-  (* A remote worker's connection died (EOF or expired lease): requeue
-     without charging an attempt, keep the session for a [Rejoin]. *)
-  let leave w =
-    if w.w_alive then begin
-      w.w_alive <- false;
-      close_conn w;
-      let requeued = requeue_item w ~count_attempt:false in
-      incr leaves;
-      on_event (Left { wid = w.w_id; requeued })
-    end
-  in
+  (* A session was lost (EOF, unrecoverable stream, expired lease).  An
+     owned worker is killed, charged one attempt on its item, and
+     respawned unless the run is draining anyway; a remote one has its
+     item requeued uncounted and keeps its session for a [Rejoin]. *)
   let fail w =
-    match w.w_kind with Attached _ -> crash w | Remote _ -> leave w
+    if w.w_alive then
+      match w.w_kind with
+      | Owned -> (
+          discard w;
+          let requeued = requeue_item w ~count_attempt:true in
+          on_event (Crashed { pid = w.w_pid; requeued });
+          if (not !draining) && !restarts < max_restarts then begin
+            incr restarts;
+            (* brief backoff so a crash-looping configuration cannot spin *)
+            Unix.sleepf (Float.min 0.5 (0.05 *. float_of_int !restarts));
+            do_spawn w;
+            on_event (Respawned { pid = w.w_pid; slot = w.w_id })
+          end)
+      | Remote _ ->
+          discard w;
+          let requeued = requeue_item w ~count_attempt:false in
+          incr leaves;
+          on_event (Left { wid = w.w_id; requeued })
   in
   (* Expand a possibly-delta checkpoint state back to a full blob before
      it enters the queue (the queue always holds full snapshots — any
-     worker, attached or remote, may receive them next). *)
+     worker may receive them next). *)
   let expand blob =
     if Codec.is_delta blob then Codec.decode_delta ~baseline blob else blob
   in
@@ -398,10 +395,6 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   let handle_msg w (m : Proto.msg) =
     w.w_last <- Unix.gettimeofday ();
     match m with
-    | Proto.Hello { version; _ } ->
-        if version <> Proto.version then
-          failwith "dist: worker protocol version mismatch";
-        if w.w_status = Starting then w.w_status <- Idle
     | Proto.Heartbeat { frontier; now; trace; _ } ->
         w.w_frontier <- frontier;
         collect_trace w ~now_w:now trace
@@ -443,17 +436,15 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         obs_snaps := obs :: !obs_snaps;
         collect_trace w ~now_w:now trace;
         w.w_alive <- false;
-        (match w.w_kind with
-        | Attached _ -> reap w
-        | Remote _ -> close_conn w)
+        (match w.w_kind with Owned -> reap w | Remote _ -> close_conn w)
+    | Proto.Hello _ | Proto.Rejoin _ ->
+        () (* handshake traffic; only meaningful on a pending conn *)
     | Proto.Work _ | Proto.Steal | Proto.Ping | Proto.Shutdown
     | Proto.Welcome _ | Proto.Deny _
     | Proto.Resend _ (* consumed inside recv; never delivered *) ->
         () (* coordinator-only messages; ignore *)
-    | Proto.Rejoin _ ->
-        () (* handshake traffic; only meaningful on a pending conn *)
   in
-  (* ---------------- TCP admission ---------------- *)
+  (* ---------------- admission ---------------- *)
   let drop_pending p =
     pendings := List.filter (fun q -> q != p) !pendings;
     try Unix.close p.p_conn.Proto.fd with Unix.Unix_error _ -> ()
@@ -466,34 +457,56 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   let live_count () =
     List.fold_left (fun n w -> if w.w_alive then n + 1 else n) 0 !workers
   in
-  let welcome conn ~wid ~token =
-    Proto.send conn
-      (Proto.Welcome { wid; token; lease = heartbeat_timeout; baseline })
+  (* The handshake's connection becomes [w]'s session, and [w] is
+     granted its lease and the baseline; [false] if the peer died. *)
+  let attach p w ~pid ~token =
+    pendings := List.filter (fun q -> q != p) !pendings;
+    w.w_pid <- pid;
+    w.w_conn <- Some p.p_conn;
+    w.w_status <- Idle;
+    w.w_alive <- true;
+    w.w_shutdown <- false;
+    w.w_last <- Unix.gettimeofday ();
+    w.w_steal <- 0.;
+    w.w_nak <- 0.;
+    w.w_frontier <- 0;
+    match
+      Proto.send p.p_conn
+        (Proto.Welcome
+           { wid = w.w_id; token; lease = heartbeat_timeout; baseline })
+    with
+    | () -> true
+    | exception (Proto.Closed | Codec.Error _) -> false
+  in
+  (* A spawned slot still waiting for its process to dial in. *)
+  let awaiting pid w =
+    w.w_alive && Option.is_none w.w_conn && w.w_pid = pid
+    && w.w_kind = Owned
   in
   let admit p (m : Proto.msg) =
     match m with
-    | Proto.Hello { version; pid; _ } ->
-        if version <> Proto.version then deny p "protocol version mismatch"
-        else if !draining then deny p "coordinator is draining"
-        else if live_count () >= max_workers then deny p "at capacity"
-        else begin
-          let wid = !next_wid in
-          incr next_wid;
-          let token = gen_token () in
-          let w = new_wrk ~id:wid ~kind:(Remote { token }) in
-          w.w_pid <- pid;
-          w.w_conn <- Some p.p_conn;
-          w.w_status <- Idle;
-          w.w_alive <- true;
-          w.w_last <- Unix.gettimeofday ();
-          match welcome p.p_conn ~wid ~token with
-          | () ->
+    | Proto.Hello { version; _ } when version <> Proto.version ->
+        deny p "protocol version mismatch"
+    | (Proto.Hello _ | Proto.Rejoin _) when !draining ->
+        deny p "coordinator is draining"
+    | Proto.Hello { pid; _ } -> (
+        match List.find_opt (awaiting pid) !workers with
+        | Some w ->
+            (* One of ours: already counted in [procs], so exempt from
+               the cap and not a join. *)
+            if not (attach p w ~pid ~token:"") then fail w
+        | None when live_count () >= max_workers -> deny p "at capacity"
+        | None ->
+            let wid = !next_wid in
+            incr next_wid;
+            let token = gen_token () in
+            let w = new_wrk ~id:wid ~kind:(Remote { token }) in
+            if attach p w ~pid ~token then begin
               workers := !workers @ [ w ];
-              pendings := List.filter (fun q -> q != p) !pendings;
               incr joins;
               on_event (Joined { wid; addr = p.p_addr })
-          | exception (Proto.Closed | Codec.Error _) -> drop_pending p
-        end
+            end
+            else close_conn w)
     | Proto.Rejoin { wid; token; pid; _ } -> (
         let found =
           List.find_opt
@@ -502,41 +515,28 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
               &&
               match w.w_kind with
               | Remote r -> String.equal r.token token
-              | Attached _ -> false)
+              | Owned -> false)
             !workers
         in
         match found with
         | None -> deny p "unknown session"
         | Some w ->
-            if !draining then deny p "coordinator is draining"
+            (* A still-live session means the old connection has not torn
+               down yet (e.g. a stalled worker came back before its lease
+               ran out): retire it first, requeueing whatever it held —
+               the worker discarded its frontier. *)
+            fail w;
+            if attach p w ~pid ~token then begin
+              incr reconnects;
+              on_event (Rejoined { wid; pid })
+            end
             else begin
-              (* A still-live session means the old connection has not
-                 torn down yet (e.g. a stalled worker came back before
-                 its lease ran out): retire it first, requeueing
-                 whatever it held — the worker discarded its frontier. *)
-              if w.w_alive then leave w;
-              w.w_pid <- pid;
-              w.w_conn <- Some p.p_conn;
-              w.w_status <- Idle;
-              w.w_alive <- true;
-              w.w_shutdown <- false;
-              w.w_last <- Unix.gettimeofday ();
-              w.w_steal <- 0.;
-              w.w_nak <- 0.;
-              w.w_frontier <- 0;
-              match welcome p.p_conn ~wid ~token with
-              | () ->
-                  pendings := List.filter (fun q -> q != p) !pendings;
-                  incr reconnects;
-                  on_event (Rejoined { wid; pid })
-              | exception (Proto.Closed | Codec.Error _) ->
-                  w.w_alive <- false;
-                  w.w_conn <- None;
-                  drop_pending p
+              w.w_alive <- false;
+              close_conn w
             end)
     | _ -> deny p "bad handshake"
   in
-  let accept_pending lfd =
+  let accept_pending () =
     match Proto.accept lfd with
     | fd, addr ->
         pendings :=
@@ -549,33 +549,17 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     | exception Unix.Unix_error _ -> ()
   in
   (* ---------------- solo degradation ---------------- *)
-  (* When every worker is gone (all remote workers left, attached
-     restarts exhausted — or none were ever configured) the coordinator
-     explores items on its own boot engine rather than aborting: slower,
-     but the run completes.  Slices stay short so the listener keeps
-     being polled — a worker joining mid-solo-item takes over the queue
-     as soon as it drains. *)
+  (* When no worker is alive (remote workers left, owned restarts
+     exhausted, or none were ever configured) the coordinator explores
+     items itself rather than aborting: slower, but the run completes.
+     It drives the serial slicer a [jobs = 1] worker uses, built on first
+     need.  Slices stay short so the listener keeps being polled; a
+     worker joining mid-item takes over once the solo frontier is handed
+     back to the queue. *)
+  let solo = lazy (Worker.serial_slicer ~slice:0.05 ~make_engine ()) in
   let solo_item = ref None in
   let solo_paths = ref 0 in
-  let solo_done = ref [] in
-  Events.reg_state_end eng.Executor.events (fun s ->
-      solo_done := s :: !solo_done);
-  let solo_mark_e = ref (Worker.copy_exec_stats eng.Executor.stats) in
-  let solo_mark_s =
-    ref (Worker.copy_solver_stats eng.Executor.solver.Solver.ctx_stats)
-  in
-  let solo_merge () =
-    let cur_e = eng.Executor.stats in
-    Executor.merge_stats ~into:stats (Worker.exec_delta ~prev:!solo_mark_e cur_e);
-    solo_mark_e := Worker.copy_exec_stats cur_e;
-    let cur_s = eng.Executor.solver.Solver.ctx_stats in
-    Solver.merge_stats ~into:solver_stats
-      (Worker.solver_delta ~prev:!solo_mark_s cur_s);
-    solo_mark_s := Worker.copy_solver_stats cur_s
-  in
-  let solo_drain () =
-    let pending = List.rev !solo_done in
-    solo_done := [];
+  let solo_drain (sl : Worker.slicer) =
     List.iter
       (fun s ->
         List.iter
@@ -583,13 +567,22 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
             paths := p :: !paths;
             incr solo_paths)
           (Worker.paths_of_state ~cases s))
-      pending
+      (sl.sl_drain ())
+  in
+  (* Retire the solo item the way a worker's [Result]/[Checkpoint] does:
+     its stats join the run's once. *)
+  let solo_retire (sl : Worker.slicer) =
+    let st, sv = sl.sl_stats () in
+    Executor.merge_stats ~into:stats st;
+    Solver.merge_stats ~into:solver_stats sv;
+    solo_item := None
   in
   let solo_start () =
     let it = Queue.pop queue in
-    match Codec.decode_state ~base:eng.Executor.base_mem it.it_blob with
+    let sl = Lazy.force solo in
+    match Codec.decode_state ~base:sl.sl_base it.it_blob with
     | s ->
-        Executor.adopt eng s;
+        sl.sl_start s;
         solo_item := Some it;
         on_event (Solo { item = it.it_id })
     | exception Codec.Error _ ->
@@ -597,76 +590,54 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         abandoned := (it.it_id, it.it_attempts) :: !abandoned
   in
   let solo_step it =
-    let now = Unix.gettimeofday () in
-    let limits =
-      {
-        Executor.max_instructions = None;
-        max_seconds = Some (Float.min 0.05 (deadline -. now));
-        max_completed = None;
-      }
-    in
-    Executor.run_loop ~limits eng;
-    solo_drain ();
-    solo_merge ();
-    if eng.Executor.live = [] then begin
-      solo_item := None;
+    let sl = Lazy.force solo in
+    sl.sl_run ~deadline;
+    solo_drain sl;
+    if sl.sl_frontier () = [] then begin
+      solo_retire sl;
       on_event (Completed { pid = 0; item = it.it_id; paths = 0 })
     end
   in
   (* Drain or a rejoined worker: hand the solo frontier back to the
      queue, exactly like a worker checkpoint. *)
   let solo_checkpoint () =
-    match !solo_item with
-    | None -> ()
-    | Some _ ->
-        eng.Executor.quiesce ();
-        solo_drain ();
-        solo_merge ();
-        let frontier = eng.Executor.live in
-        List.iter (fun s -> enqueue_blob (Codec.encode_state s)) frontier;
-        List.iter (Executor.disown eng) frontier;
-        solo_item := None
-  in
-  (* ---------------- scheduling ---------------- *)
-  let elastic = listener <> None in
-  (* Solo mode waits out a short grace after worker presence is lost (or
-     at startup, before anyone has dialed in): a TCP worker needs a
-     moment to connect/reconnect, and without the grace a fast workload
-     would be fully drained solo before its workers ever join.  A
-     handshake in flight extends the wait.  Fork-only runs never had
-     this window, and keep grace 0. *)
-  let solo_grace = if elastic then 0.35 else 0. in
-  let last_presence = ref t0 in
-  (* Item budget.  The fork-server path keeps the legacy rule (run to
-     the wall-clock deadline) so [--procs N] results stay byte-identical
-     to previous releases.  Elastic mode bounds every item to a few
-     seconds, scaled by the worker's observed throughput relative to the
-     fastest peer: slow workers get shorter leases on an item, so their
-     remainder re-enters the queue while fast workers are hungry. *)
-  let budget_for w =
-    let remaining =
-      if deadline = infinity then infinity
-      else deadline -. Unix.gettimeofday ()
-    in
-    if not elastic then if deadline = infinity then 0. else remaining
-    else begin
-      let best =
-        List.fold_left
-          (fun acc v -> if v.w_alive then Float.max acc v.w_rate else acc)
-          0. !workers
-      in
-      let b =
-        if best > 0. && w.w_rate > 0. then
-          Float.max 0.5 (Float.min 4.0 (2.0 *. w.w_rate /. best))
-        else 2.0
-      in
-      if remaining = infinity then b else Float.min b remaining
+    if Option.is_some !solo_item then begin
+      let sl = Lazy.force solo in
+      sl.sl_quiesce ();
+      solo_drain sl;
+      List.iter
+        (fun s -> enqueue_blob (Codec.encode_state s))
+        (sl.sl_frontier ());
+      sl.sl_drop ();
+      solo_retire sl
     end
   in
-  List.iter
-    (fun w ->
-      match w.w_kind with Attached { slot } -> do_spawn slot | Remote _ -> ())
-    !workers;
+  (* ---------------- scheduling ---------------- *)
+  (* Solo mode waits out a short grace after worker presence is lost (or
+     at startup, before anyone has dialed in): a worker needs a moment to
+     connect or reconnect, and without the grace a fast workload would be
+     fully drained solo before its workers ever join.  A handshake in
+     flight extends the wait. *)
+  let solo_grace = 0.35 in
+  let last_presence = ref t0 in
+  (* Item budget: a few seconds, scaled by the worker's observed
+     throughput relative to the fastest peer, so a slow worker's
+     remainder re-enters the queue while fast workers are hungry. *)
+  let budget_for w =
+    let best =
+      List.fold_left
+        (fun acc v -> if v.w_alive then Float.max acc v.w_rate else acc)
+        0. !workers
+    in
+    let b =
+      if best > 0. && w.w_rate > 0. then
+        Float.max 0.5 (Float.min 4.0 (2.0 *. w.w_rate /. best))
+      else 2.0
+    in
+    if deadline = infinity then b
+    else Float.min b (deadline -. Unix.gettimeofday ())
+  in
+  List.iter do_spawn !workers;
   let completed_enough () =
     (match limits.Executor.max_completed with
     | Some m -> stats.Executor.states_completed >= m
@@ -699,7 +670,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
       List.iter (fun p -> drop_pending p) !pendings;
       List.iter
         (fun w ->
-          if w.w_alive && not w.w_shutdown then begin
+          if w.w_alive && Option.is_some w.w_conn && not w.w_shutdown then begin
             try
               send_to w Proto.Shutdown;
               w.w_shutdown <- true
@@ -717,33 +688,23 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         (* A worker (re)appeared while the coordinator was exploring
            solo: hand the solo frontier back to the queue so the worker
            takes over. *)
-        (match !solo_item with
-        | Some _
-          when List.exists
-                 (fun w -> w.w_alive && w.w_status = Idle)
-                 !workers ->
-            solo_checkpoint ()
-        | _ -> ());
+        if List.exists (fun w -> w.w_alive && w.w_status = Idle) !workers
+        then solo_checkpoint ();
         (* Dispatch queued items to idle workers. *)
         List.iter
           (fun w ->
             if w.w_alive && w.w_status = Idle && not (Queue.is_empty queue)
             then begin
               let it = Queue.pop queue in
-              (* Remote workers get the blob delta-encoded against the
-                 shared baseline; the queue itself always holds full
-                 snapshots. *)
-              let blob =
-                match w.w_kind with
-                | Attached _ -> it.it_blob
-                | Remote _ -> (
-                    try Codec.encode_delta ~baseline it.it_blob
-                    with Codec.Error _ -> it.it_blob)
-              in
               match
                 send_to w
                   (Proto.Work
-                     { item = it.it_id; budget = budget_for w; cases; blob })
+                     {
+                       item = it.it_id;
+                       budget = budget_for w;
+                       cases;
+                       blob = it.it_blob;
+                     })
               with
               | () ->
                   w.w_status <- Busy it;
@@ -782,7 +743,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         (* Degradation ladder, bottom rung: nobody left to delegate to,
            so the coordinator works the queue itself. *)
         if live_count () > 0 then last_presence := now;
-        (match !solo_item with
+        match !solo_item with
         | Some it -> solo_step it
         | None ->
             if
@@ -791,7 +752,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
               && now -. !last_presence >= solo_grace
               && (not (Queue.is_empty queue))
               && now <= deadline
-            then solo_start ())
+            then solo_start ()
       end;
       (* Steal requests a worker never answered (long solver call) are
          retried after a grace period. *)
@@ -799,7 +760,8 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         (fun w ->
           if w.w_steal > 0. && now -. w.w_steal > 2. then w.w_steal <- 0.)
         !workers;
-      (* Liveness: a worker silent past its lease is declared dead. *)
+      (* Liveness: a worker silent past its lease (or an owned process
+         that never dialed in) is declared dead. *)
       List.iter
         (fun w ->
           if w.w_alive && now -. w.w_last > heartbeat_timeout then fail w)
@@ -809,13 +771,10 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         (fun p -> if now > p.p_deadline then drop_pending p)
         !pendings;
       let select_fds =
-        let fds = live_fds () in
-        let fds =
-          List.fold_left (fun acc p -> p.p_conn.Proto.fd :: acc) fds !pendings
-        in
-        match listener with
-        | Some lfd when not !draining -> lfd :: fds
-        | _ -> fds
+        List.fold_left
+          (fun acc p -> p.p_conn.Proto.fd :: acc)
+          (if !draining then live_fds () else lfd :: live_fds ())
+          !pendings
       in
       let timeout = if !solo_item <> None then 0. else 0.05 in
       let readable =
@@ -825,43 +784,39 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
       in
       List.iter
         (fun fd ->
-          match listener with
-          | Some lfd when fd == lfd -> accept_pending lfd
-          | _ -> (
-              match
-                List.find_opt
-                  (fun w ->
-                    w.w_alive
-                    &&
-                    match w.w_conn with
-                    | Some c -> c.Proto.fd == fd
-                    | None -> false)
-                  !workers
-              with
-              | Some w -> (
-                  (* [None] means the readable frame was transport-
-                     recovery traffic (NAKed, duplicate, or a Resend we
-                     served). *)
+          if fd == lfd then accept_pending ()
+          else
+            match
+              List.find_opt
+                (fun w ->
+                  w.w_alive
+                  &&
                   match w.w_conn with
-                  | None -> ()
-                  | Some c -> (
-                      match Proto.recv_opt c ~timeout:0. with
-                      | Some m -> handle_msg w m
-                      | None -> ()
-                      | exception (Proto.Closed | Codec.Error _) -> fail w))
-              | None -> (
-                  match
-                    List.find_opt
-                      (fun p -> p.p_conn.Proto.fd == fd)
-                      !pendings
-                  with
-                  | None -> ()
-                  | Some p -> (
-                      match Proto.recv_opt p.p_conn ~timeout:0. with
-                      | Some m -> admit p m
-                      | None -> ()
-                      | exception (Proto.Closed | Codec.Error _) ->
-                          drop_pending p))))
+                  | Some c -> c.Proto.fd == fd
+                  | None -> false)
+                !workers
+            with
+            | Some w -> (
+                (* [None] means the readable frame was transport-recovery
+                   traffic (NAKed, duplicate, or a Resend we served). *)
+                match w.w_conn with
+                | None -> ()
+                | Some c -> (
+                    match Proto.recv_opt c ~timeout:0. with
+                    | Some m -> handle_msg w m
+                    | None -> ()
+                    | exception (Proto.Closed | Codec.Error _) -> fail w))
+            | None -> (
+                match
+                  List.find_opt (fun p -> p.p_conn.Proto.fd == fd) !pendings
+                with
+                | None -> ()
+                | Some p -> (
+                    match Proto.recv_opt p.p_conn ~timeout:0. with
+                    | Some m -> admit p m
+                    | None -> ()
+                    | exception (Proto.Closed | Codec.Error _) ->
+                        drop_pending p)))
         readable;
       loop ()
     end
@@ -869,45 +824,30 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   loop ();
   solo_checkpoint ();
   List.iter (fun p -> drop_pending p) !pendings;
-  (* Final collection: every surviving worker checkpoints (already done
-     if it was busy) and reports telemetry in Bye. *)
+  (* Final collection: every admitted worker checkpoints (already done if
+     it was busy) and reports telemetry in Bye; an owned process that
+     never dialed in, or will not say goodbye, is killed. *)
   List.iter
     (fun w ->
-      if w.w_alive then begin
-        (if not w.w_shutdown then
-           try
-             send_to w Proto.Shutdown;
-             w.w_shutdown <- true
-           with Proto.Closed | Codec.Error _ -> (
-             w.w_alive <- false;
-             match w.w_kind with
-             | Attached _ -> reap w
-             | Remote _ -> close_conn w));
-        let give_up = Unix.gettimeofday () +. 5. in
-        while w.w_alive && Unix.gettimeofday () < give_up do
-          match w.w_conn with
-          | None -> w.w_alive <- false
-          | Some c -> (
+      if w.w_alive then
+        match w.w_conn with
+        | None -> discard w
+        | Some c ->
+            (if not w.w_shutdown then
+               try
+                 send_to w Proto.Shutdown;
+                 w.w_shutdown <- true
+               with Proto.Closed | Codec.Error _ -> discard w);
+            let give_up = Unix.gettimeofday () +. 5. in
+            while w.w_alive && Unix.gettimeofday () < give_up do
               match Proto.recv_opt c ~timeout:0.2 with
               | Some m -> handle_msg w m
               | None -> ()
-              | exception (Proto.Closed | Codec.Error _) -> (
-                  w.w_alive <- false;
-                  match w.w_kind with
-                  | Attached _ -> reap w
-                  | Remote _ -> close_conn w))
-        done;
-        if w.w_alive then begin
-          (* unresponsive at shutdown: reclaim it the hard way *)
-          w.w_alive <- false;
-          match w.w_kind with
-          | Attached _ ->
-              (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-              reap w
-          | Remote _ -> close_conn w
-        end
-      end)
+              | exception (Proto.Closed | Codec.Error _) -> discard w
+            done;
+            if w.w_alive then discard w)
     !workers;
+  if listener = None then Unix.close lfd;
   (match old_sigint with
   | Some h -> Sys.set_signal Sys.sigint h
   | None -> ());

@@ -567,9 +567,7 @@ let recv_opt c ~timeout =
   | _ -> process c
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
 
-(* Unix.file_descr is an int on Unix systems; distribution passes the
-   worker's socket across exec via an environment variable. *)
-external int_of_fd : Unix.file_descr -> int = "%identity"
+(* Unix.file_descr is an int on Unix systems. *)
 external fd_of_int : int -> Unix.file_descr = "%identity"
 
 (* ------------------------------------------------------------------ *)

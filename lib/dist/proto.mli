@@ -121,10 +121,9 @@ val recv_opt : conn -> timeout:float -> msg option
     the frame read was consumed as recovery/control traffic (duplicate,
     damaged-and-NAKed, or [Resend] service). *)
 
-val int_of_fd : Unix.file_descr -> int
 val fd_of_int : int -> Unix.file_descr
-(** Unix file descriptors are ints; used to hand a socket across
-    [exec] via the [S2E_DIST_FD] environment variable. *)
+(** Unix file descriptors are ints; lets a freshly forked process close
+    every descriptor it inherited by number. *)
 
 val listen : host:string -> port:int -> Unix.file_descr
 (** Bind and listen on [host:port] (with [SO_REUSEADDR]); [port = 0]

@@ -97,8 +97,9 @@ let solver_delta ~prev (cur : Solver.stats) : Solver.stats =
   }
 
 (* One item's exploration, sliced.  The control loop below is written
-   once against this interface; the two implementations differ in how a
-   slice runs. *)
+   once against this interface (and the coordinator's solo mode drives
+   the serial one); the two implementations differ in how a slice
+   runs. *)
 type slicer = {
   sl_base : Bytes.t;  (* local base image, for decoding items *)
   sl_start : State.t -> unit;  (* begin an item at its decoded root *)
@@ -207,28 +208,18 @@ let parallel_slicer ~jobs ~slice ~make_engine () =
         List.iter (fun (s : State.t) -> s.State.rendezvous <- []) !frontier);
   }
 
-(* One connected session against the coordinator: the idle/item control
-   loop, written once for both transports.  [lease] is the liveness
-   window granted in [Welcome] (TCP sessions; [None] on a socketpair,
-   where the coordinator's timeout is not negotiated).  [unwrap]
-   translates incoming item blobs (delta → full on TCP), [wrap]
-   outgoing checkpoint blobs (full → delta).  Returns [`Shutdown] on an
-   orderly drain and [`Lost] when the connection died — the TCP caller
-   reconnects, the socketpair caller exits (its process is dead to the
-   coordinator either way). *)
-let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
+(* One admitted session against the coordinator: the idle/item control
+   loop.  [lease] is the liveness window granted in [Welcome];
+   checkpointed states ship back as deltas against [baseline].  Returns
+   [`Shutdown] on an orderly drain and [`Lost] when the connection died
+   (the caller reconnects). *)
+let run_session ~sl ~heartbeat ~lease ~baseline c =
   let pid = Unix.getpid () in
   (* A worker heartbeating exactly at the lease boundary flaps; keep at
      least four beats per lease. *)
-  let heartbeat =
-    match lease with
-    | Some l when l > 0. -> Float.min heartbeat (l /. 4.)
-    | _ -> heartbeat
-  in
+  let heartbeat = Float.min heartbeat (lease /. 4.) in
   (* How long a [proto.stall] freeze must last to overrun the lease. *)
-  let stall_seconds =
-    match lease with Some l when l > 0. -> 1.5 *. l | _ -> 4. *. heartbeat
-  in
+  let stall_seconds = 1.5 *. lease in
   let last_hb = ref (Unix.gettimeofday ()) in
   (* Trace chunks piggyback on the liveness traffic: each heartbeat (and
      the final Bye) carries whatever the rings buffered since the last
@@ -253,8 +244,8 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
      the lease (the coordinator presumes death and requeues; our next
      send then finds the connection torn down or a requeued item —
      either way the recovery path runs for real).  [proto.disconnect]
-     severs the socket abruptly, no goodbye: a TCP worker reconnects
-     and rejoins, a socketpair worker dies and is respawned. *)
+     severs the socket abruptly, no goodbye: a remote worker reconnects
+     and rejoins; the coordinator kills and respawns an owned one. *)
   let hb_probe frontier =
     if Fault.(fire Proto_stall) then begin
       Unix.sleepf stall_seconds;
@@ -284,7 +275,7 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
     let deadline =
       if budget <= 0. then infinity else Unix.gettimeofday () +. budget
     in
-    sl.sl_start (Codec.decode_state ~base:sl.sl_base (unwrap blob));
+    sl.sl_start (Codec.decode_state ~base:sl.sl_base blob);
     let paths = ref [] in
     (* Convert newly terminated states to reportable paths.  With
        [cases] each conversion is a solver query, so keep heartbeating:
@@ -316,7 +307,7 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
              solver;
              states =
                List.map
-                 (fun s -> wrap (Codec.encode_state s))
+                 (fun s -> Codec.encode_delta ~baseline (Codec.encode_state s))
                  (sl.sl_frontier ());
            });
       sl.sl_drop ()
@@ -396,21 +387,8 @@ let make_slicer ~jobs ~slice ~make_engine () =
   if jobs = 1 then serial_slicer ~slice ~make_engine ()
   else parallel_slicer ~jobs ~slice ~make_engine ()
 
-let serve ?(jobs = 1) ?(slice = 0.05) ?(heartbeat = 0.25) ~fd
-    ~(make_engine : unit -> Executor.t) () =
-  init_process ();
-  let sl = make_slicer ~jobs ~slice ~make_engine () in
-  let c = Proto.connect fd in
-  match
-    Proto.send c
-      (Proto.Hello { version = Proto.version; pid = Unix.getpid (); jobs });
-    run_session ~sl ~heartbeat ~lease:None ~unwrap:Fun.id ~wrap:Fun.id c
-  with
-  | `Shutdown | `Lost -> () (* coordinator drained or died; exit quietly *)
-  | exception Proto.Closed -> () (* died before the session even started *)
-
 (* ------------------------------------------------------------------ *)
-(* TCP workers: dial, join, survive disconnects                        *)
+(* Dial, join, survive disconnects                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Local splitmix64 for reconnect jitter — deliberately NOT the fault
@@ -493,14 +471,7 @@ let serve_tcp ?(jobs = 1) ?(slice = 0.05) ?(heartbeat = 0.25)
         | `Welcome (lease, baseline) -> (
             (* A successful admission resets the backoff ladder. *)
             attempt := 0;
-            let unwrap blob =
-              if Codec.is_delta blob then Codec.decode_delta ~baseline blob
-              else blob
-            in
-            let wrap blob = Codec.encode_delta ~baseline blob in
-            match
-              run_session ~sl ~heartbeat ~lease:(Some lease) ~unwrap ~wrap c
-            with
+            match run_session ~sl ~heartbeat ~lease ~baseline c with
             | `Shutdown ->
                 close ();
                 stop := true

@@ -30,8 +30,9 @@ type site =
   | Proto_delay  (** a worker heartbeat is suppressed for one period *)
   | Proto_disconnect
       (** the worker's coordinator connection is severed abruptly (no
-          goodbye): a TCP worker reconnects and rejoins, a
-          socketpair-attached worker dies and is respawned *)
+          goodbye): a remote worker reconnects and rejoins; an owned
+          worker (spawned by the coordinator) is killed, charged one
+          attempt on its item and respawned *)
   | Proto_stall
       (** the worker freezes past its lease — a blocking sleep long
           enough that the coordinator presumes it dead and requeues its

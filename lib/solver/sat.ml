@@ -723,18 +723,6 @@ let solve_assuming ?max_conflicts ?deadline s extra =
 let model_value s v =
   v < s.nvars && Bytes.get s.assign v = '\001'
 
-(** Overwrite the saved phases from a seeded xorshift stream: gives
-    portfolio instances distinct early search trajectories over the same
-    clauses.  Deterministic in [seed]. *)
-let perturb s seed =
-  let x = ref (seed lor 1) in
-  for v = 0 to s.nvars - 1 do
-    x := !x lxor (!x lsl 13);
-    x := !x lxor (!x lsr 7);
-    x := !x lxor (!x lsl 17);
-    Bytes.set s.polarity v (if !x land 1 = 1 then '\001' else '\000')
-  done
-
 (* Rough memory footprint proxy: callers retire instances that grow past
    their budget. *)
 let size s = s.nclauses

@@ -69,11 +69,6 @@ val model_value : t -> int -> bool
 (** Value of a variable in the model found by the last successful
     {!solve}. *)
 
-val perturb : t -> int -> unit
-(** Overwrite the saved phase of every current variable from a stream
-    seeded by the argument — gives portfolio instances distinct early
-    search trajectories over identical clauses.  Deterministic. *)
-
 val size : t -> int
 (** Current clause count — a memory-footprint proxy for retiring
     long-lived incremental instances. *)

@@ -30,25 +30,20 @@ type result = Sat of Expr.model | Unsat | Unknown
       encodings and learned clauses alive across queries.
     - [Fresh]: one cold SAT instance per query — the escape hatch and the
       differential baseline.
-    - [Portfolio]: two cold instances with different branching seeds
-      racing in alternating conflict slices under the watchdog; first
-      answer wins.
 
     Value-producing queries (test-case models, [get_value] picks) always
     run on a cold instance in every mode: the values the engine pins must
     be a pure function of the constraint set, never of solver history, or
     serial/parallel/incremental runs would explore different paths. *)
-type mode = Fresh | Incremental | Portfolio
+type mode = Fresh | Incremental
 
 let mode_name = function
   | Fresh -> "fresh"
   | Incremental -> "incremental"
-  | Portfolio -> "portfolio"
 
 let mode_of_string = function
   | "fresh" -> Some Fresh
   | "incremental" -> Some Incremental
-  | "portfolio" -> Some Portfolio
   | _ -> None
 
 (* Process-wide telemetry (lib/obs).  [ctx_stats] stays the per-context
@@ -560,63 +555,6 @@ let run_incremental ctx ~q_inc constraints =
       ctx.insts;
   result
 
-(* The [Portfolio] strategy: two cold instances over the same encoding
-   with different branching seeds (saved-phase perturbation), racing in
-   alternating geometrically-growing conflict slices under the watchdog;
-   first definite answer wins.  The second instance is built lazily —
-   easy queries never pay for it.  Deterministic: slice schedule and
-   seeds are fixed, and both instances decide the same formula. *)
-let run_portfolio ctx constraints =
-  ctx.ctx_stats.sat_queries <- ctx.ctx_stats.sat_queries + 1;
-  Obs.Metrics.incr m_sat_queries;
-  let deadline = query_deadline ctx in
-  let build seed =
-    let sat = Sat.create () in
-    let bctx = Bitblast.create sat in
-    List.iter (Bitblast.assert_true bctx) constraints;
-    if seed <> 0 then Sat.perturb sat seed;
-    (sat, bctx)
-  in
-  let a = build 0 in
-  let note_learned sat =
-    let st = Sat.stats sat in
-    ctx.ctx_stats.sat_learned <- ctx.ctx_stats.sat_learned + st.Sat.learned
-  in
-  let rec race (sat, bctx) other slice =
-    let c0 = (Sat.stats sat).Sat.conflicts in
-    match Sat.solve ~max_conflicts:(c0 + slice) ?deadline sat with
-    | Sat.Sat ->
-        note_learned sat;
-        let m = Bitblast.model bctx in
-        remember_model ctx m;
-        Sat m
-    | Sat.Unsat ->
-        note_learned sat;
-        Unsat
-    | Sat.Unknown ->
-        let spent =
-          (Sat.stats sat).Sat.conflicts
-          + match other with
-            | Some (o, _) -> (Sat.stats o).Sat.conflicts
-            | None -> 0
-        in
-        let out_of_time =
-          match deadline with
-          | Some d -> Unix.gettimeofday () >= d
-          | None -> false
-        in
-        if spent >= !(ctx.max_conflicts) || out_of_time then begin
-          note_learned sat;
-          (match other with Some (o, _) -> note_learned o | None -> ());
-          note_unknown deadline;
-          Unknown
-        end
-        else
-          let other = match other with Some o -> o | None -> build 1 in
-          race other (Some (sat, bctx)) (slice * 2)
-  in
-  race a None 2048
-
 (* Bound on the remembered-prefix population, same amnesia policy as the
    unsat cache: reuse attribution is a measurement, not a correctness
    concern. *)
@@ -728,7 +666,6 @@ let check_ctx ~use_model_cache ctx constraints =
                     match !(ctx.mode) with
                     | Fresh -> run_sat ctx constraints
                     | Incremental -> run_incremental ctx ~q_inc constraints
-                    | Portfolio -> run_portfolio ctx constraints
                 in
                 (match r with
                 | Unsat ->

@@ -21,14 +21,12 @@ type result = Sat of Expr.model | Unsat | Unknown
     instance pops back to the common ancestor assumption level and asserts
     only the suffix, reusing the variable table, Tseitin encodings and
     learned clauses.  [Fresh] solves every query on a cold instance (the
-    escape hatch and differential baseline).  [Portfolio] races two cold
-    instances with different branching seeds in alternating conflict
-    slices under the watchdog.
+    escape hatch and differential baseline).
 
     Value-producing queries ({!get_value}, {!check_model}) solve cold in
     every mode, so the concrete values the engine pins — and hence the
     explored path set and emitted test cases — are mode-independent. *)
-type mode = Fresh | Incremental | Portfolio
+type mode = Fresh | Incremental
 
 val mode_name : mode -> string
 val mode_of_string : string -> mode option
@@ -91,7 +89,7 @@ type ctx = {
   mode : mode ref;  (** SAT-core strategy for verdict queries *)
   insts : instance option array;
       (** The incremental instance ring (LRU, bounded size and per-instance
-          clause budget).  Empty in [Fresh]/[Portfolio] modes. *)
+          clause budget).  Empty in [Fresh] mode. *)
   mutable inst_tick : int;
 }
 (** One solver context: caches + statistics + budgets.  A context is

@@ -1,5 +1,6 @@
 (* lib/dist tests: snapshot codec roundtrips, strict decoding, and
-   differential + fault-injection tests for the fork-server coordinator.
+   differential + fault-injection tests for the coordinator and its TCP
+   workers.
 
    This suite must run before any suite that spawns OCaml domains: the
    coordinator's Fork spawn mode uses Unix.fork, which is only safe
@@ -497,7 +498,7 @@ let test_heartbeat_delay_abandonment () =
     (r.Coordinator.unexplored >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Elastic TCP cluster                                                 *)
+(* TCP cluster: remote workers                                        *)
 (* ------------------------------------------------------------------ *)
 
 module Worker = S2e_dist.Worker
@@ -646,6 +647,51 @@ let test_solo_completion () =
   Alcotest.(check (list string))
     "solo case set identical to serial" serial_cases (dist_case_set r)
 
+(* Owned and remote workers share one listener and one admission path:
+   SIGKILL each on its first dispatch.  The owned worker is respawned
+   and its item charged an attempt; the remote one counts as a leave and
+   its item is requeued uncounted.  Either way nothing is lost. *)
+let test_owned_and_remote_share_listener () =
+  let make_engine = make_engine_for workload_256 in
+  let serial_cases, _ = serial_case_set workload_256 in
+  let lfd = Proto.listen ~host:"127.0.0.1" ~port:0 in
+  let port = Proto.bound_port lfd in
+  let remote = fork_tcp_worker ~port ~make_engine () in
+  let owned = ref None in
+  let killed_owned = ref false and killed_remote = ref false in
+  let on_event = function
+    | Coordinator.Spawned { pid; _ } when !owned = None -> owned := Some pid
+    | Coordinator.Dispatched { pid; _ }
+      when (not !killed_owned) && Some pid = !owned ->
+        killed_owned := true;
+        Unix.kill pid Sys.sigkill
+    | Coordinator.Dispatched { pid; _ } when (not !killed_remote) && pid = remote
+      ->
+        killed_remote := true;
+        Unix.kill pid Sys.sigkill
+    | _ -> ()
+  in
+  let r =
+    Coordinator.explore ~procs:1 ~cases:true ~listener:lfd
+      ~heartbeat_timeout:1.0 ~limits:(no_limits ~seconds:120.) ~on_event
+      ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
+      ~make_engine ~boot:boot_entry ()
+  in
+  Unix.close lfd;
+  reap_worker remote;
+  Alcotest.(check bool) "both workers were killed" true
+    (!killed_owned && !killed_remote);
+  Alcotest.(check bool) "the owned worker was respawned" true
+    (r.Coordinator.restarts >= 1);
+  Alcotest.(check bool) "the remote worker's kill was a leave" true
+    (r.Coordinator.leaves >= 1);
+  Alcotest.(check (list (pair int int)))
+    "no abandonment" [] r.Coordinator.abandoned;
+  Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
+  Alcotest.(check (list string))
+    "case set identical to serial across both kills" serial_cases
+    (dist_case_set r)
+
 let tests =
   [
     Alcotest.test_case "expression codec roundtrip" `Quick test_expr_roundtrip;
@@ -673,4 +719,6 @@ let tests =
       test_tcp_kill_and_join;
     Alcotest.test_case "tcp cluster: coordinator-solo completion" `Quick
       test_solo_completion;
+    Alcotest.test_case "owned and remote workers share one listener" `Quick
+      test_owned_and_remote_share_listener;
   ]

@@ -393,10 +393,7 @@ let test_mode_differential () =
     (explore_cases Solver.Incremental 1);
   Alcotest.(check (list string))
     "incremental jobs=4 = fresh" fresh
-    (explore_cases Solver.Incremental 4);
-  Alcotest.(check (list string))
-    "portfolio serial = fresh" fresh
-    (explore_cases Solver.Portfolio 1)
+    (explore_cases Solver.Incremental 4)
 
 (* --- cold-solve trajectory lock ---------------------------------------- *)
 
