@@ -1201,8 +1201,7 @@ let dist () =
     results;
   (* Remote-worker leg: the same workload with no owned workers and 2
      remote workers dialing a caller-owned listener, pricing the
-     lease/rejoin machinery and the delta snapshot encoding against the
-     shared baseline. *)
+     admission and lease machinery. *)
   let fork_tcp_worker ~port =
     flush stdout;
     flush stderr;
@@ -1219,9 +1218,6 @@ let dist () =
         Unix._exit 0
     | pid -> pid
   in
-  (* The registry is process-cumulative; zero it so the TCP leg's delta
-     counters are exactly this leg's. *)
-  S2e_obs.Metrics.reset ();
   let lfd = S2e_dist.Proto.listen ~host:"127.0.0.1" ~port:0 in
   let port = S2e_dist.Proto.bound_port lfd in
   let pids = [ fork_tcp_worker ~port; fork_tcp_worker ~port ] in
@@ -1244,21 +1240,12 @@ let dist () =
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     pids;
-  let delta_ratio =
-    if rt.Coordinator.delta_full_bytes > 0 then
-      float_of_int rt.Coordinator.delta_bytes
-      /. float_of_int rt.Coordinator.delta_full_bytes
-    else 1.0
-  in
   Printf.printf
     "tcp x2   %10.2f %8d %10.1f %8d %9d %9.2fx\n%!" rt.wall_seconds
     rt.stats.Executor.states_completed (rate rt) rt.steals rt.requeues
     (if rate serial > 0. then rate rt /. rate serial else 0.);
-  Printf.printf
-    "tcp leg: %d joins, %d reconnects, %d solo paths; snapshots %d B as \
-     deltas of %d B full (ratio %.2f)\n%!"
-    rt.Coordinator.joins rt.Coordinator.reconnects rt.Coordinator.solo_paths
-    rt.Coordinator.delta_bytes rt.Coordinator.delta_full_bytes delta_ratio;
+  Printf.printf "tcp leg: %d joins, %d reconnects, %d solo paths\n%!"
+    rt.Coordinator.joins rt.Coordinator.reconnects rt.Coordinator.solo_paths;
   Bench_json.emit ~name:"dist_explore"
     [
       ("procs", Bench_json.Int 0);
@@ -1273,9 +1260,6 @@ let dist () =
       ("reconnects", Bench_json.Int rt.Coordinator.reconnects);
       ("solo_paths", Bench_json.Int rt.Coordinator.solo_paths);
       ("unexplored", Bench_json.Int rt.unexplored);
-      ("delta_bytes", Bench_json.Int rt.Coordinator.delta_bytes);
-      ("delta_full_bytes", Bench_json.Int rt.Coordinator.delta_full_bytes);
-      ("snapshot_delta_ratio", Bench_json.Float (delta_ratio, 4));
     ];
   Printf.printf
     "\nEach worker process rebuilds the engine stack and decodes serialized\n\
@@ -1357,7 +1341,7 @@ let chaos () =
   let plan =
     (* The pbench run exchanges only a handful of frames (workers finish
        their item internally and report one Result), so the corruption
-       probability is high to guarantee the NAK/retransmit path is
+       probability is high to guarantee the disconnect/rejoin path is
        actually exercised. *)
     "dev.read=err:0.02,dma=drop:0.01,irq=spurious:0.01,solver=unknown:0.02,\
      solver=latency:0.05,proto=corrupt:0.6,proto=delay:0.3"
@@ -1388,10 +1372,8 @@ let chaos () =
   Printf.printf "%-10s %10.1f %10d %9d %9d %9d\n%!" "faulted" (rate faulted)
     faulted.stats.Executor.states_completed faulted.Coordinator.requeues
     faulted.Coordinator.restarts injected;
-  Printf.printf
-    "transport: %d naks, %d retransmits; degradations: %d; abandoned: %d\n"
-    faulted.Coordinator.naks faulted.Coordinator.retransmits
-    faulted.stats.Executor.degradations
+  Printf.printf "transport: %d reconnects; degradations: %d; abandoned: %d\n"
+    faulted.Coordinator.reconnects faulted.stats.Executor.degradations
     (List.length faulted.Coordinator.abandoned);
   if recoveries <> [] then
     Printf.printf "crash recovery: %d respawns, mean %.0f ms\n"
@@ -1404,8 +1386,7 @@ let chaos () =
         Bench_json.Float
           ((if rate base > 0. then rate faulted /. rate base else 0.), 3) );
       ("injected", Bench_json.Int injected);
-      ("naks", Bench_json.Int faulted.Coordinator.naks);
-      ("retransmits", Bench_json.Int faulted.Coordinator.retransmits);
+      ("reconnects", Bench_json.Int faulted.Coordinator.reconnects);
       ("degradations", Bench_json.Int faulted.stats.Executor.degradations);
       ("requeues", Bench_json.Int faulted.Coordinator.requeues);
       ("restarts", Bench_json.Int faulted.Coordinator.restarts);
@@ -1414,7 +1395,7 @@ let chaos () =
     ];
   Printf.printf
     "\nThe faulted run trades throughput for the recovery machinery\n\
-     visibly doing its job: NAK/retransmit on corrupt frames,\n\
+     visibly doing its job: disconnect and rejoin on corrupt frames,\n\
      requeue/respawn on silent workers, degradation instead of hangs on\n\
      solver faults -- with no silently lost work (abandoned items, if\n\
      any, are reported above).\n"

@@ -196,9 +196,9 @@ injected=$(sed -n 's/^resilience: .* \([0-9][0-9]*\) injected faults$/\1/p' "$ch
   || { echo "CI: jobs-mode chaos run injected no faults" >&2; exit 1; }
 echo "CI: jobs-mode chaos smoke test passed ($injected faults injected)"
 
-# Transport-only plan at procs=2: corrupted frames must be recovered by
-# NAK/retransmit with zero lost work -- the case set must still equal
-# the clean serial run's.
+# Transport-only plan at procs=2: a corrupted frame reads as a
+# disconnect and the owned worker rejoins, with zero lost work -- the
+# case set must still equal the clean serial run's.
 dune exec bin/s2e_cli.exe -- explore --driver nulldrv --workload symloop \
   --procs 2 --seconds 30 --fault-plan 'proto=corrupt:0.3' --cases \
   > "$chaos_out" \
@@ -298,13 +298,14 @@ rm -f "$serial_out.cases" "$mixed_out.cases"
 echo "CI: mixed cluster smoke test passed (owned + remote worker, cases == serial)"
 
 # Distributed bench must emit its BENCH JSON line within a small budget,
-# including the TCP leg's delta-snapshot compression ratio.
+# and both remote workers of the TCP leg must have joined.
 bench_dist=$(S2E_BENCH_SECONDS=5 timeout 90 dune exec bench/main.exe dist \
-  | grep '^BENCH {"name":"dist_explore"') \
-  || { echo "CI: bench dist emitted no BENCH line" >&2; exit 1; }
-printf '%s\n' "$bench_dist" | grep -q '"snapshot_delta_ratio":' \
-  || { echo "CI: bench dist missing snapshot_delta_ratio" >&2; exit 1; }
-echo "CI: bench dist smoke test passed"
+  | grep '^BENCH {"name":"dist_explore"' | grep '"tcp_workers":') \
+  || { echo "CI: bench dist emitted no TCP-leg BENCH line" >&2; exit 1; }
+tcp_joins=$(printf '%s\n' "$bench_dist" | sed -n 's/.*"joins":\([0-9][0-9]*\).*/\1/p')
+[ -n "$tcp_joins" ] && [ "$tcp_joins" -ge 2 ] \
+  || { echo "CI: bench dist TCP leg joined ${tcp_joins:-no} workers, expected >=2" >&2; exit 1; }
+echo "CI: bench dist smoke test passed ($tcp_joins TCP joins)"
 
 # Solver bench: the incremental instance ring must cut SAT-core wall to
 # at most 0.8x fresh per-query solving on the breakdown workload, at a

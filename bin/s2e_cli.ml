@@ -295,7 +295,8 @@ let fault_plan_arg =
      'dev.read=err:0.05,dma=drop:0.01,solver=unknown:0.02,\\
      proto=corrupt:0.03'.  Sites: dev.read, dma, irq, solver (kinds \
      unknown/latency), proto (kinds corrupt/delay/disconnect/stall).  \
-     Empty disables injection."
+     A corrupted frame reads as a disconnect: the connection drops and \
+     the worker, owned or remote, rejoins.  Empty disables injection."
   in
   Arg.(value & opt string "" & info [ "fault-plan" ] ~docv:"PLAN" ~doc)
 
@@ -396,12 +397,6 @@ let print_dist_result ~jobs ~cases (r : S2e_dist.Coordinator.result) =
   if r.joins + r.reconnects + r.leaves + r.solo_paths > 0 then
     Fmt.pr "cluster: %d joins, %d reconnects, %d leaves, %d solo paths@."
       r.joins r.reconnects r.leaves r.solo_paths;
-  if r.delta_full_bytes > 0 then
-    Fmt.pr "snapshots: %d delta bytes for %d full (ratio %.2f)@."
-      r.delta_bytes r.delta_full_bytes
-      (float_of_int r.delta_bytes /. float_of_int r.delta_full_bytes);
-  if r.naks + r.retransmits > 0 then
-    Fmt.pr "transport: %d naks, %d retransmits@." r.naks r.retransmits;
   if r.unexplored > 0 then Fmt.pr "unexplored states: %d@." r.unexplored;
   List.iter
     (fun (id, attempts) ->
@@ -714,8 +709,8 @@ let serve_cmd =
     let doc =
       "Also spawn $(docv) owned worker processes locally; they dial this \
        listener's address (127.0.0.1 when it is bound to any address).  \
-       Losing an owned worker kills and respawns it and charges its item \
-       one attempt; a remote worker's loss only requeues the item.  0 \
+       An owned worker that dies is respawned and its item charged one \
+       attempt; a lost connection only makes a worker rejoin.  0 \
        relies entirely on remote workers; until one joins, the \
        coordinator explores solo."
     in
@@ -973,10 +968,10 @@ let stats_cmd =
     then
       Fmt.pr
         "resilience: %d degraded forks, %d incomplete paths, %d injected \
-         faults (naks %d, retransmits %d)@."
+         faults@."
         (mi "engine.degradations")
         (mi "engine.incomplete_paths")
-        injected (mi "dist.naks") (mi "dist.retransmits");
+        injected;
     let tb_hits = m "dbt.tb_hits" and tb_misses = m "dbt.tb_misses" in
     Fmt.pr "tb cache: %.1f%% hits (%d hits, %d misses), %d invalidations@."
       (pct tb_hits (tb_hits +. tb_misses))

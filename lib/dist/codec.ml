@@ -18,40 +18,21 @@
     the worker can never collide with shipped ones.
 
     The format is dependency-free and strict: a 4-byte magic, a version
-    byte, a compression flag, the (possibly byte-run-compressed)
-    payload, and a trailing FNV-1a checksum of the stored body.  Any
-    truncation, corruption, unknown tag, malformed width or trailing
+    byte, the payload, and a trailing FNV-1a checksum of the payload.
+    Any truncation, corruption, unknown tag, malformed width or trailing
     garbage raises {!Error} — a torn snapshot must never become a
-    subtly-wrong execution state.
-
-    Version 4 adds two transports for the same payload: a cheap byte-run
-    compressor applied to every full snapshot (falling back to the raw
-    payload when it does not shrink), and a {e delta} container that
-    ships a snapshot as copy/literal edit operations against a shared
-    baseline snapshot negotiated at cluster join.  A delta never exceeds
-    the full encoding (it falls back to carrying the full payload under
-    a 4-byte delta header that replaces the 4-byte magic), and decoding
-    re-seals the reconstructed payload deterministically, so
-    [decode_delta ~baseline (encode_delta ~baseline blob)] is
-    byte-identical to [blob]. *)
+    subtly-wrong execution state. *)
 
 open S2e_expr
 module Vm = S2e_vm
-module Obs = S2e_obs
 open S2e_core
 
 exception Error of string
 
 let error fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 
-let version = 4
+let version = 5
 let magic = "S2EC"
-
-(* Delta container magic: 3 bytes + 1 mode byte ('D' = real delta,
-   'F' = full-payload fallback), so the fallback header is exactly as
-   long as the full snapshot's magic and the size bound holds by
-   construction.  Distinct from [magic], so blobs self-describe. *)
-let delta_magic = "S2D"
 
 (* ------------------------------------------------------------------ *)
 (* Checksum                                                            *)
@@ -65,8 +46,7 @@ let fnv32_gen get len =
   done;
   !h
 
-let fnv32_sub s pos len = fnv32_gen (fun i -> Char.code s.[pos + i]) len
-let fnv32 s = fnv32_sub s 0 (String.length s)
+let fnv32 s ~pos ~len = fnv32_gen (fun i -> Char.code s.[pos + i]) len
 let fnv32_bytes b = fnv32_gen (fun i -> Char.code (Bytes.get b i)) (Bytes.length b)
 
 (* The 1 MiB base image checksum is memoized per physical image: every
@@ -179,80 +159,6 @@ module Wire = struct
 end
 
 open Wire
-
-(* ------------------------------------------------------------------ *)
-(* Byte-run compression                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Snapshots are dominated by repeated structure: zeroed register
-   encodings, runs of identical constant bytes in overlays and device
-   arrays.  A byte-run (RLE) scheme captures most of that for one pass
-   and no tables: control byte [c < 0x80] introduces a literal run of
-   [c + 1] bytes; [c >= 0x80] repeats the following byte [c - 0x80 + 3]
-   times (runs shorter than 3 cost more encoded than literal). *)
-
-let max_literal = 128 (* control 0x00..0x7F *)
-let max_run = 130 (* control 0x80..0xFF, length 3..130 *)
-
-let compress s =
-  let n = String.length s in
-  let b = Buffer.create ((n / 2) + 16) in
-  let lit_start = ref 0 in
-  (* Emit the pending literal bytes [lit_start, upto). *)
-  let flush_lit upto =
-    let i = ref !lit_start in
-    while !i < upto do
-      let len = min max_literal (upto - !i) in
-      Buffer.add_char b (Char.chr (len - 1));
-      Buffer.add_substring b s !i len;
-      i := !i + len
-    done;
-    lit_start := upto
-  in
-  let i = ref 0 in
-  while !i < n do
-    let j = ref (!i + 1) in
-    while !j < n && s.[!j] = s.[!i] do incr j done;
-    let run = !j - !i in
-    if run >= 3 then begin
-      flush_lit !i;
-      let remaining = ref run in
-      while !remaining >= 3 do
-        let take = min max_run !remaining in
-        Buffer.add_char b (Char.chr (0x80 + take - 3));
-        Buffer.add_char b s.[!i];
-        remaining := !remaining - take
-      done;
-      (* A 1-2 byte tail of a capped run re-enters as pending literal. *)
-      lit_start := !j - !remaining
-    end;
-    i := !j
-  done;
-  flush_lit n;
-  Buffer.contents b
-
-let decompress ~expect s =
-  let n = String.length s in
-  let b = Buffer.create expect in
-  let i = ref 0 in
-  while !i < n do
-    let c = Char.code s.[!i] in
-    incr i;
-    if c < 0x80 then begin
-      let len = c + 1 in
-      if !i + len > n then error "compressed literal overruns input";
-      Buffer.add_substring b s !i len;
-      i := !i + len
-    end
-    else begin
-      if !i >= n then error "compressed run overruns input";
-      Buffer.add_string b (String.make (c - 0x80 + 3) s.[!i]);
-      incr i
-    end;
-    if Buffer.length b > expect then error "decompressed output too long"
-  done;
-  if Buffer.length b <> expect then error "decompressed length mismatch";
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -529,54 +435,35 @@ let rec decode_cases r max_var : State.case_tree =
 (* Snapshot container                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Wrap a raw snapshot payload into the self-describing v4 container:
-   [magic | version | flag | u32 payload-length | body | u32
-   FNV-1a(body)] where [flag] is ['C'] (body = compressed payload) or
-   ['R'] (body = payload verbatim, when compression did not shrink it).
-   Deterministic — delta reconstruction re-seals and must reproduce the
-   original blob byte for byte. *)
-let seal payload =
-  let comp = compress payload in
-  let flag, body =
-    if String.length comp < String.length payload then ('C', comp)
-    else ('R', payload)
-  in
-  let out = Buffer.create (String.length body + 16) in
-  Buffer.add_string out magic;
-  Buffer.add_char out (Char.chr version);
-  Buffer.add_char out flag;
-  let w = create () in
-  u32 w (String.length payload);
-  raw w body;
-  u32 w (fnv32 body);
-  Buffer.add_string out (contents w);
-  Buffer.contents out
+(* The container is [magic | version | payload | u32 FNV-1a(payload)]:
+   {!encode_state} writes the header first and {!seal} appends the
+   checksum, so a snapshot is copied out of its buffer once. *)
+let header = String.length magic + 1
 
-(* Inverse of {!seal}: verify and return the raw payload. *)
+let seal b =
+  let len = Buffer.length b - header in
+  u32 b (fnv32_gen (fun i -> Char.code (Buffer.nth b (header + i))) len);
+  contents b
+
+(* Verify the container in place; returns where the payload ends (it
+   starts at [header]). *)
 let unseal buf =
   let len = String.length buf in
-  let hdr = String.length magic + 2 + 4 in
-  if len < hdr + 4 then error "snapshot truncated";
-  if String.sub buf 0 (String.length magic) <> magic then
-    error "bad snapshot magic";
+  if len < header + 4 then error "snapshot truncated";
+  if not (String.starts_with ~prefix:magic buf) then error "bad snapshot magic";
   let ver = Char.code buf.[String.length magic] in
   if ver <> version then error "unsupported snapshot version %d" ver;
-  let flag = buf.[String.length magic + 1] in
-  let payload_len = ru32 (reader ~pos:(String.length magic + 2) buf) in
-  let body_len = len - hdr - 4 in
-  let expect = ru32 (reader ~pos:(len - 4) buf) in
-  if expect <> fnv32_sub buf hdr body_len then
-    error "snapshot checksum mismatch";
-  let body = String.sub buf hdr body_len in
-  match flag with
-  | 'C' -> decompress ~expect:payload_len body
-  | 'R' ->
-      if body_len <> payload_len then error "snapshot length mismatch";
-      body
-  | c -> error "unknown snapshot compression flag %C" c
+  let payload_end = len - 4 in
+  if
+    ru32 (reader ~pos:payload_end buf)
+    <> fnv32 buf ~pos:header ~len:(payload_end - header)
+  then error "snapshot checksum mismatch";
+  payload_end
 
 let encode_state (s : State.t) =
   let b = create () in
+  raw b magic;
+  u8 b version;
   (* Base-image fingerprint: length + checksum, verified on decode. *)
   let base = Symmem.base s.mem in
   u32 b (Bytes.length base);
@@ -617,12 +504,11 @@ let encode_state (s : State.t) =
   list b (fun ra -> u32 b ra) s.ret_stack;
   encode_cases b s.cases;
   encode_devices b s.devices;
-  seal (contents b)
+  seal b
 
 let decode_state ~base buf =
-  let payload = unseal buf in
-  let payload_end = String.length payload in
-  let r = reader payload in
+  let payload_end = unseal buf in
+  let r = reader ~pos:header buf in
   let max_var = ref 0 in
   let blen = ru32 r in
   let bcrc = ru32 r in
@@ -704,156 +590,3 @@ let decode_state ~base buf =
     rendezvous = [];
     cases;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Delta encoding against a shared baseline                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Cluster transport ships snapshots as edits against a baseline blob
-   (the root snapshot, handed to every worker at join).  Sibling states
-   of one run share almost all of their payload with the root — the
-   register file layout, most of the overlay, the constraint prefix —
-   so copy ops against the baseline plus compressed literals cut the
-   bytes on the wire by an order of magnitude on typical frontiers.
-
-   The diff runs over the *decompressed* payloads (compression would
-   destroy the byte alignment the block match needs), greedy: index the
-   baseline by 16-byte blocks at 16-byte stride, scan the target, and
-   extend every block hit forward as far as the bytes agree.
-
-   Wire format, mode 'D':
-     ["S2D" | 'D' | u32 FNV-1a(baseline payload) | u32 target payload
-      length | u32 ops length | compress(ops) | u32 FNV-1a(compressed
-      ops)]
-   where ops is a sequence of [u8 0 | u32 len | bytes] literal and
-   [u8 1 | u32 off | u32 len] copy operations.  Mode 'F' carries the
-   full blob minus its 4-byte magic and is chosen whenever mode 'D'
-   would not be strictly smaller, so a delta NEVER exceeds the full
-   snapshot encoding. *)
-
-let delta_block = 16
-
-let m_delta_full = Obs.Metrics.counter "codec.delta_full_bytes"
-let m_delta_out = Obs.Metrics.counter "codec.delta_bytes"
-
-let delta_index base =
-  let n = String.length base in
-  let idx = Hashtbl.create ((n / delta_block) + 1) in
-  let i = ref 0 in
-  while !i + delta_block <= n do
-    let key = String.sub base !i delta_block in
-    if not (Hashtbl.mem idx key) then Hashtbl.add idx key !i;
-    i := !i + delta_block
-  done;
-  idx
-
-let delta_ops ~base target =
-  let n = String.length target in
-  let idx = delta_index base in
-  let ops = create () in
-  let lit_start = ref 0 in
-  let flush upto =
-    if upto > !lit_start then begin
-      u8 ops 0;
-      u32 ops (upto - !lit_start);
-      raw ops (String.sub target !lit_start (upto - !lit_start))
-    end;
-    lit_start := upto
-  in
-  let i = ref 0 in
-  while !i + delta_block <= n do
-    match Hashtbl.find_opt idx (String.sub target !i delta_block) with
-    | None -> incr i
-    | Some off ->
-        let m = ref delta_block in
-        while
-          off + !m < String.length base
-          && !i + !m < n
-          && base.[off + !m] = target.[!i + !m]
-        do
-          incr m
-        done;
-        flush !i;
-        u8 ops 1;
-        u32 ops off;
-        u32 ops !m;
-        i := !i + !m;
-        lit_start := !i
-  done;
-  flush n;
-  contents ops
-
-let delta_apply ~base ops ~target_len =
-  let b = Buffer.create target_len in
-  let n = String.length ops in
-  let r = reader ops in
-  while pos r < n do
-    match ru8 r with
-    | 0 ->
-        let len = ru32 r in
-        need r len;
-        Buffer.add_substring b ops (pos r) len;
-        r.pos <- r.pos + len
-    | 1 ->
-        let off = ru32 r in
-        let len = ru32 r in
-        if off + len > String.length base then
-          error "delta copy outside baseline";
-        Buffer.add_substring b base off len
-    | t -> error "unknown delta op %d" t
-  done;
-  if Buffer.length b <> target_len then error "delta target length mismatch";
-  Buffer.contents b
-
-let is_delta blob =
-  String.length blob >= 4 && String.sub blob 0 3 = delta_magic
-
-let encode_delta ~baseline blob =
-  let bp = unseal baseline in
-  let tp = unseal blob in
-  let ops = delta_ops ~base:bp tp in
-  let cops = compress ops in
-  let w = create () in
-  raw w delta_magic;
-  u8 w (Char.code 'D');
-  u32 w (fnv32 bp);
-  u32 w (String.length tp);
-  u32 w (String.length ops);
-  raw w cops;
-  u32 w (fnv32 cops);
-  let cand = contents w in
-  let out =
-    if String.length cand < String.length blob then cand
-    else
-      (* Fallback header is exactly as long as the magic it replaces. *)
-      delta_magic ^ "F"
-      ^ String.sub blob (String.length magic)
-          (String.length blob - String.length magic)
-  in
-  Obs.Metrics.add m_delta_full (String.length blob);
-  Obs.Metrics.add m_delta_out (String.length out);
-  out
-
-let decode_delta ~baseline blob =
-  if not (is_delta blob) then error "not a delta snapshot";
-  match blob.[3] with
-  | 'F' -> magic ^ String.sub blob 4 (String.length blob - 4)
-  | 'D' ->
-      let len = String.length blob in
-      if len < 4 + 12 + 4 then error "delta truncated";
-      let r = reader ~pos:4 blob in
-      let base_digest = ru32 r in
-      let target_len = ru32 r in
-      let ops_len = ru32 r in
-      let cops_len = len - pos r - 4 in
-      if cops_len < 0 then error "delta truncated";
-      let cops = String.sub blob (pos r) cops_len in
-      let expect = ru32 (reader ~pos:(len - 4) blob) in
-      if expect <> fnv32 cops then error "delta checksum mismatch";
-      let bp = unseal baseline in
-      if base_digest <> fnv32 bp then
-        error "delta baseline mismatch (peer negotiated a different baseline)";
-      if target_len > max_int / 2 then error "delta target length out of range";
-      let ops = decompress ~expect:ops_len cops in
-      seal (delta_apply ~base:bp ops ~target_len)
-  | c -> error "unknown delta mode %C" c

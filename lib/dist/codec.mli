@@ -8,9 +8,10 @@
     shipped: both sides load the same guest, and a fingerprint mismatch
     is a hard decode error.
 
-    Decoding is strict: truncation, corruption (trailing FNV-1a checksum
-    over the payload), unknown tags, malformed widths or trailing bytes
-    all raise {!Error}.  Expressions are rebuilt with raw constructors —
+    A snapshot is [magic | version | payload | u32 FNV-1a(payload)].
+    Decoding is strict: truncation, corruption (the trailing checksum),
+    a wrong magic or version, unknown tags, malformed widths or trailing
+    bytes all raise {!Error}.  Expressions are rebuilt with raw constructors —
     never re-simplified — and variable/state ids are preserved verbatim,
     with the local fresh-id counters bumped past every decoded id. *)
 
@@ -24,8 +25,9 @@ exception Error of string
 val version : int
 (** Current snapshot format version, embedded in every encoding. *)
 
-val fnv32 : string -> int
-(** 32-bit FNV-1a checksum (also used by {!Proto} frames). *)
+val fnv32 : string -> pos:int -> len:int -> int
+(** 32-bit FNV-1a checksum of [len] bytes from [pos] (also used by
+    {!Proto} frames). *)
 
 (** Little-endian wire primitives shared with {!Proto}.  Writers append
     to a growable buffer; readers consume a string left-to-right and
@@ -69,43 +71,11 @@ val decode_expr : string -> Expr.t
     bumping the fresh-variable counter past every decoded id.
     @raise Error on malformed input. *)
 
-val compress : string -> string
-(** Byte-run (RLE) compression: control byte [< 0x80] introduces a
-    literal run, [>= 0x80] a repeat of the following byte.  Applied to
-    every full snapshot body (with a raw fallback when it does not
-    shrink) and to delta edit scripts. *)
-
-val decompress : expect:int -> string -> string
-(** Strict inverse of {!compress}; the output must be exactly [expect]
-    bytes.  @raise Error on malformed input or a length mismatch. *)
-
 val encode_state : State.t -> string
-(** Self-contained snapshot of one execution state (compressed when
-    that shrinks it). *)
+(** Self-contained snapshot of one execution state. *)
 
 val decode_state : base:Bytes.t -> string -> State.t
 (** Rebuild a state over the local [base] image.  The snapshot's base
     fingerprint must match [base]; variable and state id counters are
     bumped past every decoded id so later local forks cannot collide.
     @raise Error on malformed input or base-image mismatch. *)
-
-val encode_delta : baseline:string -> string -> string
-(** [encode_delta ~baseline blob] re-expresses the full snapshot [blob]
-    as compressed copy/literal edits against [baseline] (another full
-    snapshot, from {!encode_state} — the cluster's shared baseline
-    negotiated at join).  Falls back to carrying the full payload when
-    the delta would not be strictly smaller, so the result NEVER
-    exceeds [String.length blob].  Counts [codec.delta_bytes] /
-    [codec.delta_full_bytes] metrics for the wire-savings report.
-    @raise Error when either input is not a valid snapshot blob. *)
-
-val decode_delta : baseline:string -> string -> string
-(** Reconstruct the exact full snapshot blob: [decode_delta ~baseline
-    (encode_delta ~baseline blob) = blob], byte for byte.  @raise Error
-    on malformed input or when [baseline] differs (by payload digest)
-    from the one the delta was encoded against. *)
-
-val is_delta : string -> bool
-(** Whether a blob is a delta container (["S2D" ...]) rather than a full
-    snapshot (["S2EC" ...]); the two are distinguishable from their
-    first bytes so mixed streams self-describe. *)

@@ -7,11 +7,11 @@
     workers.  Every worker joins over TCP: the coordinator listens (on
     a loopback port of its own unless the caller passes a listener), and
     each worker dials in, is admitted with a [Hello]/[Welcome]
-    handshake, and ships its checkpointed states back delta-encoded
-    against the run's shared baseline.  A worker is either {e owned} — a
-    process the coordinator spawned itself ([--procs N]), recognised at
-    admission by the pid in its [Hello] — or {e remote}, having dialed
-    in on its own.
+    handshake, and ships its checkpointed states back whole.  A worker
+    is either {e owned} — a process the coordinator spawned itself
+    ([--procs N]), recognised at admission by the pid in its [Hello] or
+    [Rejoin] on the address owned workers dial from — or {e remote},
+    having dialed in on its own.
     Load balancing is pull-based: when the queue runs dry and a worker
     sits idle, the busiest worker (by last-reported frontier size)
     receives a [Steal] and answers by checkpointing its whole remaining
@@ -21,15 +21,18 @@
 
     Crash tolerance rests on the atomic-handoff discipline of {!Proto}:
     a worker's results leave it only in the one message that retires its
-    item, so on any session loss — EOF, an unrecoverable stream, an
-    expired lease — the coordinator requeues the item blob it still
-    holds.  What else happens depends on process ownership alone.  An
-    owned worker is killed, reaped and respawned (bounded restarts with
-    backoff), and the loss is charged to the item as one attempt: items
-    that repeatedly kill workers are dropped after [max_item_attempts].
-    A remote worker's loss is presumed to be transport chaos: its item
-    is requeued without charging an attempt, its session is kept, and
-    if it rejoins with its token it resumes where the queue stands.
+    item, so the coordinator can always requeue the item blob it still
+    holds.  A lost connection — EOF or a damaged frame, which {!Proto}
+    reports alike — never kills a worker: it is presumed transport
+    chaos, and the worker rejoins with its session.  A remote worker's
+    item is requeued at once without charging an attempt.  An owned
+    worker keeps its item until it rejoins (it resumes the item if it
+    still holds it, else the item is requeued uncounted), is reaped dead
+    once its connection is gone, or outlives its lease; the last two are
+    crashes: the process is killed if need be, reaped and respawned
+    (bounded restarts with backoff), and the item is charged one
+    attempt, so items that repeatedly kill workers are dropped after
+    [max_item_attempts].
     When every worker is gone and work remains, the coordinator explores
     items itself (solo mode) on the serial slicer a worker would use,
     rather than aborting — the bottom rung of the degradation ladder.
@@ -66,7 +69,8 @@ type event =
   | Joined of { wid : int; addr : string }  (** remote worker admitted *)
   | Rejoined of { wid : int; pid : int }  (** session resumed after loss *)
   | Left of { wid : int; requeued : bool }
-      (** remote worker gone (EOF or lease expiry); session kept *)
+      (** connection lost (EOF, damaged frame, or a remote worker's
+          lease expiry); session kept *)
   | Solo of { item : int }  (** coordinator exploring an item itself *)
 
 type result = {
@@ -81,18 +85,14 @@ type result = {
   restarts : int;  (** owned worker processes respawned *)
   abandoned : (int * int) list;
       (** items given up after [max_item_attempts]: (item id, attempts) *)
-  naks : int;  (** damaged/out-of-order frames NAKed, both directions *)
-  retransmits : int;  (** frames re-sent on NAK, both directions *)
+  retransmits : int;  (** always 0: a damaged frame is a disconnect *)
   injected : int;  (** transport corruptions injected by the fault plan *)
   unexplored : int;  (** frontier states left when the run stopped *)
   wall_seconds : float;
   joins : int;  (** remote workers admitted over the run *)
-  reconnects : int;  (** remote sessions resumed via [Rejoin] *)
-  leaves : int;  (** remote session losses (EOF or expired lease) *)
+  reconnects : int;  (** sessions resumed after a connection loss *)
+  leaves : int;  (** connection losses, owned and remote *)
   solo_paths : int;  (** paths the coordinator explored itself *)
-  delta_bytes : int;  (** snapshot bytes actually shipped as deltas *)
-  delta_full_bytes : int;
-      (** what the same snapshots would have cost un-delta'd *)
   trace : Obs.Trace.event list;
       (** merged timeline (empty unless {!Obs.Trace} was enabled):
           worker chunks shipped over heartbeats/Bye, clock-offset
@@ -112,7 +112,8 @@ type wrk = {
   w_id : int;  (* slot for owned workers, wid for remote ones *)
   w_kind : wkind;
   mutable w_pid : int;
-  mutable w_conn : Proto.conn option;  (* None until admitted / after loss *)
+  mutable w_conn : Unix.file_descr option;
+      (* None until admitted / after loss *)
   mutable w_status : wstatus;
   mutable w_alive : bool;
   mutable w_shutdown : bool;  (* Shutdown already sent *)
@@ -126,7 +127,7 @@ type wrk = {
 
 (* A TCP connection that has not completed its Hello/Rejoin handshake
    yet; dropped if it stays silent past its deadline. *)
-type pending = { p_conn : Proto.conn; p_addr : string; p_deadline : float }
+type pending = { p_fd : Unix.file_descr; p_addr : string; p_deadline : float }
 
 (* Start one owned worker dialing [host:port]; returns its pid.  The
    child must not keep [other_fds] (worker sockets, the listener): an
@@ -236,12 +237,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     Queue.push { it_id = !next_item; it_blob = blob; it_attempts = 0 } queue;
     incr next_item
   in
-  (* The root snapshot doubles as the cluster's shared delta baseline,
-     handed to every worker in its [Welcome].  Work ships whole: encoding
-     every dispatch here would grow the coordinator's heap for no
-     measurable byte saving. *)
-  let baseline = Codec.encode_state s0 in
-  enqueue_blob baseline;
+  enqueue_blob (Codec.encode_state s0);
   let steals = ref 0 in
   let requeues = ref 0 in
   let restarts = ref 0 in
@@ -283,7 +279,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     List.fold_left
       (fun acc w ->
         match w.w_conn with
-        | Some c when w.w_alive -> c.Proto.fd :: acc
+        | Some fd when w.w_alive -> fd :: acc
         | _ -> acc)
       [] !workers
   in
@@ -291,7 +287,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
      listener, half-shaken handshakes. *)
   let inheritable_fds () =
     List.fold_left
-      (fun acc p -> p.p_conn.Proto.fd :: acc)
+      (fun acc p -> p.p_fd :: acc)
       (lfd :: live_fds ()) !pendings
   in
   (* An owned slot is alive from its spawn on; its connection arrives
@@ -313,7 +309,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   in
   let close_conn w =
     (match w.w_conn with
-    | Some c -> ( try Unix.close c.Proto.fd with Unix.Unix_error _ -> ())
+    | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
     | None -> ());
     w.w_conn <- None
   in
@@ -354,35 +350,39 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         end
     | _ -> false
   in
-  (* A session was lost (EOF, unrecoverable stream, expired lease).  An
-     owned worker is killed, charged one attempt on its item, and
-     respawned unless the run is draining anyway; a remote one has its
-     item requeued uncounted and keeps its session for a [Rejoin]. *)
-  let fail w =
-    if w.w_alive then
-      match w.w_kind with
-      | Owned -> (
-          discard w;
-          let requeued = requeue_item w ~count_attempt:true in
-          on_event (Crashed { pid = w.w_pid; requeued });
-          if (not !draining) && !restarts < max_restarts then begin
-            incr restarts;
-            (* brief backoff so a crash-looping configuration cannot spin *)
-            Unix.sleepf (Float.min 0.5 (0.05 *. float_of_int !restarts));
-            do_spawn w;
-            on_event (Respawned { pid = w.w_pid; slot = w.w_id })
-          end)
-      | Remote _ ->
-          discard w;
-          let requeued = requeue_item w ~count_attempt:false in
-          incr leaves;
-          on_event (Left { wid = w.w_id; requeued })
+  (* An owned process is gone for good (reaped dead, or killed once its
+     lease ran out): charge its item one attempt and respawn it unless
+     the run is draining anyway. *)
+  let restart w =
+    w.w_alive <- false;
+    close_conn w;
+    let requeued = requeue_item w ~count_attempt:true in
+    on_event (Crashed { pid = w.w_pid; requeued });
+    if (not !draining) && !restarts < max_restarts then begin
+      incr restarts;
+      (* brief backoff so a crash-looping configuration cannot spin *)
+      Unix.sleepf (Float.min 0.5 (0.05 *. float_of_int !restarts));
+      do_spawn w;
+      on_event (Respawned { pid = w.w_pid; slot = w.w_id })
+    end
   in
-  (* Expand a possibly-delta checkpoint state back to a full blob before
-     it enters the queue (the queue always holds full snapshots — any
-     worker may receive them next). *)
-  let expand blob =
-    if Codec.is_delta blob then Codec.decode_delta ~baseline blob else blob
+  (* A session's connection was lost (EOF, a damaged frame, a failed
+     send); the worker will rejoin.  A remote worker's item is requeued
+     uncounted now.  An owned worker stays alive holding its item until
+     it rejoins, is reaped or its lease expires. *)
+  let lose w =
+    if w.w_alive && Option.is_some w.w_conn then begin
+      incr leaves;
+      close_conn w;
+      let requeued =
+        match w.w_kind with
+        | Owned -> false
+        | Remote _ ->
+            w.w_alive <- false;
+            requeue_item w ~count_attempt:false
+      in
+      on_event (Left { wid = w.w_id; requeued })
+    end
   in
   let update_rate w produced =
     let dt = Unix.gettimeofday () -. w.w_dispatched in
@@ -420,15 +420,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         paths := List.rev_append ps !paths;
         Executor.merge_stats ~into:stats st;
         Solver.merge_stats ~into:solver_stats sv;
-        List.iter
-          (fun b ->
-            (* A torn delta cannot survive the frame + delta checksums;
-               treat a residual decode failure like the state having
-               died with the worker. *)
-            match expand b with
-            | b -> enqueue_blob b
-            | exception Codec.Error _ -> ())
-          states;
+        List.iter enqueue_blob states;
         if was_steal then incr steals;
         on_event
           (Checkpointed { pid = w.w_pid; item; states = List.length states })
@@ -440,17 +432,16 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     | Proto.Hello _ | Proto.Rejoin _ ->
         () (* handshake traffic; only meaningful on a pending conn *)
     | Proto.Work _ | Proto.Steal | Proto.Ping | Proto.Shutdown
-    | Proto.Welcome _ | Proto.Deny _
-    | Proto.Resend _ (* consumed inside recv; never delivered *) ->
+    | Proto.Welcome _ | Proto.Deny _ ->
         () (* coordinator-only messages; ignore *)
   in
   (* ---------------- admission ---------------- *)
   let drop_pending p =
     pendings := List.filter (fun q -> q != p) !pendings;
-    try Unix.close p.p_conn.Proto.fd with Unix.Unix_error _ -> ()
+    try Unix.close p.p_fd with Unix.Unix_error _ -> ()
   in
   let deny p reason =
-    (try Proto.send p.p_conn (Proto.Deny { reason })
+    (try Proto.send p.p_fd (Proto.Deny { reason })
      with Proto.Closed | Codec.Error _ -> ());
     drop_pending p
   in
@@ -458,12 +449,13 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     List.fold_left (fun n w -> if w.w_alive then n + 1 else n) 0 !workers
   in
   (* The handshake's connection becomes [w]'s session, and [w] is
-     granted its lease and the baseline; [false] if the peer died. *)
-  let attach p w ~pid ~token =
+     granted its lease; [false] if the peer died.  With [resume] the
+     worker keeps the item it is busy with. *)
+  let attach ?(resume = false) p w ~pid ~token =
     pendings := List.filter (fun q -> q != p) !pendings;
     w.w_pid <- pid;
-    w.w_conn <- Some p.p_conn;
-    w.w_status <- Idle;
+    w.w_conn <- Some p.p_fd;
+    if not resume then w.w_status <- Idle;
     w.w_alive <- true;
     w.w_shutdown <- false;
     w.w_last <- Unix.gettimeofday ();
@@ -471,42 +463,67 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     w.w_nak <- 0.;
     w.w_frontier <- 0;
     match
-      Proto.send p.p_conn
+      Proto.send p.p_fd
         (Proto.Welcome
-           { wid = w.w_id; token; lease = heartbeat_timeout; baseline })
+           { wid = w.w_id; token; lease = heartbeat_timeout; resume })
     with
     | () -> true
     | exception (Proto.Closed | Codec.Error _) -> false
   in
-  (* A spawned slot still waiting for its process to dial in. *)
-  let awaiting pid w =
-    w.w_alive && Option.is_none w.w_conn && w.w_pid = pid
-    && w.w_kind = Owned
+  (* An owned worker is recognised by its pid in any slot state: one
+     whose [Welcome] was damaged redials with a fresh [Hello] while its
+     slot still holds the dead connection.  Only a peer on the address
+     owned workers dial from qualifies, so a worker on another host that
+     happens to share a pid is admitted as remote instead. *)
+  let from_owner p =
+    match Unix.getpeername p.p_fd with
+    | Unix.ADDR_INET (a, _) -> Unix.string_of_inet_addr a = dial_host
+    | Unix.ADDR_UNIX _ -> false
+    | exception Unix.Unix_error _ -> false
+  in
+  let owned p pid w =
+    w.w_kind = Owned && w.w_alive && w.w_pid = pid && from_owner p
   in
   let admit p (m : Proto.msg) =
     match m with
     | Proto.Hello { version; _ } when version <> Proto.version ->
         deny p "protocol version mismatch"
+    | (Proto.Hello { pid; _ } | Proto.Rejoin { pid; _ })
+      when List.exists (owned p pid) !workers ->
+        let w = List.find (owned p pid) !workers in
+        (* Retire a stale connection first.  A worker still holding the
+           slot's item carries on with it; any other item the slot held
+           is requeued uncounted (the worker no longer has it). *)
+        lose w;
+        let again = w.w_status <> Starting in
+        let resume =
+          match (m, w.w_status) with
+          | Proto.Rejoin { held = Some item; _ }, Busy it -> it.it_id = item
+          | _ -> false
+        in
+        if not resume then ignore (requeue_item w ~count_attempt:false);
+        (* Already counted in [procs]: exempt from the cap, not a join. *)
+        if not (attach ~resume p w ~pid ~token:"") then lose w
+        else if again then begin
+          incr reconnects;
+          on_event (Rejoined { wid = w.w_id; pid })
+        end
     | (Proto.Hello _ | Proto.Rejoin _) when !draining ->
         deny p "coordinator is draining"
-    | Proto.Hello { pid; _ } -> (
-        match List.find_opt (awaiting pid) !workers with
-        | Some w ->
-            (* One of ours: already counted in [procs], so exempt from
-               the cap and not a join. *)
-            if not (attach p w ~pid ~token:"") then fail w
-        | None when live_count () >= max_workers -> deny p "at capacity"
-        | None ->
-            let wid = !next_wid in
-            incr next_wid;
-            let token = gen_token () in
-            let w = new_wrk ~id:wid ~kind:(Remote { token }) in
-            if attach p w ~pid ~token then begin
-              workers := !workers @ [ w ];
-              incr joins;
-              on_event (Joined { wid; addr = p.p_addr })
-            end
-            else close_conn w)
+    | Proto.Hello { pid; _ } ->
+        if live_count () >= max_workers then deny p "at capacity"
+        else begin
+          let wid = !next_wid in
+          incr next_wid;
+          let token = gen_token () in
+          let w = new_wrk ~id:wid ~kind:(Remote { token }) in
+          if attach p w ~pid ~token then begin
+            workers := !workers @ [ w ];
+            incr joins;
+            on_event (Joined { wid; addr = p.p_addr })
+          end
+          else close_conn w
+        end
     | Proto.Rejoin { wid; token; pid; _ } -> (
         let found =
           List.find_opt
@@ -525,7 +542,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
                down yet (e.g. a stalled worker came back before its lease
                ran out): retire it first, requeueing whatever it held —
                the worker discarded its frontier. *)
-            fail w;
+            lose w;
             if attach p w ~pid ~token then begin
               incr reconnects;
               on_event (Rejoined { wid; pid })
@@ -541,7 +558,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     | fd, addr ->
         pendings :=
           {
-            p_conn = Proto.connect fd;
+            p_fd = fd;
             p_addr = addr;
             p_deadline = Unix.gettimeofday () +. 5.;
           }
@@ -656,8 +673,11 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   let send_to w m =
     match w.w_conn with
     | None -> raise Proto.Closed
-    | Some c -> Proto.send c m
+    | Some fd -> Proto.send fd m
   in
+  (* Connected and waiting for work (an owned worker between losing its
+     connection and rejoining is alive but not ready). *)
+  let ready w = w.w_alive && w.w_status = Idle && Option.is_some w.w_conn in
   let rec loop () =
     let now = Unix.gettimeofday () in
     if (!interrupted || now > deadline || completed_enough ())
@@ -667,17 +687,20 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
          their frontiers; nothing new is dispatched. *)
       draining := true;
       solo_checkpoint ();
-      List.iter (fun p -> drop_pending p) !pendings;
+      List.iter (fun p -> drop_pending p) !pendings
+    end;
+    (* Every connection is told once, so a worker that rejoins mid-drain
+       to resume its item is told too. *)
+    if !draining then
       List.iter
         (fun w ->
           if w.w_alive && Option.is_some w.w_conn && not w.w_shutdown then begin
             try
               send_to w Proto.Shutdown;
               w.w_shutdown <- true
-            with Proto.Closed | Codec.Error _ -> fail w
+            with Proto.Closed | Codec.Error _ -> lose w
           end)
-        !workers
-    end;
+        !workers;
     let continue =
       if !draining then have_busy ()
       else
@@ -688,13 +711,11 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         (* A worker (re)appeared while the coordinator was exploring
            solo: hand the solo frontier back to the queue so the worker
            takes over. *)
-        if List.exists (fun w -> w.w_alive && w.w_status = Idle) !workers
-        then solo_checkpoint ();
+        if List.exists ready !workers then solo_checkpoint ();
         (* Dispatch queued items to idle workers. *)
         List.iter
           (fun w ->
-            if w.w_alive && w.w_status = Idle && not (Queue.is_empty queue)
-            then begin
+            if ready w && not (Queue.is_empty queue) then begin
               let it = Queue.pop queue in
               match
                 send_to w
@@ -712,21 +733,19 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
                   on_event (Dispatched { pid = w.w_pid; item = it.it_id })
               | exception (Proto.Closed | Codec.Error _) ->
                   Queue.push it queue;
-                  fail w
+                  lose w
             end)
           !workers;
         (* Rebalance: queue dry + idle workers → steal from the busiest
            worker (largest reported frontier) without a pending steal. *)
-        if
-          Queue.is_empty queue
-          && List.exists (fun w -> w.w_alive && w.w_status = Idle) !workers
-        then begin
+        if Queue.is_empty queue && List.exists ready !workers then begin
           let victim = ref None in
           List.iter
             (fun w ->
               match w.w_status with
               | Busy _
-                when w.w_alive && w.w_steal = 0. && now -. w.w_nak >= 0.25 ->
+                when w.w_alive && Option.is_some w.w_conn && w.w_steal = 0.
+                     && now -. w.w_nak >= 0.25 ->
                   (match !victim with
                   | Some v when v.w_frontier >= w.w_frontier -> ()
                   | _ -> victim := Some w)
@@ -737,7 +756,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
               try
                 send_to w Proto.Steal;
                 w.w_steal <- now
-              with Proto.Closed | Codec.Error _ -> fail w)
+              with Proto.Closed | Codec.Error _ -> lose w)
           | None -> ()
         end;
         (* Degradation ladder, bottom rung: nobody left to delegate to,
@@ -761,20 +780,41 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
           if w.w_steal > 0. && now -. w.w_steal > 2. then w.w_steal <- 0.)
         !workers;
       (* Liveness: a worker silent past its lease (or an owned process
-         that never dialed in) is declared dead. *)
+         that never dialed in or rejoined) is presumed dead.  An owned
+         process is killed and restarted; a remote session is lost. *)
       List.iter
         (fun w ->
-          if w.w_alive && now -. w.w_last > heartbeat_timeout then fail w)
+          if w.w_alive && now -. w.w_last > heartbeat_timeout then
+            match w.w_kind with
+            | Owned ->
+                discard w;
+                restart w
+            | Remote _ -> lose w)
+        !workers;
+      (* An owned process that died (crashed, killed, or out of reconnect
+         retries) is reaped here once it has no connection.  One that
+         still has a connection is left to it: the frames it sent before
+         exiting ([Checkpoint], [Bye]) are read first, then its EOF
+         clears the connection and the next pass reaps it. *)
+      List.iter
+        (fun w ->
+          if w.w_alive && w.w_kind = Owned && w.w_conn = None then
+            match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
+            | 0, _ -> ()
+            | _ -> restart w
+            | exception Unix.Unix_error _ -> ())
         !workers;
       (* Handshakes that never completed time out. *)
       List.iter
         (fun p -> if now > p.p_deadline then drop_pending p)
         !pendings;
+      (* The listener stays polled while draining: an owned worker that
+         lost its connection must be able to rejoin and hand back its
+         item; everyone else is denied. *)
       let select_fds =
         List.fold_left
-          (fun acc p -> p.p_conn.Proto.fd :: acc)
-          (if !draining then live_fds () else lfd :: live_fds ())
-          !pendings
+          (fun acc p -> p.p_fd :: acc)
+          (lfd :: live_fds ()) !pendings
       in
       let timeout = if !solo_item <> None then 0. else 0.05 in
       let readable =
@@ -791,30 +831,19 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
                 (fun w ->
                   w.w_alive
                   &&
-                  match w.w_conn with
-                  | Some c -> c.Proto.fd == fd
-                  | None -> false)
+                  w.w_conn = Some fd)
                 !workers
             with
             | Some w -> (
-                (* [None] means the readable frame was transport-recovery
-                   traffic (NAKed, duplicate, or a Resend we served). *)
-                match w.w_conn with
-                | None -> ()
-                | Some c -> (
-                    match Proto.recv_opt c ~timeout:0. with
-                    | Some m -> handle_msg w m
-                    | None -> ()
-                    | exception (Proto.Closed | Codec.Error _) -> fail w))
+                match Proto.recv fd with
+                | m -> handle_msg w m
+                | exception (Proto.Closed | Codec.Error _) -> lose w)
             | None -> (
-                match
-                  List.find_opt (fun p -> p.p_conn.Proto.fd == fd) !pendings
-                with
+                match List.find_opt (fun p -> p.p_fd = fd) !pendings with
                 | None -> ()
                 | Some p -> (
-                    match Proto.recv_opt p.p_conn ~timeout:0. with
-                    | Some m -> admit p m
-                    | None -> ()
+                    match Proto.recv fd with
+                    | m -> admit p m
                     | exception (Proto.Closed | Codec.Error _) ->
                         drop_pending p)))
         readable;
@@ -832,7 +861,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
       if w.w_alive then
         match w.w_conn with
         | None -> discard w
-        | Some c ->
+        | Some fd ->
             (if not w.w_shutdown then
                try
                  send_to w Proto.Shutdown;
@@ -840,7 +869,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
                with Proto.Closed | Codec.Error _ -> discard w);
             let give_up = Unix.gettimeofday () +. 5. in
             while w.w_alive && Unix.gettimeofday () < give_up do
-              match Proto.recv_opt c ~timeout:0.2 with
+              match Proto.recv_opt fd ~timeout:0.2 with
               | Some m -> handle_msg w m
               | None -> ()
               | exception (Proto.Closed | Codec.Error _) -> discard w
@@ -872,10 +901,9 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     requeues = !requeues;
     restarts = !restarts;
     abandoned = List.rev !abandoned;
-    (* Both directions: the coordinator's own counters are in its local
+    retransmits = 0;
+    (* Both directions: the coordinator's own counter is in its local
        snapshot; each worker's arrived with its [Bye] snapshot. *)
-    naks = Obs.Metrics.get_int obs "dist.naks";
-    retransmits = Obs.Metrics.get_int obs "dist.retransmits";
     injected = Obs.Metrics.get_int obs "fault.proto.corrupt";
     unexplored = Queue.length queue + List.length !abandoned;
     wall_seconds = Unix.gettimeofday () -. t0;
@@ -883,8 +911,6 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     reconnects = !reconnects;
     leaves = !leaves;
     solo_paths = !solo_paths;
-    delta_bytes = Obs.Metrics.get_int obs "codec.delta_bytes";
-    delta_full_bytes = Obs.Metrics.get_int obs "codec.delta_full_bytes";
     trace;
     trace_dropped = !trace_dropped + local_dropped;
   }

@@ -1,8 +1,8 @@
 (** Coordinator: multi-process and multi-host distribution of the
     exploration frontier with crash-tolerant work accounting, one TCP
     admission path for spawned and remote workers (leases, session
-    rejoin), delta-encoded snapshot shipping, coordinator-solo
-    degradation, and merged telemetry.  See {!explore}. *)
+    rejoin as the one recovery path), coordinator-solo degradation, and
+    merged telemetry.  See {!explore}. *)
 
 module Executor = S2e_core.Executor
 module State = S2e_core.State
@@ -31,10 +31,12 @@ type event =
       (** a remote worker completed its [Hello] handshake and was
           admitted *)
   | Rejoined of { wid : int; pid : int }
-      (** a lost session re-authenticated with its token and resumed *)
+      (** a worker whose connection was lost was admitted again and
+          resumed its session *)
   | Left of { wid : int; requeued : bool }
-      (** a remote worker's connection died (EOF or expired lease); its
-          session is kept so it may still [Rejoin] *)
+      (** a worker's connection died (EOF, a damaged frame, or a remote
+          worker's expired lease); its session is kept so it may
+          rejoin *)
   | Solo of { item : int }
       (** no workers left: the coordinator started exploring this item
           itself *)
@@ -53,10 +55,9 @@ type result = {
       (** items given up after [max_item_attempts] worker deaths each:
           (item id, attempts).  Non-empty means exploration lost work —
           callers should report it and exit distinctly. *)
-  naks : int;
-      (** damaged/out-of-order frames NAKed (both directions, merged
-          from the telemetry snapshots) *)
-  retransmits : int;  (** frames re-sent on NAK, both directions *)
+  retransmits : int;
+      (** always 0: a damaged frame is a disconnect, never re-sent.
+          Kept for readers of the result record. *)
   injected : int;
       (** transport corruptions injected by the [proto.corrupt] fault
           plan, both directions *)
@@ -65,20 +66,15 @@ type result = {
           abandoned item *)
   wall_seconds : float;
   joins : int;  (** remote workers admitted over the run *)
-  reconnects : int;  (** remote sessions resumed via [Rejoin] *)
+  reconnects : int;
+      (** sessions, owned or remote, resumed after a connection loss *)
   leaves : int;
-      (** remote worker connection losses (EOF or expired lease); a
-          rejoining worker contributes one leave and one reconnect *)
+      (** connection losses of any worker (EOF, damaged frame, or a
+          remote worker's expired lease); a rejoining worker
+          contributes one leave and one reconnect *)
   solo_paths : int;
       (** paths explored by the coordinator itself while degraded to
           solo mode *)
-  delta_bytes : int;
-      (** snapshot bytes actually shipped after delta encoding against
-          the shared baseline (both directions, merged) *)
-  delta_full_bytes : int;
-      (** what the same snapshots would have cost shipped whole; the
-          ratio [delta_bytes /. delta_full_bytes] is the compressor's
-          report card *)
   trace : Obs.Trace.event list;
       (** merged event timeline (empty unless {!Obs.Trace} was enabled):
           worker trace chunks shipped over heartbeats and [Bye] frames,
@@ -115,13 +111,15 @@ val explore :
     address (127.0.0.1 for a listener bound to any address), and remote
     workers ([s2e_cli worker --connect]) may dial [listener] and join or
     leave mid-run.  Each worker is admitted by a [Hello]/[Welcome]
-    handshake that grants a session (wid + token), a liveness {e lease}
-    of [heartbeat_timeout] seconds (default 10) and the run's shared
-    baseline snapshot; work items ship whole, and checkpointed states
-    come back delta-encoded against that baseline.  A [Hello] whose pid
-    matches a spawned slot admits that owned worker, which is exempt
-    from the [max_workers] cap (default 64) that limits admissions while
-    that many workers are alive.
+    handshake that grants a session (wid + token) and a liveness
+    {e lease} of [heartbeat_timeout] seconds (default 10); work items
+    and checkpointed states ship whole.  A [Hello] or [Rejoin] whose pid
+    matches a live spawned slot, from the address owned workers dial
+    from, admits that owned worker, whatever the slot's state; a peer
+    elsewhere is a remote worker whatever its pid.  Owned workers are
+    exempt from the [max_workers] cap
+    (default 64) that limits admissions while that many workers are
+    alive.
 
     Work items (serialized fork-point states) are dispatched one per
     worker with a budget of a few seconds scaled by the worker's
@@ -136,15 +134,20 @@ val explore :
     left.  [on_event] observes scheduling decisions (used by the
     fault-injection tests).
 
-    {b Session loss} (EOF, an unrecoverable stream, or silence past the
-    lease) always requeues the worker's in-flight item; the rest depends
-    on process ownership alone.  An owned worker is killed, reaped,
-    charged one attempt on its item (at most [max_item_attempts]
-    attempts per item, default 3, before the item is abandoned) and
-    respawned with backoff (at most [max_restarts] times, default 8).
-    A remote worker's item is requeued {e without} charging an attempt —
-    transport loss is presumed chaos, not a poison item — and the worker
-    may resume its session by reconnecting with [Rejoin] and its token.
+    {b One loss rule.}  A lost connection (EOF or a damaged frame,
+    which {!Proto} reports alike) never kills a worker: transport loss
+    is presumed chaos, not a poison item, and the worker reconnects with
+    [Rejoin].  A remote worker's in-flight item is requeued at once
+    {e without} charging an attempt.  An owned worker keeps its item
+    until it rejoins (its [Welcome] resumes the item when the [Rejoin]
+    names it as still held; otherwise the item is requeued uncounted),
+    is found dead by a non-blocking [waitpid] once its connection is
+    gone (the frames it sent before exiting are read first), or stays
+    silent past its lease (it is then killed).  A dead owned worker is reaped, charged one attempt on its
+    item (at most [max_item_attempts] attempts per item, default 3,
+    before the item is abandoned) and respawned with backoff (at most
+    [max_restarts] times, default 8).  A remote worker silent past its
+    lease loses its connection like any other.
 
     {b Degradation ladder.}  When {e no} worker is alive for 0.35 s, the
     coordinator explores queued items itself on a serial worker slicer

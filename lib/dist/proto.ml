@@ -2,10 +2,12 @@
     its worker processes.
 
     Every message travels in one frame: [u32 length | payload | u32
-    checksum], with the payload's first byte a message tag.  A frame is
-    written with a single [write] sequence and verified on receipt, so a
-    worker dying mid-send surfaces as {!Closed} or a checksum
-    {!Codec.Error} — never as a silently half-read message.
+    FNV-1a(payload)], with the payload's first byte a message tag.  A
+    frame is written with a single [write] sequence and verified on
+    receipt.  A frame that fails its checksum reads exactly like EOF
+    ({!Closed}): the connection is dropped and the session
+    requeue/rejoin path is the only recovery, so a worker dying
+    mid-send, a damaged frame and a lost connection are one case.
 
     Work accounting is crash-consistent by construction: a worker holds
     at most one in-flight {e item} (a serialized frontier), reports
@@ -22,11 +24,11 @@ module Fault = S2e_fault.Fault
 open Codec.Wire
 
 exception Closed
-(** Peer hung up (EOF/EPIPE/reset) — on a worker fd this means the
-    process died or exited. *)
+(** Peer hung up (EOF/EPIPE/reset), sent a damaged frame, or stopped
+    mid-frame — on a worker fd this means the session is lost. *)
 
-(* v5: solver stats carry incremental-reuse and learned-clause fields. *)
-let version = 5
+(* v6: no sequence numbers, retransmit requests or snapshot baseline. *)
+let version = 6
 
 (** A terminated path, reduced to what the coordinator reports: the
     status string and the canonical test case. *)
@@ -72,22 +74,26 @@ type msg =
   | Bye of { obs : Obs.Metrics.snapshot; now : float; trace : string }
       (** worker → coordinator: final telemetry plus the last trace
           chunk, sent just before exit *)
-  | Resend of { from : int }
-      (** either direction: frames from sequence number [from] onwards
-          were damaged or lost; retransmit them.  Control traffic — never
-          delivered to the application, never fault-injected. *)
-  | Welcome of { wid : int; token : string; lease : float; baseline : string }
+  | Welcome of { wid : int; token : string; lease : float; resume : bool }
       (** coordinator → worker: admission over TCP.  [wid]/[token]
           identify the session for later {!Rejoin}; [lease] is the
           liveness window in seconds (a worker silent past it is
-          presumed dead and its item requeued); [baseline] the shared
-          baseline snapshot blob for {!Codec.encode_delta}. *)
-  | Rejoin of { wid : int; token : string; pid : int; jobs : int }
+          presumed dead and its item requeued).  [resume] tells a
+          rejoining worker to carry on with the item it holds; without
+          it the worker discards that item's frontier. *)
+  | Rejoin of {
+      wid : int;
+      token : string;
+      pid : int;
+      jobs : int;
+      held : int option;
+    }
       (** worker → coordinator: a returning worker re-authenticates its
-          session (in place of [Hello]) after a connection loss.  The
-          coordinator requeues whatever item the session held — the
-          worker discarded its in-flight frontier — and answers with a
-          fresh [Welcome]. *)
+          session (in place of [Hello]) after a connection loss.
+          [held] is the item it has not retired yet.  The coordinator
+          answers with a fresh [Welcome], resuming that item if the
+          session still holds it and requeueing the session's item
+          otherwise. *)
   | Deny of { reason : string }
       (** coordinator → worker: admission or rejoin refused (version or
           token mismatch, at capacity, draining); the worker exits. *)
@@ -272,28 +278,31 @@ let encode_msg m =
       encode_obs b obs;
       f64 b now;
       str b trace
-  | Resend { from } ->
+  | Welcome { wid; token; lease; resume } ->
       u8 b 10;
-      u32 b from
-  | Welcome { wid; token; lease; baseline } ->
-      u8 b 11;
       u32 b wid;
       str b token;
       f64 b lease;
-      str b baseline
-  | Rejoin { wid; token; pid; jobs } ->
-      u8 b 12;
+      u8 b (if resume then 1 else 0)
+  | Rejoin { wid; token; pid; jobs; held } ->
+      u8 b 11;
       u32 b wid;
       str b token;
       u32 b pid;
-      u32 b jobs
+      u32 b jobs;
+      (match held with
+      | None -> u8 b 0
+      | Some item ->
+          u8 b 1;
+          u32 b item)
   | Deny { reason } ->
-      u8 b 13;
+      u8 b 12;
       str b reason);
   contents b
 
-let decode_msg payload =
-  let r = reader payload in
+(* Strict inverse of [encode_msg] for a payload in [r] that ends exactly
+   at [stop]. *)
+let decode_msg r ~stop =
   let m =
     match ru8 r with
     | 0 ->
@@ -335,82 +344,34 @@ let decode_msg payload =
         let now = rf64 r in
         let trace = rstr r in
         Bye { obs; now; trace }
-    | 10 -> Resend { from = ru32 r }
-    | 11 ->
+    | 10 ->
         let wid = ru32 r in
         let token = rstr r in
         let lease = rf64 r in
-        let baseline = rstr r in
-        Welcome { wid; token; lease; baseline }
-    | 12 ->
+        let resume = ru8 r <> 0 in
+        Welcome { wid; token; lease; resume }
+    | 11 ->
         let wid = ru32 r in
         let token = rstr r in
         let pid = ru32 r in
         let jobs = ru32 r in
-        Rejoin { wid; token; pid; jobs }
-    | 13 -> Deny { reason = rstr r }
+        let held = if ru8 r = 0 then None else Some (ru32 r) in
+        Rejoin { wid; token; pid; jobs; held }
+    | 12 -> Deny { reason = rstr r }
     | t -> raise (Codec.Error (Printf.sprintf "unknown message tag %d" t))
   in
-  if pos r <> String.length payload then
-    raise (Codec.Error "trailing bytes after message");
+  if pos r <> stop then raise (Codec.Error "trailing bytes after message");
   m
 
 (* ------------------------------------------------------------------ *)
-(* Framing and retransmission                                          *)
+(* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let max_frame = 256 * 1024 * 1024
 
-(* Retransmit window: recent frames kept for Resend service.  A peer
-   that falls further behind than this has desynchronized for real and
-   is handled by the crash/requeue path. *)
-let window_frames = 32
-
-(* Consecutive damaged/out-of-order frames tolerated before the
-   connection is declared unrecoverable. *)
-let max_bad_streak = 64
-
-(* Process-wide transport-recovery telemetry: counted on both ends, so
-   the coordinator's merged snapshot accounts for worker-side recoveries
-   too (they arrive with the worker's [Bye] snapshot). *)
-let m_naks = Obs.Metrics.counter "dist.naks"
-let m_retransmits = Obs.Metrics.counter "dist.retransmits"
-
-(* Transport-frame trace events: tag byte + payload length per frame, and
-   instants for the recovery traffic. *)
+(* Transport-frame trace events: tag byte + payload length per frame. *)
 let t_frame_send = Obs.Trace.intern "frame.send"
 let t_frame_recv = Obs.Trace.intern "frame.recv"
-let t_frame_nak = Obs.Trace.intern "frame.nak"
-let t_frame_retransmit = Obs.Trace.intern "frame.retransmit"
-
-(** One end of a coordinator↔worker socket.  Frames carry sequence
-    numbers ([u32 len | u32 seq | payload | u32 checksum]); the receiver
-    delivers strictly in order, answering a damaged or out-of-order
-    frame with [Resend] and dropping duplicates, so a frame corrupted in
-    flight (or by the [proto.corrupt] fault plan) is recovered without
-    losing or double-delivering a message. *)
-type conn = {
-  fd : Unix.file_descr;
-  mutable tx_seq : int;  (* last sequence number sent *)
-  mutable rx_seq : int;  (* last sequence number accepted in order *)
-  window : (int * string) Queue.t;  (* clean recent frames, oldest first *)
-  mutable naks : int;  (* Resend requests we sent *)
-  mutable retransmits : int;  (* frames we re-sent on peer request *)
-  mutable injected : int;  (* corruptions injected by the fault plan *)
-  mutable streak : int;  (* consecutive bad frames seen *)
-}
-
-let connect fd =
-  {
-    fd;
-    tx_seq = 0;
-    rx_seq = 0;
-    window = Queue.create ();
-    naks = 0;
-    retransmits = 0;
-    injected = 0;
-    streak = 0;
-  }
 
 let rec write_all fd buf ofs len =
   if len > 0 then begin
@@ -422,149 +383,63 @@ let rec write_all fd buf ofs len =
     write_all fd buf (ofs + n) (len - n)
   end
 
+(* EAGAIN is a receive timeout ({!accept} sets one): the peer stopped
+   mid-frame. *)
 let rec read_exact fd buf ofs len =
   if len > 0 then begin
     let n =
       try Unix.read fd buf ofs len with
       | Unix.Unix_error (Unix.EINTR, _, _) -> -1
-      | Unix.Unix_error (Unix.ECONNRESET, _, _) -> raise Closed
+      | Unix.Unix_error
+          ((Unix.ECONNRESET | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          raise Closed
     in
     if n = 0 then raise Closed
     else if n < 0 then read_exact fd buf ofs len (* EINTR: retry *)
     else read_exact fd buf (ofs + n) (len - n)
   end
 
-let frame_of ~seq payload =
-  let b = create () in
-  u32 b (String.length payload);
-  u32 b seq;
-  raw b payload;
-  u32 b (Codec.fnv32 payload lxor seq);
-  contents b
-
-let write_frame c frame =
-  write_all c.fd (Bytes.unsafe_of_string frame) 0 (String.length frame)
-
-(* Flip one payload byte of a copy of the frame.  The length/seq header
-   stays intact so the receiver still reads whole frames off the stream;
-   the checksum catches the damage and triggers retransmission.  (Truly
-   torn frames — partial writes from a dying peer — desynchronize the
-   stream and are exercised by the worker-kill path instead.) *)
-let corrupted frame =
-  let b = Bytes.of_string frame in
-  let off = 8 + ((Bytes.length b - 12) / 2) in
-  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x40));
-  Bytes.to_string b
-
-let send c m =
+let send fd m =
   let payload = encode_msg m in
-  if String.length payload > max_frame then
-    raise (Codec.Error "frame too large");
+  let len = String.length payload in
+  if len > max_frame then raise (Codec.Error "frame too large");
   if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:(Char.code payload.[0]) ~b:(String.length payload)
-      t_frame_send;
-  c.tx_seq <- c.tx_seq + 1;
-  let seq = c.tx_seq in
-  let frame = frame_of ~seq payload in
-  Queue.push (seq, frame) c.window;
-  if Queue.length c.window > window_frames then ignore (Queue.pop c.window);
-  let wire =
-    (* Resend frames are exempt from injection, and retransmissions are
-       served verbatim from the window: recovery itself always makes
-       progress, even at corruption probability 1. *)
-    match m with
-    | Resend _ -> frame
-    | _ ->
-        if Fault.(fire Proto_corrupt) then begin
-          c.injected <- c.injected + 1;
-          corrupted frame
-        end
-        else frame
-  in
-  write_frame c wire
+    Obs.Trace.instant ~a:(Char.code payload.[0]) ~b:len t_frame_send;
+  let frame = Bytes.create (len + 8) in
+  Bytes.set_int32_le frame 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 frame 4 len;
+  Bytes.set_int32_le frame (len + 4)
+    (Int32.of_int (Codec.fnv32 payload ~pos:0 ~len));
+  (* The fault plan flips one payload byte and leaves the length intact,
+     so the receiver reads the whole frame and its checksum catches the
+     damage. *)
+  if Fault.(fire Proto_corrupt) then begin
+    let off = 4 + (len / 2) in
+    Bytes.set frame off (Char.chr (Char.code (Bytes.get frame off) lxor 0x40))
+  end;
+  write_all fd frame 0 (len + 8)
 
-(* The peer reported a gap starting at [from]: re-send every windowed
-   frame from there on, verbatim (original seq, no fault injection).
-   The receiver's in-order discipline drops whatever it already had. *)
-let serve_resend c ~from =
-  if from <= c.tx_seq then begin
-    (match Queue.peek_opt c.window with
-    | Some (first, _) when from < first ->
-        raise (Codec.Error "resend request beyond retransmit window")
-    | _ -> ());
-    Queue.iter
-      (fun (seq, frame) ->
-        if seq >= from then begin
-          c.retransmits <- c.retransmits + 1;
-          Obs.Metrics.incr m_retransmits;
-          Obs.Trace.instant ~a:seq t_frame_retransmit;
-          write_frame c frame
-        end)
-      c.window
-  end
+(* The payload and its checksum are read into one buffer and decoded in
+   place: snapshot-carrying frames exceed the minor heap's size limit, so
+   every extra copy is a major-heap allocation. *)
+let recv fd =
+  let hdr = Bytes.create 4 in
+  read_exact fd hdr 0 4;
+  let len = Int32.to_int (Bytes.get_int32_le hdr 0) land 0xFFFFFFFF in
+  if len > max_frame then raise Closed;
+  let body = Bytes.create (len + 4) in
+  read_exact fd body 0 (len + 4);
+  let frame = Bytes.unsafe_to_string body in
+  if ru32 (reader ~pos:len frame) <> Codec.fnv32 frame ~pos:0 ~len then
+    raise Closed;
+  if Obs.Trace.enabled () && len > 0 then
+    Obs.Trace.instant ~a:(Char.code frame.[0]) ~b:len t_frame_recv;
+  decode_msg (reader frame) ~stop:len
 
-let request_resend c =
-  c.streak <- c.streak + 1;
-  if c.streak > max_bad_streak then
-    raise (Codec.Error "unrecoverable frame corruption");
-  c.naks <- c.naks + 1;
-  Obs.Metrics.incr m_naks;
-  Obs.Trace.instant ~a:(c.rx_seq + 1) t_frame_nak;
-  send c (Resend { from = c.rx_seq + 1 })
-
-(* One frame off the wire; [Error] on a checksum mismatch. *)
-let read_frame c =
-  let hdr = Bytes.create 8 in
-  read_exact c.fd hdr 0 8;
-  let r = reader (Bytes.to_string hdr) in
-  let plen = ru32 r in
-  if plen > max_frame then raise (Codec.Error "frame length out of range");
-  let seq = ru32 r in
-  let body = Bytes.create (plen + 4) in
-  read_exact c.fd body 0 (plen + 4);
-  let body = Bytes.to_string body in
-  let payload = String.sub body 0 plen in
-  let expect = ru32 (reader ~pos:plen body) in
-  if expect = Codec.fnv32 payload lxor seq then Ok (seq, payload)
-  else Error ()
-
-(* Process one incoming frame.  [Some m] delivers a message; [None]
-   means the frame was control traffic, a duplicate, or damaged (the
-   latter answered with a Resend request). *)
-let process c =
-  match read_frame c with
-  | Error () ->
-      request_resend c;
-      None
-  | Ok (seq, payload) ->
-      if seq <= c.rx_seq then None (* duplicate of an accepted frame *)
-      else if seq > c.rx_seq + 1 then begin
-        (* gap: an earlier frame never checked out *)
-        request_resend c;
-        None
-      end
-      else begin
-        c.rx_seq <- seq;
-        c.streak <- 0;
-        if Obs.Trace.enabled () && String.length payload > 0 then
-          Obs.Trace.instant ~a:(Char.code payload.[0])
-            ~b:(String.length payload) t_frame_recv;
-        match decode_msg payload with
-        | Resend { from } ->
-            serve_resend c ~from;
-            None
-        | m -> Some m
-      end
-
-let rec recv c = match process c with Some m -> m | None -> recv c
-
-(** Wait up to [timeout] seconds for a frame; [None] on timeout or when
-    the frame was consumed as control/recovery traffic.  [timeout = 0.]
-    polls. *)
-let recv_opt c ~timeout =
-  match Unix.select [ c.fd ] [] [] timeout with
+let recv_opt fd ~timeout =
+  match Unix.select [ fd ] [] [] timeout with
   | [], _, _ -> None
-  | _ -> process c
+  | _ -> Some (recv fd)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
 
 (* Unix.file_descr is an int on Unix systems. *)
@@ -603,9 +478,16 @@ let bound_port fd =
   | Unix.ADDR_INET (_, p) -> p
   | _ -> invalid_arg "Proto.bound_port: not an inet socket"
 
+(* A peer that stops mid-frame must not freeze the coordinator's
+   single-threaded loop: a read on an accepted socket that waits this
+   long for its next byte raises {!Closed}.  Within the coordinator's
+   5 s handshake deadline. *)
+let read_timeout = 2.
+
 let accept lfd =
   let fd, peer = Unix.accept lfd in
   nodelay fd;
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout;
   let addr =
     match peer with
     | Unix.ADDR_INET (a, p) ->

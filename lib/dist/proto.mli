@@ -1,30 +1,29 @@
-(** Length-prefixed, checksummed, sequence-numbered socket message
-    protocol between the coordinator and its worker processes.
+(** Length-prefixed, checksummed socket message protocol between the
+    coordinator and its worker processes.
 
-    Frame layout: [u32 payload-length | u32 seq | payload | u32
-    (FNV-1a(payload) lxor seq)].  Each direction numbers its frames
-    1, 2, 3, …; the receiver delivers strictly in order.  A damaged
-    frame (checksum mismatch) or a sequence gap is answered with a
-    [Resend] request and the sender retransmits the missing frames
-    verbatim from a small window — so a corrupted frame (in flight, or
-    injected by the [proto.corrupt] fault plan) is recovered without
-    losing or double-delivering a message.  Only an unrecoverable
-    stream (a resend reaching beyond the window, or a long streak of
-    bad frames) raises {!Codec.Error}; a dead peer raises {!Closed}.
+    Frame layout: [u32 payload-length | payload | u32 FNV-1a(payload)].
+    A damaged frame (checksum mismatch, in flight or injected by the
+    [proto.corrupt] fault plan) reads exactly like EOF: {!recv} raises
+    {!Closed}, the connection is dropped, and the session
+    requeue/rejoin path is the one recovery for every loss.
 
     The work-accounting state machine is crash-consistent: a worker
     holds at most one in-flight item, retires it with exactly one
     [Result] (frontier drained) or [Checkpoint] (steal / shutdown /
-    budget: remaining frontier returned whole, in one atomic message),
-    and a worker death before that message simply requeues the original
-    item blob — no path is lost or double-counted. *)
+    budget: remaining frontier returned whole, in one atomic message).
+    A session lost before that message either resumes the item on
+    rejoin, if the coordinator still holds it for that worker, or
+    requeues the original item blob — no path is lost or
+    double-counted. *)
 
 module Solver = S2e_solver.Solver
 module Obs = S2e_obs
 module Executor = S2e_core.Executor
 
 exception Closed
-(** Peer hung up: EOF, EPIPE or connection reset. *)
+(** The connection is lost: EOF, EPIPE, connection reset, a frame that
+    fails its checksum, or (on an {!accept}ed socket) a peer silent
+    mid-frame past a fixed receive timeout. *)
 
 val version : int
 (** Protocol version carried in [Hello]; a mismatch is fatal. *)
@@ -64,62 +63,36 @@ type msg =
       states : string list;
     }
   | Bye of { obs : Obs.Metrics.snapshot; now : float; trace : string }
-  | Resend of { from : int }
-      (** transport-recovery control traffic: "retransmit every frame
-          from sequence number [from]".  Handled inside {!recv}/
-          {!recv_opt}, never delivered to the application, and never
-          fault-injected (recovery always makes progress). *)
-  | Welcome of { wid : int; token : string; lease : float; baseline : string }
+  | Welcome of { wid : int; token : string; lease : float; resume : bool }
       (** coordinator → worker: TCP admission.  [wid]/[token] name the
-          session for {!Rejoin}; [lease] the liveness window in
-          seconds; [baseline] the shared snapshot blob deltas are
-          encoded against. *)
-  | Rejoin of { wid : int; token : string; pid : int; jobs : int }
+          session for {!Rejoin}; [lease] the liveness window in seconds;
+          [resume] lets a rejoining worker carry on with its held
+          item. *)
+  | Rejoin of {
+      wid : int;
+      token : string;
+      pid : int;
+      jobs : int;
+      held : int option;
+    }
       (** worker → coordinator: re-authenticate an existing session
-          after a connection loss (in place of [Hello]) *)
+          after a connection loss (in place of [Hello]); [held] is the
+          item the worker has not retired yet *)
   | Deny of { reason : string }
       (** coordinator → worker: admission/rejoin refused; worker exits *)
 
-val encode_msg : msg -> string
-(** Payload bytes (no frame header); exposed for tests. *)
-
-val decode_msg : string -> msg
-(** Strict inverse of {!encode_msg}.  @raise Codec.Error on malformed
-    payloads. *)
-
-type conn = {
-  fd : Unix.file_descr;
-  mutable tx_seq : int;  (** last sequence number sent *)
-  mutable rx_seq : int;  (** last sequence number accepted in order *)
-  window : (int * string) Queue.t;
-      (** clean recent frames kept for retransmission, oldest first *)
-  mutable naks : int;  (** [Resend] requests this end sent *)
-  mutable retransmits : int;  (** frames re-sent on peer request *)
-  mutable injected : int;  (** corruptions injected by the fault plan *)
-  mutable streak : int;  (** consecutive bad frames seen *)
-}
-(** One end of a coordinator↔worker socket: the fd plus the sequencing
-    and retransmission state.  Counter fields are exposed so the
-    coordinator can fold per-connection recovery telemetry into its
-    final report. *)
-
-val connect : Unix.file_descr -> conn
-(** Wrap a connected socket.  Both ends must wrap the same stream
-    exactly once; sequence numbers start at 1. *)
-
-val send : conn -> msg -> unit
-(** Frame, window and write the whole message; injection point of the
+val send : Unix.file_descr -> msg -> unit
+(** Frame and write the whole message; injection point of the
     [proto.corrupt] fault plan.  @raise Closed if the peer died. *)
 
-val recv : conn -> msg
-(** Block until one application message is delivered in order (recovery
-    traffic is serviced internally).  @raise Closed on EOF,
-    @raise Codec.Error on an unrecoverable stream. *)
+val recv : Unix.file_descr -> msg
+(** Block until one message arrives.  @raise Closed on EOF or a damaged
+    frame, @raise Codec.Error on a well-formed frame that does not
+    decode. *)
 
-val recv_opt : conn -> timeout:float -> msg option
-(** Wait up to [timeout] seconds ([0.] polls); [None] on timeout or when
-    the frame read was consumed as recovery/control traffic (duplicate,
-    damaged-and-NAKed, or [Resend] service). *)
+val recv_opt : Unix.file_descr -> timeout:float -> msg option
+(** Wait up to [timeout] seconds ([0.] polls) for a frame, then {!recv}
+    it; [None] on timeout. *)
 
 val fd_of_int : int -> Unix.file_descr
 (** Unix file descriptors are ints; lets a freshly forked process close
@@ -135,8 +108,9 @@ val bound_port : Unix.file_descr -> int
 
 val accept : Unix.file_descr -> Unix.file_descr * string
 (** Accept one pending connection off a {!listen} socket; returns the
-    connected fd (with [TCP_NODELAY] set) and a printable peer
-    address. *)
+    connected fd and a printable peer address.  The fd has [TCP_NODELAY]
+    and a fixed 2 s receive timeout, so a peer that stops mid-frame
+    surfaces as {!Closed} instead of blocking its reader. *)
 
 val dial : host:string -> port:int -> Unix.file_descr
 (** Connect to a coordinator at [host:port]; [TCP_NODELAY] set.

@@ -208,12 +208,22 @@ let parallel_slicer ~jobs ~slice ~make_engine () =
         List.iter (fun (s : State.t) -> s.State.rendezvous <- []) !frontier);
   }
 
+(* The item a worker has started and not retired yet.  It outlives a
+   lost connection: if the coordinator answers the rejoin with [resume],
+   the worker carries on with it. *)
+type held = {
+  h_item : int;
+  h_deadline : float;  (* end of the item's budget *)
+  h_cases : bool;
+  mutable h_paths : Proto.path list;  (* reportable so far, newest first *)
+}
+
 (* One admitted session against the coordinator: the idle/item control
-   loop.  [lease] is the liveness window granted in [Welcome];
-   checkpointed states ship back as deltas against [baseline].  Returns
-   [`Shutdown] on an orderly drain and [`Lost] when the connection died
-   (the caller reconnects). *)
-let run_session ~sl ~heartbeat ~lease ~baseline c =
+   loop, entered with the [held] item first if there is one.  [lease] is
+   the liveness window granted in [Welcome].  Returns [`Shutdown] on an
+   orderly drain and [`Lost] when the connection died (the caller
+   reconnects, still holding an unretired item). *)
+let run_session ~sl ~heartbeat ~lease ~held c =
   let pid = Unix.getpid () in
   (* A worker heartbeating exactly at the lease boundary flaps; keep at
      least four beats per lease. *)
@@ -244,15 +254,15 @@ let run_session ~sl ~heartbeat ~lease ~baseline c =
      the lease (the coordinator presumes death and requeues; our next
      send then finds the connection torn down or a requeued item —
      either way the recovery path runs for real).  [proto.disconnect]
-     severs the socket abruptly, no goodbye: a remote worker reconnects
-     and rejoins; the coordinator kills and respawns an owned one. *)
+     severs the socket abruptly, no goodbye: every worker, owned or
+     remote, reconnects and rejoins. *)
   let hb_probe frontier =
     if Fault.(fire Proto_stall) then begin
       Unix.sleepf stall_seconds;
       hb frontier
     end
     else if Fault.(fire Proto_disconnect) then begin
-      (try Unix.shutdown c.Proto.fd Unix.SHUTDOWN_ALL
+      (try Unix.shutdown c Unix.SHUTDOWN_ALL
        with Unix.Unix_error _ -> ());
       raise Proto.Closed
     end
@@ -271,44 +281,47 @@ let run_session ~sl ~heartbeat ~lease ~baseline c =
          { obs = Obs.Metrics.snapshot (); now = Unix.gettimeofday ();
            trace = trace_chunk () })
   in
-  let run_item ~item ~budget ~cases blob =
-    let deadline =
-      if budget <= 0. then infinity else Unix.gettimeofday () +. budget
-    in
-    sl.sl_start (Codec.decode_state ~base:sl.sl_base blob);
-    let paths = ref [] in
+  let work h =
     (* Convert newly terminated states to reportable paths.  With
        [cases] each conversion is a solver query, so keep heartbeating:
-       the retire message itself then only has to send bytes. *)
+       the retire message itself then only has to send bytes.  A
+       heartbeat that finds the connection gone is reported only once
+       every drained state is converted, so a resumed item misses none. *)
     let drain () =
       match sl.sl_drain () with
       | [] -> ()
       | pending ->
           let frontier = List.length (sl.sl_frontier ()) in
+          let lost = ref false in
           List.iter
             (fun s ->
               List.iter
                 (fun p ->
-                  paths := p :: !paths;
-                  maybe_hb frontier)
-                (paths_of_state ~cases s))
-            pending
+                  h.h_paths <- p :: h.h_paths;
+                  if not !lost then
+                    try maybe_hb frontier with Proto.Closed -> lost := true)
+                (paths_of_state ~cases:h.h_cases s))
+            pending;
+          if !lost then raise Proto.Closed
+    in
+    (* The item is retired once its last message is sent; a send that
+       fails leaves it held, frontier intact. *)
+    let retire m =
+      Proto.send c m;
+      held := None
     in
     let checkpoint () =
       sl.sl_quiesce ();
       drain ();
       let stats, solver = sl.sl_stats () in
-      Proto.send c
+      retire
         (Proto.Checkpoint
            {
-             item;
-             paths = List.rev !paths;
+             item = h.h_item;
+             paths = List.rev h.h_paths;
              stats;
              solver;
-             states =
-               List.map
-                 (fun s -> Codec.encode_delta ~baseline (Codec.encode_state s))
-                 (sl.sl_frontier ());
+             states = List.map Codec.encode_state (sl.sl_frontier ());
            });
       sl.sl_drop ()
     in
@@ -321,7 +334,7 @@ let run_session ~sl ~heartbeat ~lease ~baseline c =
             checkpoint ();
             finished := true
           end
-          else Proto.send c (Proto.Nak { item })
+          else Proto.send c (Proto.Nak { item = h.h_item })
       | Some Proto.Shutdown ->
           checkpoint ();
           bye ();
@@ -332,31 +345,42 @@ let run_session ~sl ~heartbeat ~lease ~baseline c =
         if sl.sl_frontier () = [] then begin
           drain ();
           let stats, solver = sl.sl_stats () in
-          Proto.send c
-            (Proto.Result { item; paths = List.rev !paths; stats; solver });
+          retire
+            (Proto.Result
+               { item = h.h_item; paths = List.rev h.h_paths; stats; solver });
           finished := true
         end
-        else if Unix.gettimeofday () >= deadline then begin
+        else if Unix.gettimeofday () >= h.h_deadline then begin
           (* Out of budget: return the unexplored remainder. *)
           checkpoint ();
           finished := true
         end
         else begin
-          sl.sl_run ~deadline;
+          sl.sl_run ~deadline:h.h_deadline;
           drain ();
           maybe_hb (List.length (sl.sl_frontier ()))
         end
       end
     done
   in
+  let start ~item ~budget ~cases blob =
+    let h_deadline =
+      if budget <= 0. then infinity else Unix.gettimeofday () +. budget
+    in
+    sl.sl_start (Codec.decode_state ~base:sl.sl_base blob);
+    let h = { h_item = item; h_deadline; h_cases = cases; h_paths = [] } in
+    held := Some h;
+    work h
+  in
   try
+    Option.iter work !held;
     let rec idle () =
       match Proto.recv_opt c ~timeout:heartbeat with
       | None ->
           hb_probe 0;
           idle ()
       | Some (Proto.Work { item; budget; cases; blob }) ->
-          run_item ~item ~budget ~cases blob;
+          start ~item ~budget ~cases blob;
           idle ()
       | Some Proto.Shutdown -> bye ()
       | Some Proto.Ping ->
@@ -419,20 +443,23 @@ let backoff attempt =
   let base = Float.min 2.0 (0.05 *. (2. ** float_of_int attempt)) in
   base *. (0.5 +. jitter ())
 
-(* Send Hello (fresh) or Rejoin (returning) and wait for the verdict. *)
-let handshake c ~session ~jobs =
+(* Send Hello (fresh) or Rejoin (returning, naming the item still
+   held) and wait for the verdict. *)
+let handshake c ~session ~held ~jobs =
   let pid = Unix.getpid () in
   (match !session with
   | None -> Proto.send c (Proto.Hello { version = Proto.version; pid; jobs })
-  | Some (wid, token) -> Proto.send c (Proto.Rejoin { wid; token; pid; jobs }));
+  | Some (wid, token) ->
+      let held = Option.map (fun h -> h.h_item) held in
+      Proto.send c (Proto.Rejoin { wid; token; pid; jobs; held }));
   let give_up = Unix.gettimeofday () +. 10. in
   let rec wait () =
     if Unix.gettimeofday () > give_up then `Lost
     else
       match Proto.recv_opt c ~timeout:0.25 with
-      | Some (Proto.Welcome { wid; token; lease; baseline }) ->
+      | Some (Proto.Welcome { wid; token; lease; resume }) ->
           session := Some (wid, token);
-          `Welcome (lease, baseline)
+          `Welcome (lease, resume)
       | Some (Proto.Deny { reason }) -> `Denied reason
       | Some _ | None -> wait ()
   in
@@ -445,6 +472,7 @@ let serve_tcp ?(jobs = 1) ?(slice = 0.05) ?(heartbeat = 0.25)
      reconnects, exactly as they do across items. *)
   let sl = make_slicer ~jobs ~slice ~make_engine () in
   let session = ref None in
+  let held = ref None in
   let attempt = ref 0 in
   let stop = ref false in
   let retry () =
@@ -458,31 +486,36 @@ let serve_tcp ?(jobs = 1) ?(slice = 0.05) ?(heartbeat = 0.25)
     match Proto.dial ~host ~port with
     | exception _ -> retry ()
     | fd -> (
-        let c = Proto.connect fd in
         let close () = try Unix.close fd with Unix.Unix_error _ -> () in
-        match handshake c ~session ~jobs with
+        match handshake fd ~session ~held:!held ~jobs with
         | `Denied _reason ->
             (* Not transient (bad token, capacity, draining): exit. *)
             close ();
             stop := true
         | `Lost ->
+            (* The dial worked, so the coordinator is there: a handshake
+               lost to a damaged frame is transport noise, retried after
+               the shortest backoff without counting toward
+               [max_retries]. *)
             close ();
-            retry ()
-        | `Welcome (lease, baseline) -> (
+            Unix.sleepf (backoff 0)
+        | `Welcome (lease, resume) -> (
             (* A successful admission resets the backoff ladder. *)
             attempt := 0;
-            match run_session ~sl ~heartbeat ~lease ~baseline c with
+            if (not resume) && Option.is_some !held then begin
+              (* The coordinator requeued the held item: discard its
+                 half-explored frontier so no path is double-counted. *)
+              sl.sl_quiesce ();
+              ignore (sl.sl_drain ());
+              sl.sl_drop ();
+              held := None
+            end;
+            match run_session ~sl ~heartbeat ~lease ~held fd with
             | `Shutdown ->
                 close ();
                 stop := true
             | `Lost ->
-                (* The coordinator presumed us dead and requeued our
-                   item; discard the half-explored frontier before
-                   rejoining so no path is double-counted. *)
                 close ();
-                sl.sl_quiesce ();
-                ignore (sl.sl_drain ());
-                sl.sl_drop ();
                 retry ()
             | exception Codec.Error _ ->
                 close ();

@@ -32,17 +32,21 @@ val serve_tcp :
 
     The worker dials with exponential backoff plus jitter (50ms
     doubling to a 2s ceiling, at most [max_retries] consecutive
-    failures, default 10), sends [Hello] and waits for a [Welcome]
-    carrying its session id + token, its lease, and the shared baseline
-    snapshot.  Checkpointed frontier states ship back as deltas against
-    the baseline.
+    failed dials, default 10), sends [Hello] and waits for a [Welcome]
+    carrying its session id + token and its lease.  A handshake lost
+    after a successful dial (a damaged frame) is retried after the
+    shortest backoff and does not count toward [max_retries].
+    Checkpointed frontier states ship back whole.
 
-    On a connection loss mid-run the half-explored frontier is
-    discarded (the coordinator requeues the item), and the worker
-    reconnects with [Rejoin], re-presenting its session token — the
-    engine and its warm caches survive the reconnect.  A [Deny] (bad
-    token, capacity, draining coordinator) or an orderly [Shutdown] ends
-    the worker.  Resets the default metrics registry and trace rings on
+    On a connection loss mid-run (EOF, a damaged frame, or an injected
+    [proto.disconnect]) the worker keeps the item it has not retired and
+    reconnects with [Rejoin], re-presenting its session token and naming
+    that item — the engine and its warm caches survive the reconnect.
+    If the coordinator still holds the item for this session (an owned
+    worker), its [Welcome] resumes it; otherwise the item was requeued
+    and the worker discards the half-explored frontier so no path is
+    double-counted.  Owned and remote workers rejoin the same way.  A [Deny] (bad token, capacity, draining coordinator) or
+    an orderly [Shutdown] ends the worker.  Resets the default metrics registry and trace rings on
     entry so the final [Bye] snapshot covers exactly this worker's work;
     ignores SIGINT/SIGPIPE (the coordinator owns shutdown). *)
 

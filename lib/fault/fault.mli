@@ -26,13 +26,14 @@ type site =
   | Irq_spurious  (** a spurious timer IRQ is raised *)
   | Solver_unknown  (** a SAT-core query is forced to [Unknown] *)
   | Solver_latency  (** artificial latency is requested for a query *)
-  | Proto_corrupt  (** a transport frame has one payload byte flipped *)
+  | Proto_corrupt
+      (** a transport frame has one payload byte flipped; the receiver's
+          checksum turns it into a disconnect, and the worker rejoins *)
   | Proto_delay  (** a worker heartbeat is suppressed for one period *)
   | Proto_disconnect
       (** the worker's coordinator connection is severed abruptly (no
-          goodbye): a remote worker reconnects and rejoins; an owned
-          worker (spawned by the coordinator) is killed, charged one
-          attempt on its item and respawned *)
+          goodbye): the worker, owned or remote, reconnects and rejoins;
+          its item is resumed or requeued, never charged an attempt *)
   | Proto_stall
       (** the worker freezes past its lease — a blocking sleep long
           enough that the coordinator presumes it dead and requeues its

@@ -209,98 +209,6 @@ let test_strict_decode_errors () =
   raises "base image mismatch" (fun () -> Codec.decode_state ~base:other blob)
 
 (* ------------------------------------------------------------------ *)
-(* Delta codec                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_compress_roundtrip () =
-  let cases =
-    [
-      "";
-      "a";
-      "abc";
-      String.make 3 'r';
-      String.make 500 '\000';
-      String.init 400 (fun i -> Char.chr (i * 7 mod 251));
-      (* literal runs longer than one 128-byte op *)
-      String.init 300 (fun i -> Char.chr (i mod 253));
-      (* run longer than one 130-repeat op, with literal tails *)
-      "xy" ^ String.make 1000 'z' ^ "tail";
-      (* 1- and 2-byte repeats must stay literals, not bogus runs *)
-      "aabbccddee";
-    ]
-  in
-  List.iter
-    (fun s ->
-      let c = Codec.compress s in
-      Alcotest.(check string)
-        "compress/decompress roundtrip" s
-        (Codec.decompress ~expect:(String.length s) c))
-    cases;
-  (* A run-heavy input must actually shrink. *)
-  Alcotest.(check bool)
-    "runs compress" true
-    (String.length (Codec.compress (String.make 4096 '\000')) < 256)
-
-let test_delta_roundtrip () =
-  let eng, s = frontier_state () in
-  let baseline = Codec.encode_state s in
-  (* Delta a sibling frontier state against it: mid-run siblings share
-     almost everything, so the block-match mode must engage. *)
-  let target =
-    match eng.Executor.live with
-    | _ :: t :: _ -> Codec.encode_state t
-    | _ -> Alcotest.fail "expected at least two frontier states"
-  in
-  let d = Codec.encode_delta ~baseline target in
-  Alcotest.(check bool) "tagged as delta" true (Codec.is_delta d);
-  Alcotest.(check bool) "full blobs are not deltas" false
-    (Codec.is_delta target);
-  Alcotest.(check bool) "delta never exceeds the full blob" true
-    (String.length d <= String.length target);
-  Alcotest.(check char) "block-match mode engaged (not fallback)" 'D' d.[3];
-  (* 'D' is only ever chosen when strictly smaller than shipping whole. *)
-  Alcotest.(check bool) "engaged delta is strictly smaller" true
-    (String.length d < String.length target);
-  let target' = Codec.decode_delta ~baseline d in
-  Alcotest.(check string) "decode(encode) is byte-identical" target target';
-  (* The reconstructed blob decodes to a working state. *)
-  let st = Codec.decode_state ~base:eng.Executor.base_mem target' in
-  Alcotest.(check bool) "reconstructed state decodes" true (st.State.id >= 0);
-  (* Self-delta: maximal sharing, near-nothing on the wire. *)
-  let self = Codec.encode_delta ~baseline baseline in
-  Alcotest.(check bool) "self-delta is tiny" true (String.length self < 64);
-  Alcotest.(check string) "self-delta roundtrips" baseline
-    (Codec.decode_delta ~baseline self)
-
-let test_delta_baseline_mismatch () =
-  let eng, s = frontier_state () in
-  let baseline = Codec.encode_state s in
-  let target =
-    match eng.Executor.live with
-    | _ :: t :: _ -> Codec.encode_state t
-    | _ -> Alcotest.fail "expected at least two frontier states"
-  in
-  let d = Codec.encode_delta ~baseline target in
-  Alcotest.(check char) "block-match mode engaged" 'D' d.[3];
-  (* Applying against any other baseline must be rejected by the
-     negotiated-baseline digest, not silently produce garbage.  The
-     target blob itself is a handy wrong-baseline: well-formed, same
-     run, different payload. *)
-  let other = target in
-  Alcotest.(check bool) "baselines actually differ" true (other <> baseline);
-  (match Codec.decode_delta ~baseline:other d with
-  | (_ : string) -> Alcotest.fail "mismatched baseline must raise"
-  | exception Codec.Error _ -> ());
-  (* Fallback-mode deltas carry everything and are baseline-independent;
-     a torn 'D' body must still be caught by its ops checksum. *)
-  let torn = Bytes.of_string d in
-  let mid = Bytes.length torn - 8 in
-  Bytes.set torn mid (Char.chr (Char.code (Bytes.get torn mid) lxor 1));
-  match Codec.decode_delta ~baseline (Bytes.to_string torn) with
-  | (_ : string) -> Alcotest.fail "torn delta must raise"
-  | exception Codec.Error _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -387,58 +295,58 @@ let with_plan ?seed spec f =
   | Error msg -> Alcotest.failf "bad plan %S: %s" spec msg);
   Fun.protect ~finally:Fault.disarm f
 
-(* Drive both ends of an in-process connection pair until a message (or
-   control traffic) moves; bounded so a protocol bug fails instead of
-   hanging. *)
-let pump_until ~a ~b ~limit pred =
-  let steps = ref 0 in
-  let delivered = ref [] in
-  while not (pred (List.rev !delivered)) && !steps < limit do
-    incr steps;
-    (match Proto.recv_opt b ~timeout:0.05 with
-    | Some m -> delivered := m :: !delivered
-    | None -> ());
-    match Proto.recv_opt a ~timeout:0. with Some _ | None -> ()
-  done;
-  List.rev !delivered
-
-let test_corrupt_frame_nak_retransmit () =
+(* A damaged frame reads exactly like EOF, and the stream stays framed:
+   with the plan disarmed, one frame of every message kind round-trips
+   over the same connection. *)
+let test_corrupt_frame_is_disconnect () =
   let fd_a, fd_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () ->
       Unix.close fd_a;
       Unix.close fd_b)
     (fun () ->
-      let a = Proto.connect fd_a and b = Proto.connect fd_b in
-      let sent =
-        [ Proto.Ping;
-          Proto.Heartbeat { pid = 7; frontier = 3; now = 12.5; trace = "" };
-          Proto.Steal ]
-      in
-      (* Every application frame is corrupted on the wire; the receiver
-         must NAK each one and end up with the exact sequence anyway. *)
       with_plan "proto=corrupt:1.0" (fun () ->
-          List.iter (Proto.send a) sent;
-          let got =
-            pump_until ~a ~b ~limit:200 (fun ms -> List.length ms >= 3)
-          in
-          Alcotest.(check bool) "all messages delivered in order" true
-            (got = sent));
-      Alcotest.(check bool) "receiver NAKed" true (b.Proto.naks >= 1);
-      Alcotest.(check bool) "sender retransmitted" true
-        (a.Proto.retransmits >= 3);
-      Alcotest.(check int) "every frame was injected" 3 a.Proto.injected;
-      (* The stream stays usable after recovery (recv_opt first drains
-         any leftover duplicate retransmissions as [None]s). *)
-      Proto.send a Proto.Shutdown;
-      let rec drain n =
-        if n = 0 then Alcotest.fail "clean frame after recovery not delivered"
-        else
-          match Proto.recv_opt b ~timeout:0.1 with
-          | Some Proto.Shutdown -> ()
-          | Some _ | None -> drain (n - 1)
+          Proto.send fd_a Proto.Ping;
+          match Proto.recv fd_b with
+          | (_ : Proto.msg) -> Alcotest.fail "a damaged frame was delivered"
+          | exception Proto.Closed -> ());
+      let path = { Proto.p_status = "halted"; p_case = [ ("x", 5L) ] } in
+      let stats = Executor.new_stats () and solver = Solver.new_stats () in
+      let every_kind =
+        [
+          Proto.Hello { version = Proto.version; pid = 41; jobs = 2 };
+          Proto.Work { item = 3; budget = 1.5; cases = true; blob = "snap" };
+          Proto.Steal;
+          Proto.Ping;
+          Proto.Shutdown;
+          Proto.Heartbeat { pid = 7; frontier = 3; now = 12.5; trace = "t" };
+          Proto.Nak { item = 3 };
+          Proto.Result { item = 3; paths = [ path ]; stats; solver };
+          Proto.Checkpoint
+            {
+              item = 4;
+              paths = [ path ];
+              stats;
+              solver;
+              states = [ "a"; "b" ];
+            };
+          Proto.Bye
+            { obs = [ ("dist.steals", S2e_obs.Metrics.Int 2) ]; now = 3.25;
+              trace = "" };
+          Proto.Welcome { wid = 5; token = "tok"; lease = 10.; resume = true };
+          Proto.Rejoin
+            { wid = 5; token = "tok"; pid = 41; jobs = 2; held = Some 3 };
+          Proto.Rejoin { wid = 5; token = "tok"; pid = 41; jobs = 2; held = None };
+          Proto.Deny { reason = "draining" };
+        ]
       in
-      drain 50)
+      List.iter
+        (fun m ->
+          Proto.send fd_a m;
+          Alcotest.(check bool)
+            "message round-trips" true
+            (Proto.recv fd_b = m))
+        every_kind)
 
 let test_corrupt_transport_full_run () =
   let make_engine = make_engine_for workload_32 in
@@ -457,18 +365,16 @@ let test_corrupt_transport_full_run () =
           ~boot:(fun eng -> Executor.boot eng ~entry:0x1000 ())
           ())
   in
-  (* Transport-only chaos: work accounting must be untouched... *)
+  (* Transport-only chaos: no work lost and no worker killed... *)
   Alcotest.(check int) "zero lost work items" 0 r.Coordinator.unexplored;
   Alcotest.(check bool) "no abandoned items" true (r.Coordinator.abandoned = []);
-  Alcotest.(check int) "no requeues" 0 r.Coordinator.requeues;
   Alcotest.(check int) "no restarts" 0 r.Coordinator.restarts;
   Alcotest.(check (list string))
     "path set identical to serial" serial_cases (dist_case_set r);
   (* ...while the chaos demonstrably happened and was accounted for. *)
   Alcotest.(check bool) "faults were injected" true (r.Coordinator.injected > 0);
-  Alcotest.(check bool) "NAKs recovered them" true (r.Coordinator.naks > 0);
-  Alcotest.(check bool) "retransmissions served" true
-    (r.Coordinator.retransmits > 0);
+  Alcotest.(check bool) "owned workers rejoined" true
+    (r.Coordinator.reconnects > 0);
   Alcotest.(check int) "merged telemetry reports every injected fault"
     r.Coordinator.injected
     (S2e_obs.Metrics.get_int r.Coordinator.obs "fault.proto.corrupt")
@@ -547,8 +453,10 @@ let boot_entry eng = Executor.boot eng ~entry:0x1000 ()
    made the disconnect count, and with it the assertions below, depend
    on run length.  Workers must rejoin with their session tokens;
    transport loss must never bleed into abandonment; and the final case
-   set must match a serial run exactly. *)
-let test_tcp_disconnect_chaos () =
+   set must match a serial run exactly.  With [~owned] the two workers
+   are spawned by the coordinator instead of dialing in on their own:
+   they rejoin the same way and are never restarted. *)
+let test_tcp_disconnect_chaos ~owned () =
   let make_engine = make_engine_for workload_4096 in
   let serial_cases, _ = serial_case_set workload_4096 in
   let lfd = Proto.listen ~host:"127.0.0.1" ~port:0 in
@@ -556,31 +464,98 @@ let test_tcp_disconnect_chaos () =
   let pids = ref [] in
   let r =
     with_plan "proto=disconnect:1.0#2" (fun () ->
-        pids :=
-          [
-            fork_tcp_worker ~port ~make_engine ();
-            fork_tcp_worker ~port ~make_engine ();
-          ];
-        Coordinator.explore ~procs:0 ~cases:true ~listener:lfd
-          ~heartbeat_timeout:2.0 ~limits:(no_limits ~seconds:120.)
+        if not owned then
+          pids :=
+            [
+              fork_tcp_worker ~port ~make_engine ();
+              fork_tcp_worker ~port ~make_engine ();
+            ];
+        Coordinator.explore
+          ~procs:(if owned then 2 else 0)
+          ~cases:true ~listener:lfd ~heartbeat_timeout:2.0
+          ~limits:(no_limits ~seconds:120.)
           ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
           ~make_engine ~boot:boot_entry ())
   in
   Unix.close lfd;
   List.iter reap_worker !pids;
-  Alcotest.(check bool) "both workers joined" true (r.Coordinator.joins >= 2);
+  if not owned then
+    Alcotest.(check bool) "both workers joined" true (r.Coordinator.joins >= 2);
+  Alcotest.(check int) "no worker was restarted" 0 r.Coordinator.restarts;
   Alcotest.(check bool) "disconnects happened and were survived" true
     (r.Coordinator.reconnects > 0);
   Alcotest.(check bool) "leaves were recorded" true (r.Coordinator.leaves > 0);
   Alcotest.(check (list (pair int int)))
     "transport chaos never abandons items" [] r.Coordinator.abandoned;
   Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
-  Alcotest.(check bool) "deltas were shipped" true
-    (r.Coordinator.delta_full_bytes > 0);
-  Alcotest.(check bool) "deltas actually saved bytes" true
-    (r.Coordinator.delta_bytes < r.Coordinator.delta_full_bytes);
   Alcotest.(check (list string))
     "case set identical to serial under chaos" serial_cases (dist_case_set r)
+
+(* An owned worker that loses its connection mid-item keeps the item:
+   its [Rejoin] names it, the coordinator still holds it for that slot,
+   and the [Welcome] resumes it.  The lone worker explores the root item
+   from start to finish, so every injected disconnect lands mid-item and
+   nothing is requeued. *)
+let test_owned_resume () =
+  let make_engine = make_engine_for workload_4096 in
+  let serial_cases, _ = serial_case_set workload_4096 in
+  let r =
+    with_plan "proto=disconnect:1.0#2" (fun () ->
+        Coordinator.explore ~procs:1 ~cases:true ~heartbeat_timeout:2.0
+          ~limits:(no_limits ~seconds:120.)
+          ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
+          ~make_engine ~boot:boot_entry ())
+  in
+  Alcotest.(check bool) "the worker rejoined" true
+    (r.Coordinator.reconnects >= 1);
+  Alcotest.(check int) "its item was resumed, never requeued" 0
+    r.Coordinator.requeues;
+  Alcotest.(check int) "no restarts" 0 r.Coordinator.restarts;
+  Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
+  Alcotest.(check (list string))
+    "case set identical to serial" serial_cases (dist_case_set r)
+
+(* A connection that sends a frame header claiming 1000 payload bytes and
+   then goes silent must not freeze the single-threaded coordinator: its
+   read times out, the connection is dropped, and the run completes on
+   time with the serial case set. *)
+let test_half_sent_frame () =
+  let make_engine = make_engine_for workload_32 in
+  let serial_cases, _ = serial_case_set workload_32 in
+  let lfd = Proto.listen ~host:"127.0.0.1" ~port:0 in
+  let client = Proto.dial ~host:"127.0.0.1" ~port:(Proto.bound_port lfd) in
+  let header = Bytes.of_string "\xe8\x03\x00\x00\x00\x00\x00\x00" in
+  Alcotest.(check int) "header sent" 8 (Unix.write client header 0 8);
+  (* The forked client holds the connection open, silent, for 30 s. *)
+  flush stdout;
+  flush stderr;
+  let pid =
+    match Unix.fork () with
+    | 0 ->
+        for fd = 3 to 255 do
+          let fd = Proto.fd_of_int fd in
+          if fd <> client then try Unix.close fd with Unix.Unix_error _ -> ()
+        done;
+        Unix.sleepf 30.;
+        Unix._exit 0
+    | pid -> pid
+  in
+  Unix.close client;
+  let r =
+    Coordinator.explore ~procs:0 ~cases:true ~listener:lfd
+      ~limits:(no_limits ~seconds:60.)
+      ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
+      ~make_engine ~boot:boot_entry ()
+  in
+  Unix.close lfd;
+  reap_worker pid;
+  Alcotest.(check (list string))
+    "case set identical to serial" serial_cases (dist_case_set r);
+  Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
+  Alcotest.(check bool)
+    (Printf.sprintf "run finished promptly (%.1f s)" r.Coordinator.wall_seconds)
+    true
+    (r.Coordinator.wall_seconds < 15.)
 
 (* SIGKILL a TCP worker the moment it is handed an item, then have a
    fresh worker join mid-run: the lease recovers the in-flight item, the
@@ -692,6 +667,134 @@ let test_owned_and_remote_share_listener () =
     "case set identical to serial across both kills" serial_cases
     (dist_case_set r)
 
+(* A Ctrl-C drain with both owned workers busy: each answers [Shutdown]
+   with [Checkpoint], [Bye] and an exit.  The coordinator must read both
+   frames before it reaps the process, so neither worker is reported
+   crashed and each one's telemetry arrives.  Every engine bumps
+   [worker_engines] once in the process that built it, so the merged
+   snapshot exceeds the coordinator's own reading by the number of [Bye]
+   snapshots received. *)
+let worker_engines = S2e_obs.Metrics.counter "test.worker_engines"
+
+(* 2^18 paths: far more than the run below explores before its drain. *)
+let workload_big =
+  {|
+int main() {
+  int x = __s2e_sym_int(1);
+  int y = __s2e_sym_int(1);
+  int z = __s2e_sym_int(1);
+  int acc = 0;
+  for (int i = 0; i < 6; i = i + 1) {
+    if ((x >> i) & 1) acc = acc + (i * 3 + 1);
+    if ((y >> i) & 1) acc = acc + (i * 5 + 2);
+    if ((z >> i) & 1) acc = acc + (i * 7 + 3);
+  }
+  if (acc > 150) return 1;
+  return 0;
+} |}
+
+let test_owned_drain_says_goodbye () =
+  let build = make_engine_for workload_big in
+  let make_engine () =
+    S2e_obs.Metrics.incr worker_engines;
+    build ()
+  in
+  (* Interrupt once both workers are busy, half a second in: by then the
+     items are big enough to still be running when the drain starts.  Then
+     dawdle over each drain checkpoint, so its worker has sent its
+     [Bye] and exited before the coordinator's next pass. *)
+  let busy = ref [] and t0 = Unix.gettimeofday () in
+  let interrupted = ref false and crashed = ref [] in
+  let on_event = function
+    | Coordinator.Dispatched { pid; _ } ->
+        busy := pid :: List.filter (( <> ) pid) !busy;
+        if
+          (not !interrupted)
+          && Unix.gettimeofday () -. t0 >= 0.5
+          && List.length !busy = 2
+        then begin
+          interrupted := true;
+          Unix.kill (Unix.getpid ()) Sys.sigint
+        end
+    | Coordinator.Completed { pid; _ } -> busy := List.filter (( <> ) pid) !busy
+    | Coordinator.Checkpointed { pid; _ } ->
+        busy := List.filter (( <> ) pid) !busy;
+        if !interrupted then Unix.sleepf 0.1
+    | Coordinator.Crashed { pid; _ } -> crashed := pid :: !crashed
+    | _ -> ()
+  in
+  let r =
+    Coordinator.explore ~procs:2 ~cases:true ~handle_sigint:true
+      ~limits:(no_limits ~seconds:60.) ~on_event
+      ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
+      ~make_engine ~boot:boot_entry ()
+  in
+  let byes =
+    S2e_obs.Metrics.get_int r.Coordinator.obs "test.worker_engines"
+    - S2e_obs.Metrics.get_int (S2e_obs.Metrics.snapshot ()) "test.worker_engines"
+  in
+  Alcotest.(check bool) "the run was interrupted mid-item" true
+    (!interrupted && r.Coordinator.unexplored > 0);
+  Alcotest.(check (list int)) "no worker reported crashed" [] !crashed;
+  Alcotest.(check int) "no restarts" 0 r.Coordinator.restarts;
+  Alcotest.(check int) "one Bye snapshot per worker" 2 byes
+
+(* Fork a peer that dials from 127.0.0.2, presents [pid] in its [Hello],
+   waits for the verdict and hangs up. *)
+let fork_impostor ~port ~pid =
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      for fd = 3 to 255 do
+        try Unix.close (Proto.fd_of_int fd) with Unix.Unix_error _ -> ()
+      done;
+      (try
+         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+         Unix.bind fd
+           (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.2", 0));
+         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+         Proto.send fd (Proto.Hello { version = Proto.version; pid; jobs = 1 });
+         ignore (Proto.recv fd);
+         Unix.close fd
+       with _ -> ());
+      Unix._exit 0
+  | child -> child
+
+(* Owned workers are recognised by pid only on the address they dial
+   from: a peer elsewhere whose [Hello] carries an owned worker's pid
+   joins as a new remote worker and leaves the owned slot alone. *)
+let test_foreign_pid_is_remote () =
+  let make_engine = make_engine_for workload_256 in
+  let serial_cases, _ = serial_case_set workload_256 in
+  let lfd = Proto.listen ~host:"127.0.0.1" ~port:0 in
+  let port = Proto.bound_port lfd in
+  let impostor = ref None in
+  let joined = ref [] in
+  let on_event = function
+    | Coordinator.Spawned { pid; _ } when !impostor = None ->
+        impostor := Some (fork_impostor ~port ~pid)
+    | Coordinator.Joined { addr; _ } -> joined := addr :: !joined
+    | _ -> ()
+  in
+  let r =
+    Coordinator.explore ~procs:1 ~cases:true ~listener:lfd
+      ~limits:(no_limits ~seconds:120.) ~on_event
+      ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
+      ~make_engine ~boot:boot_entry ()
+  in
+  Unix.close lfd;
+  Option.iter reap_worker !impostor;
+  Alcotest.(check (list string))
+    "the impostor joined as remote" [ "127.0.0.2" ]
+    (List.map (fun a -> List.hd (String.split_on_char ':' a)) !joined);
+  Alcotest.(check int) "the owned worker never had to rejoin" 0
+    r.Coordinator.reconnects;
+  Alcotest.(check int) "no restarts" 0 r.Coordinator.restarts;
+  Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
+  Alcotest.(check (list string))
+    "case set identical to serial" serial_cases (dist_case_set r)
+
 let tests =
   [
     Alcotest.test_case "expression codec roundtrip" `Quick test_expr_roundtrip;
@@ -701,24 +804,29 @@ let tests =
       test_procs2_matches_serial;
     Alcotest.test_case "killed worker's states are requeued" `Quick
       test_kill_worker_mid_run;
-    Alcotest.test_case "corrupted frame is NAKed and retransmitted" `Quick
-      test_corrupt_frame_nak_retransmit;
+    Alcotest.test_case "corrupted frame reads as a disconnect" `Quick
+      test_corrupt_frame_is_disconnect;
     Alcotest.test_case "corrupt transport: zero lost work, same paths" `Quick
       test_corrupt_transport_full_run;
     Alcotest.test_case "heartbeat delay: requeue then visible abandonment"
       `Quick test_heartbeat_delay_abandonment;
-    Alcotest.test_case "byte-run compressor roundtrip" `Quick
-      test_compress_roundtrip;
-    Alcotest.test_case "delta snapshot roundtrip against baseline" `Quick
-      test_delta_roundtrip;
-    Alcotest.test_case "delta rejects mismatched baseline" `Quick
-      test_delta_baseline_mismatch;
     Alcotest.test_case "tcp cluster: disconnect chaos, same paths" `Quick
-      test_tcp_disconnect_chaos;
+      (test_tcp_disconnect_chaos ~owned:false);
+    Alcotest.test_case "tcp cluster: disconnect chaos, owned workers rejoin"
+      `Quick (test_tcp_disconnect_chaos ~owned:true);
+    Alcotest.test_case "owned worker resumes its item after a disconnect"
+      `Quick test_owned_resume;
+    Alcotest.test_case
+      "tcp cluster: half-sent frame cannot stall the coordinator" `Quick
+      test_half_sent_frame;
     Alcotest.test_case "tcp cluster: kill one worker, join another" `Quick
       test_tcp_kill_and_join;
     Alcotest.test_case "tcp cluster: coordinator-solo completion" `Quick
       test_solo_completion;
     Alcotest.test_case "owned and remote workers share one listener" `Quick
       test_owned_and_remote_share_listener;
+    Alcotest.test_case "owned workers drained mid-item say goodbye" `Quick
+      test_owned_drain_says_goodbye;
+    Alcotest.test_case "a foreign peer sharing an owned pid joins as remote"
+      `Quick test_foreign_pid_is_remote;
   ]
