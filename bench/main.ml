@@ -12,6 +12,12 @@ open S2e_tools
 module Guest = S2e_guest.Guest
 module Solver = S2e_solver.Solver
 module Expr = S2e_expr.Expr
+module Obs = S2e_obs
+
+(* What the solver did since [before] (a registry snapshot): a snapshot
+   delta, read with [Obs.Metrics.get_int]/[get_float].  The
+   [solver.query_s] histogram's sum is the total solver time. *)
+let since before = Obs.Metrics.delta ~before (Obs.Metrics.snapshot ())
 
 let section title =
   Printf.printf "\n================================================================\n";
@@ -485,7 +491,7 @@ let pagesize () =
     "ms/query" "solver s";
   List.iter
     (fun page ->
-      Solver.reset_stats ();
+      let before = Obs.Metrics.snapshot () in
       let img =
         Guest.build
           ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
@@ -508,13 +514,13 @@ let pagesize () =
                max_completed = None;
              }
            engine s0);
-      let st = Solver.stats in
+      let d = since before in
+      let queries = Obs.Metrics.get_int d "solver.queries" in
+      let solver_s = Obs.Metrics.get_float d "solver.query_s" in
       Printf.printf "%-10d %8d %10d %12.3f %12.2f\n%!" page
-        engine.Executor.stats.states_completed st.queries
-        (if st.queries > 0 then
-           1000. *. st.total_time /. float_of_int st.queries
-         else 0.)
-        st.total_time)
+        engine.Executor.stats.states_completed queries
+        (if queries > 0 then 1000. *. solver_s /. float_of_int queries else 0.)
+        solver_s)
     [ 64; 128; 256; 512; 1024 ];
   Printf.printf
     "\nPaper's shape: smaller solver pages mean less symbolic memory per\n\
@@ -545,7 +551,7 @@ int main() {
 |}
   in
   let run_simplifier on =
-    Solver.reset_stats ();
+    let before = Obs.Metrics.snapshot () in
     let img =
       Guest.build
         ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
@@ -568,9 +574,10 @@ int main() {
              max_completed = None;
            }
          engine s0);
+    let d = since before in
     ( Unix.gettimeofday () -. t0,
-      Solver.stats.queries,
-      Solver.stats.total_time,
+      Obs.Metrics.get_int d "solver.queries",
+      Obs.Metrics.get_float d "solver.query_s",
       engine.Executor.stats.states_completed )
   in
   let t_on, q_on, s_on, p_on = run_simplifier true in
@@ -690,35 +697,39 @@ let parallel () =
     Executor.set_unit engine [ "pbench" ];
     engine
   in
+  (* The run and its solver seconds, summed over the worker domains. *)
   let run jobs =
-    Parallel.explore ~jobs
-      ~limits:
-        {
-          Executor.max_instructions = None;
-          max_seconds = Some (budget *. 4.);
-          max_completed = None;
-        }
-      ~make_engine
-      ~boot:(fun eng -> Executor.boot eng ~entry:img.entry ())
-      ()
+    let before = Obs.Metrics.snapshot () in
+    let r =
+      Parallel.explore ~jobs
+        ~limits:
+          {
+            Executor.max_instructions = None;
+            max_seconds = Some (budget *. 4.);
+            max_completed = None;
+          }
+        ~make_engine
+        ~boot:(fun eng -> Executor.boot eng ~entry:img.entry ())
+        ()
+    in
+    (r, Obs.Metrics.get_float (since before) "solver.query_s")
   in
   let cores = Domain.recommended_domain_count () in
   Printf.printf "available cores: %d\n" cores;
   Printf.printf "%-8s %10s %8s %8s %10s %10s\n" "jobs" "wall (s)" "paths"
     "steals" "solver (s)" "speedup";
-  let serial = run 1 in
-  let report (r : Parallel.result) =
+  let serial, serial_solver_s = run 1 in
+  let report (r : Parallel.result) solver_s =
     Printf.printf "%-8d %10.2f %8d %8d %10.2f %9.2fx\n%!" r.jobs r.wall_seconds
-      r.stats.Executor.states_completed r.steals
-      r.solver_stats.S2e_solver.Solver.total_time
+      r.stats.Executor.states_completed r.steals solver_s
       (serial.wall_seconds /. r.wall_seconds)
   in
-  report serial;
+  report serial serial_solver_s;
   let results =
     List.map
       (fun jobs ->
-        let r = run jobs in
-        report r;
+        let r, solver_s = run jobs in
+        report r solver_s;
         (* The parallel determinism guarantee: same path set as serial. *)
         if
           r.stats.states_completed <> serial.stats.Executor.states_completed
@@ -844,7 +855,6 @@ let merge () =
    number the paper's Fig. 9 tracks per consistency model. *)
 let breakdown () =
   section "Telemetry: per-phase time breakdown of a multi-path run";
-  let module Obs = S2e_obs in
   let img =
     Guest.build
       ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
@@ -903,13 +913,14 @@ let breakdown () =
     try List.assoc "solver" phases with Not_found -> 0.
   in
   let instr = Obs.Metrics.get_int snap "engine.instructions" in
-  (* Share of solver wall time spent in queries whose constraint prefix
-     was already seen in this context: an upper bound on what incremental
-     solving (push/pop over shared prefixes) could save. *)
-  let prefix_reuse =
-    let st = r.solver_stats in
-    if st.Solver.total_time > 0. then
-      st.Solver.prefix_reused_time /. st.Solver.total_time
+  (* Realized incremental reuse: the share of SAT-core queries answered
+     on a live instance whose assumption stack matched part or all of the
+     query's constraint prefix. *)
+  let inc_reuse =
+    let n = Obs.Metrics.get_int snap in
+    if n "solver.sat_queries" > 0 then
+      float_of_int (n "solver.inc_hits" + n "solver.inc_partials")
+      /. float_of_int (n "solver.sat_queries")
     else 0.
   in
   Bench_json.emit ~name:"breakdown"
@@ -928,7 +939,7 @@ let breakdown () =
              let m = float_of_int (Obs.Metrics.get_int snap "dbt.tb_misses") in
              if h +. m > 0. then h /. (h +. m) else 0.),
             4 ) );
-      ("prefix_reuse", Bench_json.Float (prefix_reuse, 4));
+      ("inc_reuse", Bench_json.Float (inc_reuse, 4));
     ];
   Printf.printf
     "\nThe solver share dominating a symbolic workload (and execute\n\
@@ -964,6 +975,7 @@ let solver_exp () =
   in
   let run mode =
     Solver.set_default_mode mode;
+    let before = Obs.Metrics.snapshot () in
     let t0 = Unix.gettimeofday () in
     let r =
       Parallel.explore ~jobs:1
@@ -978,59 +990,57 @@ let solver_exp () =
         ()
     in
     let wall = Unix.gettimeofday () -. t0 in
+    (* The exploration's solver work, before case extraction adds its own. *)
+    let d = since before in
     let cases =
       List.map Parallel.test_case r.completed |> List.sort compare
     in
-    (r, wall, cases)
+    (r, wall, cases, Obs.Metrics.get_int d, Obs.Metrics.get_float d "solver.query_s")
   in
-  let fresh, fresh_wall, fresh_cases = run Solver.Fresh in
-  let inc, inc_wall, inc_cases = run Solver.Incremental in
+  let fresh, fresh_wall, fresh_cases, fn, fresh_s = run Solver.Fresh in
+  let inc, inc_wall, inc_cases, n, inc_s = run Solver.Incremental in
   Solver.set_default_mode Solver.Incremental;
-  let fs = fresh.Parallel.solver_stats and is = inc.Parallel.solver_stats in
-  let ratio =
-    if fs.Solver.total_time > 0. then is.Solver.total_time /. fs.Solver.total_time
-    else 1.
-  in
+  let ratio = if fresh_s > 0. then inc_s /. fresh_s else 1. in
   let reuse_rate =
-    if is.Solver.sat_queries > 0 then
-      float_of_int (is.Solver.inc_hits + is.Solver.inc_partials)
-      /. float_of_int is.Solver.sat_queries
+    if n "solver.sat_queries" > 0 then
+      float_of_int (n "solver.inc_hits" + n "solver.inc_partials")
+      /. float_of_int (n "solver.sat_queries")
     else 0.
   in
   let kept_rate =
-    if is.Solver.sat_learned > 0 then
-      float_of_int is.Solver.sat_kept /. float_of_int is.Solver.sat_learned
+    if n "solver.sat_learned" > 0 then
+      float_of_int (n "solver.sat_kept") /. float_of_int (n "solver.sat_learned")
     else 0.
   in
   let cases_equal = fresh_cases = inc_cases in
   Printf.printf "%-14s %8s %10s %12s %8s\n" "mode" "paths" "wall (s)"
     "solver (s)" "queries";
   Printf.printf "%-14s %8d %10.2f %12.3f %8d\n" "fresh"
-    fresh.Parallel.stats.Executor.states_completed fresh_wall
-    fs.Solver.total_time fs.Solver.queries;
+    fresh.Parallel.stats.Executor.states_completed fresh_wall fresh_s
+    (fn "solver.queries");
   Printf.printf "%-14s %8d %10.2f %12.3f %8d\n" "incremental"
-    inc.Parallel.stats.Executor.states_completed inc_wall is.Solver.total_time
-    is.Solver.queries;
+    inc.Parallel.stats.Executor.states_completed inc_wall inc_s
+    (n "solver.queries");
   Printf.printf
     "solver wall ratio (inc/fresh): %.3f; reuse: %d full + %d partial of %d \
      SAT-core queries (%.1f%%)\n"
-    ratio is.Solver.inc_hits is.Solver.inc_partials is.Solver.sat_queries
-    (100. *. reuse_rate);
+    ratio (n "solver.inc_hits") (n "solver.inc_partials")
+    (n "solver.sat_queries") (100. *. reuse_rate);
   Printf.printf "learned clauses: %d learned, %d kept live (%.1f%%)\n"
-    is.Solver.sat_learned is.Solver.sat_kept (100. *. kept_rate);
+    (n "solver.sat_learned") (n "solver.sat_kept") (100. *. kept_rate);
   if not cases_equal then
     Printf.printf "WARNING: incremental case set diverged from fresh\n";
   Bench_json.emit ~name:"solver" ~artifact:"solver"
     [
       ("paths", Bench_json.Int inc.Parallel.stats.Executor.states_completed);
-      ("fresh_solver_s", Bench_json.Float (fs.Solver.total_time, 3));
-      ("inc_solver_s", Bench_json.Float (is.Solver.total_time, 3));
+      ("fresh_solver_s", Bench_json.Float (fresh_s, 3));
+      ("inc_solver_s", Bench_json.Float (inc_s, 3));
       ("inc_over_fresh", Bench_json.Float (ratio, 3));
       ("reuse_rate", Bench_json.Float (reuse_rate, 4));
-      ("inc_hits", Bench_json.Int is.Solver.inc_hits);
-      ("inc_partials", Bench_json.Int is.Solver.inc_partials);
-      ("learned", Bench_json.Int is.Solver.sat_learned);
-      ("learned_kept", Bench_json.Int is.Solver.sat_kept);
+      ("inc_hits", Bench_json.Int (n "solver.inc_hits"));
+      ("inc_partials", Bench_json.Int (n "solver.inc_partials"));
+      ("learned", Bench_json.Int (n "solver.sat_learned"));
+      ("learned_kept", Bench_json.Int (n "solver.sat_kept"));
       ("kept_rate", Bench_json.Float (kept_rate, 4));
       ("cases_equal", Bench_json.Bool cases_equal);
     ];
@@ -1047,7 +1057,6 @@ let solver_exp () =
 
 let trace_overhead () =
   section "Tracing: event-tracer overhead on a multi-path run";
-  let module Obs = S2e_obs in
   let img =
     Guest.build
       ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
@@ -1280,7 +1289,6 @@ let chaos () =
   section "Chaos: distributed exploration under an armed fault plan";
   let module Coordinator = S2e_dist.Coordinator in
   let module Fault = S2e_fault.Fault in
-  let module Obs = S2e_obs in
   let img =
     Guest.build
       ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
@@ -1561,6 +1569,7 @@ let expr_intern () =
     Executor.set_unit engine [ "pbench" ];
     engine
   in
+  let before = Obs.Metrics.snapshot () in
   let t0 = Unix.gettimeofday () in
   let r =
     Parallel.explore ~jobs:1
@@ -1575,11 +1584,12 @@ let expr_intern () =
       ()
   in
   let wall = Unix.gettimeofday () -. t0 in
-  let st = r.solver_stats in
+  let d = since before in
+  let solver_s = Obs.Metrics.get_float d "solver.query_s" in
+  let queries = Obs.Metrics.get_int d "solver.queries" in
   Printf.printf
     "end-to-end (serial pbench): %d paths, %.2fs wall, %.2fs solver, %d queries\n"
-    r.stats.Executor.states_completed wall st.Solver.total_time
-    st.Solver.queries;
+    r.stats.Executor.states_completed wall solver_s queries;
   Bench_json.emit ~name:"expr_intern" ~artifact:"expr"
     [
       ("equal_speedup", Bench_json.Float (s_equal, 2));
@@ -1590,8 +1600,8 @@ let expr_intern () =
       ("slice_ns", Bench_json.Float (t_slice_cached *. 1e9, 1));
       ("e2e_paths", Bench_json.Int r.stats.Executor.states_completed);
       ("e2e_wall_s", Bench_json.Float (wall, 3));
-      ("e2e_solver_s", Bench_json.Float (st.Solver.total_time, 3));
-      ("e2e_queries", Bench_json.Int st.Solver.queries);
+      ("e2e_solver_s", Bench_json.Float (solver_s, 3));
+      ("e2e_queries", Bench_json.Int queries);
     ];
   Printf.printf
     "\nInterned equality is a pointer comparison and slicing reads the\n\

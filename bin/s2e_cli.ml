@@ -250,34 +250,10 @@ let engine_factory ~driver ~workload ~model ~searcher ~merge =
    local shards, so the periodic reporter cannot see them). *)
 let write_merged_stats path snap ~elapsed =
   let open Obs in
-  let metrics, hists =
-    List.fold_left
-      (fun (ms, hs) (name, v) ->
-        match (v : Metrics.value) with
-        | Metrics.Int i -> ((name, Jsonl.Num (float_of_int i)) :: ms, hs)
-        | Metrics.Float f -> ((name, Jsonl.Num f) :: ms, hs)
-        | Metrics.Hist { bounds; counts; sum } ->
-            let nums l = Jsonl.Arr (List.map (fun x -> Jsonl.Num x) l) in
-            ( ms,
-              ( name,
-                Jsonl.Obj
-                  [
-                    ("bounds", nums (Array.to_list bounds));
-                    ( "counts",
-                      nums (List.map float_of_int (Array.to_list counts)) );
-                    ("sum", Jsonl.Num sum);
-                  ] )
-              :: hs ))
-      ([], []) snap
-  in
   let line =
     Jsonl.Obj
-      [
-        ("kind", Jsonl.Str "final");
-        ("elapsed_s", Jsonl.Num elapsed);
-        ("metrics", Jsonl.Obj (List.rev metrics));
-        ("hist", Jsonl.Obj (List.rev hists));
-      ]
+      ([ ("kind", Jsonl.Str "final"); ("elapsed_s", Jsonl.Num elapsed) ]
+      @ Reporter.snapshot_fields snap)
   in
   let oc = open_out path in
   output_string oc (Jsonl.to_string line);
@@ -351,16 +327,6 @@ let setup_resilience ~cmd ?(solver_mode = "incremental") ~fault_plan
         Fmt.epr "s2e %s: bad --fault-plan: %s@." cmd msg;
         exit 2
 
-(* One human-readable resilience line, printed only when something
-   actually happened (timeouts, degradations, injected faults), so
-   fault-free runs keep their exact historical output. *)
-let print_resilience ~degradations ~incomplete ~unknowns ~timeouts ~injected =
-  if degradations + incomplete + unknowns + timeouts + injected > 0 then
-    Fmt.pr
-      "resilience: %d degradations, %d incomplete paths, %d solver \
-       unknowns (%d timeouts), %d injected faults@."
-      degradations incomplete unknowns timeouts injected
-
 (* "HOST:PORT" (split on the last ':' so a future bracketed v6 literal
    stays parseable); exits 2 on malformed input. *)
 let parse_hostport ~cmd s =
@@ -378,65 +344,90 @@ let parse_hostport ~cmd s =
       Fmt.epr "s2e %s: expected HOST:PORT, got %S@." cmd s;
       exit 2
 
-(* Merged report of a distributed run, shared by `explore --procs` and
-   `serve`.  The cluster line appears only when remote workers or solo
-   mode were involved. *)
-let print_dist_result ~jobs ~cases (r : S2e_dist.Coordinator.result) =
-  let open S2e_dist in
-  Fmt.pr "procs: %d@." r.Coordinator.procs;
+(* The run summary of `explore` (any --procs) and `serve`.  The solver,
+   incremental and resilience lines read [obs], a registry snapshot of
+   exactly this run: a delta around it in-process, the merged registries
+   of every process in a distributed run.  [sched] are the execution
+   mode's scheduling lines; [cases] the case lines, printed sorted. *)
+let print_summary ~procs ~jobs ~wall ~(stats : S2e_core.Executor.stats) ~sched
+    ~cases obs =
+  let n = Obs.Metrics.get_int obs in
+  Fmt.pr "procs: %d@." procs;
   Fmt.pr "jobs: %d@." jobs;
-  Fmt.pr "wall seconds: %.2f@." r.wall_seconds;
-  Fmt.pr "paths completed: %d@."
-    r.stats.S2e_core.Executor.states_completed;
-  Fmt.pr "states created: %d@." r.stats.states_created;
-  Fmt.pr "forks: %d@." r.stats.forks;
-  Fmt.pr "instructions: %d (%d symbolic)@." r.stats.concrete_instret
-    r.stats.sym_instret;
-  Fmt.pr "steals: %d, requeues: %d, restarts: %d@." r.steals r.requeues
-    r.restarts;
-  if r.joins + r.reconnects + r.leaves + r.solo_paths > 0 then
-    Fmt.pr "cluster: %d joins, %d reconnects, %d leaves, %d solo paths@."
-      r.joins r.reconnects r.leaves r.solo_paths;
-  if r.unexplored > 0 then Fmt.pr "unexplored states: %d@." r.unexplored;
-  List.iter
-    (fun (id, attempts) ->
-      Fmt.pr "abandoned item %d after %d attempts@." id attempts)
-    r.abandoned;
+  Fmt.pr "wall seconds: %.2f@." wall;
+  Fmt.pr "paths completed: %d@." stats.states_completed;
+  Fmt.pr "states created: %d@." stats.states_created;
+  Fmt.pr "forks: %d@." stats.forks;
+  Fmt.pr "instructions: %d (%d symbolic)@." stats.concrete_instret
+    stats.sym_instret;
+  List.iter (Fmt.pr "%s@.") sched;
   Fmt.pr
     "solver: %d queries, %d to SAT core, %d cache hits, %d unknowns, %.2fs@."
-    r.solver_stats.S2e_solver.Solver.queries r.solver_stats.sat_queries
-    r.solver_stats.cache_hits r.solver_stats.unknowns
-    r.solver_stats.total_time;
-  if r.solver_stats.inc_hits + r.solver_stats.inc_partials > 0 then
+    (n "solver.queries") (n "solver.sat_queries") (n "solver.cache_hits")
+    (n "solver.unknowns")
+    (Obs.Metrics.get_float obs "solver.query_s");
+  if n "solver.inc_hits" + n "solver.inc_partials" > 0 then
     Fmt.pr
       "incremental: %d full prefix hits, %d partial, %d clauses learned \
        (%d kept live)@."
-      r.solver_stats.inc_hits r.solver_stats.inc_partials
-      r.solver_stats.sat_learned r.solver_stats.sat_kept;
-  (* Every injected fault across all processes: per-site fault.*
-     counters travel in the workers' Bye snapshots. *)
+      (n "solver.inc_hits") (n "solver.inc_partials") (n "solver.sat_learned")
+      (n "solver.sat_kept");
+  (* Printed only when something actually happened (timeouts,
+     degradations, injected faults at any fault.* site), so fault-free
+     runs keep their exact historical output. *)
   let injected =
     List.fold_left
       (fun acc (name, v) ->
         match v with
-        | Obs.Metrics.Int n
-          when String.length name > 6 && String.sub name 0 6 = "fault." ->
-            acc + n
+        | Obs.Metrics.Int k when String.starts_with ~prefix:"fault." name ->
+            acc + k
         | _ -> acc)
-      0 r.obs
+      0 obs
   in
-  print_resilience ~degradations:r.stats.degradations
-    ~incomplete:(Obs.Metrics.get_int r.obs "engine.incomplete_paths")
-    ~unknowns:r.solver_stats.unknowns
-    ~timeouts:(Obs.Metrics.get_int r.obs "solver.timeouts")
-    ~injected;
-  if cases then
-    r.paths
-    |> List.map (fun (p : Proto.path) ->
-           Printf.sprintf "%s | %s" p.p_status
-             (S2e_core.Parallel.test_case_to_string p.p_case))
-    |> List.sort compare
-    |> List.iter (Fmt.pr "%s@.")
+  let degradations = n "engine.degradations"
+  and incomplete = n "engine.incomplete_paths"
+  and unknowns = n "solver.unknowns"
+  and timeouts = n "solver.timeouts" in
+  if degradations + incomplete + unknowns + timeouts + injected > 0 then
+    Fmt.pr
+      "resilience: %d degradations, %d incomplete paths, %d solver unknowns \
+       (%d timeouts), %d injected faults@."
+      degradations incomplete unknowns timeouts injected;
+  List.iter (Fmt.pr "%s@.") (List.sort compare cases)
+
+(* A distributed run's summary, shared by `explore --procs` and `serve`.
+   The cluster line appears only when remote workers or solo mode were
+   involved. *)
+let print_dist_result ~jobs ~cases (r : S2e_dist.Coordinator.result) =
+  let sched =
+    Printf.sprintf "steals: %d, requeues: %d, restarts: %d" r.steals
+      r.requeues r.restarts
+    :: (if r.joins + r.reconnects + r.leaves + r.solo_paths > 0 then
+          [
+            Printf.sprintf "cluster: %d joins, %d reconnects, %d leaves, %d \
+                            solo paths"
+              r.joins r.reconnects r.leaves r.solo_paths;
+          ]
+        else [])
+    @ (if r.unexplored > 0 then
+         [ Printf.sprintf "unexplored states: %d" r.unexplored ]
+       else [])
+    @ List.map
+        (fun (id, attempts) ->
+          Printf.sprintf "abandoned item %d after %d attempts" id attempts)
+        r.abandoned
+  in
+  let cases =
+    if cases then
+      List.map
+        (fun (p : S2e_dist.Proto.path) ->
+          Printf.sprintf "%s | %s" p.p_status
+            (S2e_core.Parallel.test_case_to_string p.p_case))
+        r.paths
+    else []
+  in
+  print_summary ~procs:r.procs ~jobs ~wall:r.wall_seconds ~stats:r.stats
+    ~sched ~cases r.obs
 
 (* The argv an exec'd worker process is spawned with: rebuilds the same
    engine spec and resilience plan from scratch (exec'd workers don't
@@ -579,20 +570,18 @@ let explore_cmd =
       }
     in
     let boot eng = Executor.boot eng ~entry:img.entry () in
-    let print_cases lines =
-      lines |> List.sort compare |> List.iter (Fmt.pr "%s@.")
-    in
     if procs = 1 then begin
       let run_explore () = Parallel.explore ~jobs ~limits ~make_engine ~boot () in
+      (* With --stats-out, zero the registry so the final JSONL line holds
+         exactly this run's totals (the registry is process-wide). *)
+      if stats_out <> None then Obs.Metrics.reset ();
+      let before = Obs.Metrics.snapshot () in
       let r =
         match stats_out with
         | None -> run_explore ()
         | Some path ->
-            (* Zero the registry so the final snapshot's totals are exactly
-               this run's totals (the registry is process-wide).  The
-               reporter is stopped through [with_reporter] so the exact
+            (* The reporter is stopped through [with_reporter] so the exact
                "final" line is flushed even when exploration raises. *)
-            Obs.Metrics.reset ();
             let oc = open_out path in
             Fun.protect
               ~finally:(fun () -> close_out_noerr oc)
@@ -605,49 +594,27 @@ let explore_cmd =
       | Some path ->
           let events, dropped = Obs.Trace.drain () in
           write_trace path events ~dropped);
-      Fmt.pr "procs: 1@.";
-      Fmt.pr "jobs: %d@." r.Parallel.jobs;
-      Fmt.pr "wall seconds: %.2f@." r.wall_seconds;
-      Fmt.pr "paths completed: %d@." r.stats.Executor.states_completed;
-      Fmt.pr "states created: %d@." r.stats.states_created;
-      Fmt.pr "forks: %d@." r.stats.forks;
-      Fmt.pr "instructions: %d (%d symbolic)@." r.stats.concrete_instret
-        r.stats.sym_instret;
-      Fmt.pr "steals: %d@." r.steals;
-      Fmt.pr
-        "solver: %d queries, %d to SAT core, %d cache hits, %d unknowns, \
-         %.2fs@."
-        r.solver_stats.S2e_solver.Solver.queries r.solver_stats.sat_queries
-        r.solver_stats.cache_hits r.solver_stats.unknowns
-        r.solver_stats.total_time;
-      if r.solver_stats.inc_hits + r.solver_stats.inc_partials > 0 then
-        Fmt.pr
-          "incremental: %d full prefix hits, %d partial, %d clauses \
-           learned (%d kept live)@."
-          r.solver_stats.inc_hits r.solver_stats.inc_partials
-          r.solver_stats.sat_learned r.solver_stats.sat_kept;
-      print_resilience ~degradations:r.stats.degradations
-        ~incomplete:
-          (List.length
-             (List.filter (fun (s : State.t) -> s.State.incomplete) r.completed))
-        ~unknowns:r.solver_stats.unknowns
-        ~timeouts:
-          (Obs.Metrics.get_int (Obs.Metrics.snapshot ()) "solver.timeouts")
-        ~injected:(Fault.total ());
-      if cases then
-        (* One line per test case: a state merged from N enumerated paths
-           expands to N lines, so merged and enumerated case sets diff
-           clean. *)
-        print_cases
-          (List.concat_map
-             (fun (s : State.t) ->
-               let status = State.report_string s in
-               List.map
-                 (fun tc ->
-                   Printf.sprintf "%s | %s" status
-                     (Parallel.test_case_to_string tc))
-                 (Parallel.test_cases s))
-             r.completed)
+      (* One line per test case: a state merged from N enumerated paths
+         expands to N lines, so merged and enumerated case sets diff
+         clean.  Solved before the summary's snapshot, so the solver line
+         counts case extraction as a distributed run's does. *)
+      let cases =
+        if cases then
+          List.concat_map
+            (fun (s : State.t) ->
+              let status = State.report_string s in
+              List.map
+                (fun tc ->
+                  Printf.sprintf "%s | %s" status
+                    (Parallel.test_case_to_string tc))
+                (Parallel.test_cases s))
+            r.completed
+        else []
+      in
+      print_summary ~procs:1 ~jobs:r.jobs ~wall:r.wall_seconds ~stats:r.stats
+        ~sched:[ Printf.sprintf "steals: %d" r.steals ]
+        ~cases
+        (Obs.Metrics.delta ~before (Obs.Metrics.snapshot ()))
     end
     else begin
       (* Distributed: `s2e_cli worker` children dial the coordinator's

@@ -46,7 +46,6 @@ type result = {
   completed : State.t list;  (** terminated states from every worker *)
   frontier : State.t list;   (** states still live when a limit fired *)
   stats : Executor.stats;    (** aggregated over workers *)
-  solver_stats : Solver.stats;  (** aggregated over worker contexts *)
   steals : int;              (** states adopted from the steal pool *)
   wall_seconds : float;
 }
@@ -248,17 +247,11 @@ let explore_states ~jobs ~limits engines states =
       (fun eng -> Executor.merge_stats ~into:stats eng.Executor.stats)
       engines;
     if max_live > stats.max_live_states then stats.max_live_states <- max_live;
-    let solver_stats = Solver.new_stats () in
-    List.iter
-      (fun eng ->
-        Solver.merge_stats ~into:solver_stats eng.Executor.solver.Solver.ctx_stats)
-      engines;
     {
       jobs;
       completed;
       frontier;
       stats;
-      solver_stats;
       steals;
       wall_seconds = Unix.gettimeofday () -. started;
     }

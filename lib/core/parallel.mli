@@ -21,7 +21,6 @@ type result = {
   frontier : State.t list;
       (** states still live when a limit fired; empty on a drained run *)
   stats : Executor.stats;  (** aggregated over workers *)
-  solver_stats : S2e_solver.Solver.stats;  (** aggregated worker contexts *)
   steals : int;  (** states adopted from the steal pool *)
   wall_seconds : float;
 }

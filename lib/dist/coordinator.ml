@@ -45,7 +45,6 @@
 module Executor = S2e_core.Executor
 module Events = S2e_core.Events
 module State = S2e_core.State
-module Solver = S2e_solver.Solver
 module Obs = S2e_obs
 
 (** How to start an owned worker process. *)
@@ -78,7 +77,6 @@ type result = {
   paths : Proto.path list;
       (** every terminated path, with its test case when [cases] was set *)
   stats : Executor.stats;  (** merged over workers + the local boot *)
-  solver_stats : Solver.stats;
   obs : Obs.Metrics.snapshot;  (** merged worker registries + local *)
   steals : int;  (** checkpoints triggered by steal requests *)
   requeues : int;  (** in-flight items recovered from dead workers *)
@@ -209,7 +207,6 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   let s0 = boot eng in
   let stats = Executor.new_stats () in
   Executor.merge_stats ~into:stats eng.Executor.stats;
-  let solver_stats = Solver.new_stats () in
   let paths = ref [] in
   let obs_snaps = ref [] in
   let trace_events = ref [] in
@@ -401,17 +398,15 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     | Proto.Nak _ ->
         w.w_steal <- 0.;
         w.w_nak <- Unix.gettimeofday ()
-    | Proto.Result { item; paths = ps; stats = st; solver = sv } ->
+    | Proto.Result { item; paths = ps; stats = st } ->
         w.w_steal <- 0.;
         w.w_frontier <- 0;
         w.w_status <- Idle;
         update_rate w (List.length ps);
         paths := List.rev_append ps !paths;
         Executor.merge_stats ~into:stats st;
-        Solver.merge_stats ~into:solver_stats sv;
         on_event (Completed { pid = w.w_pid; item; paths = List.length ps })
-    | Proto.Checkpoint { item; paths = ps; stats = st; solver = sv; states }
-      ->
+    | Proto.Checkpoint { item; paths = ps; stats = st; states } ->
         let was_steal = w.w_steal > 0. in
         w.w_steal <- 0.;
         w.w_frontier <- 0;
@@ -419,7 +414,6 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         update_rate w (List.length ps + List.length states);
         paths := List.rev_append ps !paths;
         Executor.merge_stats ~into:stats st;
-        Solver.merge_stats ~into:solver_stats sv;
         List.iter enqueue_blob states;
         if was_steal then incr steals;
         on_event
@@ -589,9 +583,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   (* Retire the solo item the way a worker's [Result]/[Checkpoint] does:
      its stats join the run's once. *)
   let solo_retire (sl : Worker.slicer) =
-    let st, sv = sl.sl_stats () in
-    Executor.merge_stats ~into:stats st;
-    Solver.merge_stats ~into:solver_stats sv;
+    Executor.merge_stats ~into:stats (sl.sl_stats ());
     solo_item := None
   in
   let solo_start () =
@@ -895,7 +887,6 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     procs;
     paths = List.rev !paths;
     stats;
-    solver_stats;
     obs;
     steals = !steals;
     requeues = !requeues;

@@ -6,7 +6,6 @@
 
 module Executor = S2e_core.Executor
 module State = S2e_core.State
-module Solver = S2e_solver.Solver
 module Obs = S2e_obs
 
 (** How to start an owned worker process.  Either way the worker dials
@@ -46,7 +45,6 @@ type result = {
   paths : Proto.path list;
       (** every terminated path, with its test case when [cases] was set *)
   stats : Executor.stats;  (** merged over workers + the local boot *)
-  solver_stats : Solver.stats;
   obs : Obs.Metrics.snapshot;  (** merged worker registries + local *)
   steals : int;  (** checkpoints triggered by steal requests *)
   requeues : int;  (** in-flight items recovered from dead workers *)
@@ -156,6 +154,7 @@ val explore :
     remote worker joins.  The run only abandons work for items that
     repeatedly kill owned workers, or when its own budget expires.
 
-    The result merges every worker's paths, executor and solver stats,
-    and metrics-registry snapshot with the coordinator's own.  The
+    The result merges every worker's paths, executor stats and
+    metrics-registry snapshot (which carries the solver counters) with
+    the coordinator's own.  The
     caller owns [listener] and closes it after [explore] returns. *)

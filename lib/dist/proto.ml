@@ -17,7 +17,6 @@
     dies at any point before that message, the coordinator requeues the
     original item blob and no path can be double-counted or lost. *)
 
-module Solver = S2e_solver.Solver
 module Obs = S2e_obs
 module Executor = S2e_core.Executor
 module Fault = S2e_fault.Fault
@@ -27,8 +26,9 @@ exception Closed
 (** Peer hung up (EOF/EPIPE/reset), sent a damaged frame, or stopped
     mid-frame — on a worker fd this means the session is lost. *)
 
-(* v6: no sequence numbers, retransmit requests or snapshot baseline. *)
-let version = 6
+(* v7: Result/Checkpoint carry no solver record; solver counters travel
+   in the Bye registry snapshot with every other metric. *)
+let version = 7
 
 (** A terminated path, reduced to what the coordinator reports: the
     status string and the canonical test case. *)
@@ -59,13 +59,11 @@ type msg =
       item : int;
       paths : path list;
       stats : Executor.stats;
-      solver : Solver.stats;
     }  (** worker → coordinator: item fully drained *)
   | Checkpoint of {
       item : int;
       paths : path list;
       stats : Executor.stats;
-      solver : Solver.stats;
       states : string list;  (** serialized unexplored frontier *)
     }
       (** worker → coordinator: item retired early (steal, shutdown or
@@ -138,37 +136,6 @@ let decode_exec_stats r : Executor.stats =
     aborts;
     degradations;
   }
-
-let encode_solver_stats b (s : Solver.stats) =
-  i64 b (Int64.of_int s.queries);
-  i64 b (Int64.of_int s.sat_queries);
-  i64 b (Int64.of_int s.cache_hits);
-  i64 b (Int64.of_int s.unknowns);
-  f64 b s.total_time;
-  f64 b s.max_time;
-  i64 b (Int64.of_int s.prefix_reused);
-  f64 b s.prefix_reused_time;
-  i64 b (Int64.of_int s.inc_hits);
-  i64 b (Int64.of_int s.inc_partials);
-  i64 b (Int64.of_int s.sat_learned);
-  i64 b (Int64.of_int s.sat_kept)
-
-let decode_solver_stats r : Solver.stats =
-  let queries = Int64.to_int (ri64 r) in
-  let sat_queries = Int64.to_int (ri64 r) in
-  let cache_hits = Int64.to_int (ri64 r) in
-  let unknowns = Int64.to_int (ri64 r) in
-  let total_time = rf64 r in
-  let max_time = rf64 r in
-  let prefix_reused = Int64.to_int (ri64 r) in
-  let prefix_reused_time = rf64 r in
-  let inc_hits = Int64.to_int (ri64 r) in
-  let inc_partials = Int64.to_int (ri64 r) in
-  let sat_learned = Int64.to_int (ri64 r) in
-  let sat_kept = Int64.to_int (ri64 r) in
-  { Solver.queries; sat_queries; cache_hits; unknowns; total_time; max_time;
-    prefix_reused; prefix_reused_time; inc_hits; inc_partials; sat_learned;
-    sat_kept }
 
 let encode_path b p =
   str b p.p_status;
@@ -260,18 +227,16 @@ let encode_msg m =
   | Nak { item } ->
       u8 b 6;
       u32 b item
-  | Result { item; paths; stats; solver } ->
+  | Result { item; paths; stats } ->
       u8 b 7;
       u32 b item;
       list b (encode_path b) paths;
-      encode_exec_stats b stats;
-      encode_solver_stats b solver
-  | Checkpoint { item; paths; stats; solver; states } ->
+      encode_exec_stats b stats
+  | Checkpoint { item; paths; stats; states } ->
       u8 b 8;
       u32 b item;
       list b (encode_path b) paths;
       encode_exec_stats b stats;
-      encode_solver_stats b solver;
       list b (str b) states
   | Bye { obs; now; trace } ->
       u8 b 9;
@@ -330,15 +295,13 @@ let decode_msg r ~stop =
         let item = ru32 r in
         let paths = rlist r decode_path in
         let stats = decode_exec_stats r in
-        let solver = decode_solver_stats r in
-        Result { item; paths; stats; solver }
+        Result { item; paths; stats }
     | 8 ->
         let item = ru32 r in
         let paths = rlist r decode_path in
         let stats = decode_exec_stats r in
-        let solver = decode_solver_stats r in
         let states = rlist r rstr in
-        Checkpoint { item; paths; stats; solver; states }
+        Checkpoint { item; paths; stats; states }
     | 9 ->
         let obs = decode_obs r in
         let now = rf64 r in

@@ -16,7 +16,6 @@
     requeues the original item blob — no path is lost or
     double-counted. *)
 
-module Solver = S2e_solver.Solver
 module Obs = S2e_obs
 module Executor = S2e_core.Executor
 
@@ -53,13 +52,11 @@ type msg =
       item : int;
       paths : path list;
       stats : Executor.stats;
-      solver : Solver.stats;
     }
   | Checkpoint of {
       item : int;
       paths : path list;
       stats : Executor.stats;
-      solver : Solver.stats;
       states : string list;
     }
   | Bye of { obs : Obs.Metrics.snapshot; now : float; trace : string }

@@ -56,11 +56,6 @@ let copy_exec_stats s =
   Executor.merge_stats ~into:c s;
   c
 
-let copy_solver_stats s =
-  let c = Solver.new_stats () in
-  Solver.merge_stats ~into:c s;
-  c
-
 (* Since-mark deltas against a persistent engine's cumulative stats.
    Counters subtract; high-watermark fields report the current watermark
    (the coordinator merges them with max, so this stays an upper bound
@@ -79,23 +74,6 @@ let exec_delta ~prev (cur : Executor.stats) : Executor.stats =
     degradations = cur.degradations - prev.degradations;
   }
 
-let solver_delta ~prev (cur : Solver.stats) : Solver.stats =
-  {
-    Solver.queries = cur.Solver.queries - prev.Solver.queries;
-    sat_queries = cur.sat_queries - prev.sat_queries;
-    cache_hits = cur.cache_hits - prev.cache_hits;
-    unknowns = cur.unknowns - prev.unknowns;
-    total_time = cur.total_time -. prev.total_time;
-    max_time = cur.max_time;
-    prefix_reused = cur.prefix_reused - prev.prefix_reused;
-    prefix_reused_time = cur.prefix_reused_time -. prev.prefix_reused_time;
-    inc_hits = cur.inc_hits - prev.inc_hits;
-    inc_partials = cur.inc_partials - prev.inc_partials;
-    sat_learned = cur.sat_learned - prev.sat_learned;
-    (* a live-pool gauge, not a monotone counter: report the current value *)
-    sat_kept = cur.sat_kept;
-  }
-
 (* One item's exploration, sliced.  The control loop below is written
    once against this interface (and the coordinator's solo mode drives
    the serial one); the two implementations differ in how a slice
@@ -108,7 +86,7 @@ type slicer = {
   sl_drop : unit -> unit;  (* discard the frontier (after a checkpoint) *)
   sl_drain : unit -> State.t list;
       (* states terminated since the last drain, oldest first *)
-  sl_stats : unit -> Executor.stats * Solver.stats;  (* deltas this item *)
+  sl_stats : unit -> Executor.stats;  (* deltas this item *)
   sl_quiesce : unit -> unit;
       (* release merge-parked states and strip engine-local rendezvous
          ids before the frontier leaves this process *)
@@ -125,14 +103,12 @@ let serial_slicer ~slice ~make_engine () =
   Events.reg_state_end eng.Executor.events (fun s ->
       terminated := s :: !terminated);
   let prev_e = ref (copy_exec_stats eng.Executor.stats) in
-  let prev_s = ref (copy_solver_stats eng.Executor.solver.Solver.ctx_stats) in
   {
     sl_base = eng.Executor.base_mem;
     sl_start =
       (fun s0 ->
         terminated := [];
         prev_e := copy_exec_stats eng.Executor.stats;
-        prev_s := copy_solver_stats eng.Executor.solver.Solver.ctx_stats;
         Executor.adopt eng s0);
     sl_run =
       (fun ~deadline ->
@@ -153,10 +129,7 @@ let serial_slicer ~slice ~make_engine () =
         let pending = List.rev !terminated in
         terminated := [];
         pending);
-    sl_stats =
-      (fun () ->
-        ( exec_delta ~prev:!prev_e eng.Executor.stats,
-          solver_delta ~prev:!prev_s eng.Executor.solver.Solver.ctx_stats ));
+    sl_stats = (fun () -> exec_delta ~prev:!prev_e eng.Executor.stats);
     sl_quiesce = (fun () -> eng.Executor.quiesce ());
   }
 
@@ -167,15 +140,13 @@ let parallel_slicer ~jobs ~slice ~make_engine () =
   let frontier = ref [] in
   let terminated = ref [] in
   let stats = ref (Executor.new_stats ()) in
-  let solver = ref (Solver.new_stats ()) in
   {
     sl_base = base;
     sl_start =
       (fun s0 ->
         frontier := [ s0 ];
         terminated := [];
-        stats := Executor.new_stats ();
-        solver := Solver.new_stats ());
+        stats := Executor.new_stats ());
     sl_run =
       (fun ~deadline ->
         let now = Unix.gettimeofday () in
@@ -189,7 +160,6 @@ let parallel_slicer ~jobs ~slice ~make_engine () =
         let r = Parallel.explore_frontier ~jobs ~limits ~make_engine !frontier in
         terminated := List.rev_append r.Parallel.completed !terminated;
         Executor.merge_stats ~into:!stats r.Parallel.stats;
-        Solver.merge_stats ~into:!solver r.Parallel.solver_stats;
         frontier := r.Parallel.frontier;
         (* The slice's engines die here; any rendezvous ids the frontier
            carries are theirs and must not leak into the next slice's
@@ -202,7 +172,7 @@ let parallel_slicer ~jobs ~slice ~make_engine () =
         let pending = List.rev !terminated in
         terminated := [];
         pending);
-    sl_stats = (fun () -> (!stats, !solver));
+    sl_stats = (fun () -> !stats);
     sl_quiesce =
       (fun () ->
         List.iter (fun (s : State.t) -> s.State.rendezvous <- []) !frontier);
@@ -313,14 +283,12 @@ let run_session ~sl ~heartbeat ~lease ~held c =
     let checkpoint () =
       sl.sl_quiesce ();
       drain ();
-      let stats, solver = sl.sl_stats () in
       retire
         (Proto.Checkpoint
            {
              item = h.h_item;
              paths = List.rev h.h_paths;
-             stats;
-             solver;
+             stats = sl.sl_stats ();
              states = List.map Codec.encode_state (sl.sl_frontier ());
            });
       sl.sl_drop ()
@@ -344,10 +312,10 @@ let run_session ~sl ~heartbeat ~lease ~held c =
       if not !finished then begin
         if sl.sl_frontier () = [] then begin
           drain ();
-          let stats, solver = sl.sl_stats () in
           retire
             (Proto.Result
-               { item = h.h_item; paths = List.rev h.h_paths; stats; solver });
+               { item = h.h_item; paths = List.rev h.h_paths;
+                 stats = sl.sl_stats () });
           finished := true
         end
         else if Unix.gettimeofday () >= h.h_deadline then begin

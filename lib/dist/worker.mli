@@ -5,7 +5,6 @@
 
 module Executor = S2e_core.Executor
 module State = S2e_core.State
-module Solver = S2e_solver.Solver
 
 val serve_tcp :
   ?jobs:int ->
@@ -70,7 +69,7 @@ type slicer = {
   sl_drop : unit -> unit;  (** discard the frontier (after a checkpoint) *)
   sl_drain : unit -> State.t list;
       (** states terminated since the last drain, oldest first *)
-  sl_stats : unit -> Executor.stats * Solver.stats;
+  sl_stats : unit -> Executor.stats;
       (** stats accumulated since the item's [sl_start] *)
   sl_quiesce : unit -> unit;
       (** release merge-parked states and strip engine-local rendezvous

@@ -42,7 +42,6 @@ module Events = S2e_core.Events
 module Consistency = S2e_core.Consistency
 module Expr = S2e_expr.Expr
 module Simplifier = S2e_expr.Simplifier
-module Solver = S2e_solver.Solver
 module Dbt = S2e_dbt.Dbt
 module Obs = S2e_obs
 
@@ -268,12 +267,8 @@ let rec handle_arrival ctl (s : State.t) =
                     consume ctl w s;
                     Obs.Metrics.incr m_merges;
                     if Obs.Trace.enabled () then
-                      Obs.Trace.instant ~path:s.id
-                        ~a:
-                          (Policy.benefit_score
-                             ~solver:ctl.eng.Executor.solver.Solver.ctx_stats
-                             ~suffix_len ~cost)
-                        ~b:cost t_merge;
+                      Obs.Trace.instant ~path:s.id ~a:suffix_len ~b:cost
+                        t_merge;
                     if e.e_outstanding <= 0 then begin
                       Hashtbl.remove ctl.table id;
                       pop_id s id;
@@ -289,12 +284,8 @@ let rec handle_arrival ctl (s : State.t) =
                 | Error (Join.Rejected cost) ->
                     Obs.Metrics.incr m_rejected;
                     if Obs.Trace.enabled () then
-                      Obs.Trace.instant ~path:s.id
-                        ~a:
-                          (Policy.benefit_score
-                             ~solver:ctl.eng.Executor.solver.Solver.ctx_stats
-                             ~suffix_len ~cost)
-                        ~b:cost t_reject;
+                      Obs.Trace.instant ~path:s.id ~a:suffix_len ~b:cost
+                        t_reject;
                     abandon ctl id e s;
                     handle_arrival ctl s
                 | Error (Join.Unmergeable r) ->

@@ -8,11 +8,7 @@
     path sets — so the {e decision} is purely structural: predicted ite
     blow-up (from the hash-cons O(1) node counts, computed in
     {!Join.attempt}) against a fixed node budget.  Nothing
-    timing-dependent feeds the decision.
-
-    Solver-time attribution (the per-prefix reuse statistics) feeds only
-    the {e reported} benefit score attached to [merge] trace instants and
-    metrics, where wall-clock noise is harmless. *)
+    timing-dependent feeds the decision. *)
 
 type mode = Off | Auto | Always
 
@@ -40,22 +36,3 @@ let budget mode ~cost_budget =
   | Off -> invalid_arg "Policy.budget: mode is off"
   | Always -> None
   | Auto -> Some cost_budget
-
-(** Reported benefit score (microseconds-ish, minus the structural
-    cost): the solver time the join is predicted to save, estimated as
-    the average query cost times the number of constraints the two
-    suffixes would keep re-asserting downstream, discounted by the share
-    of solver time the prefix cache already eliminates (PR 7's
-    attribution: reused-prefix queries are the cheap ones, so only the
-    fresh share is really saved). *)
-let benefit_score ~(solver : S2e_solver.Solver.stats) ~suffix_len ~cost =
-  let avg_us =
-    if solver.queries = 0 then 0.
-    else solver.total_time /. float_of_int solver.queries *. 1e6
-  in
-  let fresh_share =
-    if solver.total_time <= 0. then 1.
-    else
-      Float.max 0. (1. -. (solver.prefix_reused_time /. solver.total_time))
-  in
-  int_of_float (avg_us *. fresh_share *. float_of_int suffix_len) - cost

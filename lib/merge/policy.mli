@@ -2,8 +2,7 @@
 
     The [Auto] decision is purely structural (predicted ite node blow-up
     against a fixed budget) so merged exploration stays deterministic
-    across worker counts; solver-time attribution feeds only the
-    {e reported} benefit score. *)
+    across worker counts. *)
 
 type mode = Off | Auto | Always
 
@@ -18,8 +17,3 @@ val budget : mode -> cost_budget:int -> int option
 (** The node budget {!Join.attempt} should enforce: [None] for [Always]
     (merge unconditionally), [Some cost_budget] for [Auto].
     @raise Invalid_argument on [Off]. *)
-
-val benefit_score :
-  solver:S2e_solver.Solver.stats -> suffix_len:int -> cost:int -> int
-(** Reported (not decision-making) benefit estimate for a completed or
-    rejected join, fed by the per-prefix solver-time attribution. *)

@@ -273,19 +273,42 @@ let get_float snap name =
   match find snap name with
   | Some (Float f) -> f
   | Some (Int n) -> float_of_int n
-  | _ -> 0.
+  | Some (Hist { sum; _ }) -> sum
+  | None -> 0.
+
+let kind_of reg name =
+  Mutex.lock reg.mutex;
+  let e = List.find_opt (fun e -> e.e_name = name) reg.entries in
+  Mutex.unlock reg.mutex;
+  Option.map (fun e -> e.e_kind) e
+
+(* A window's share of every metric: monotone cells subtract, gauges are
+   point-in-time and keep the later reading. *)
+let delta ?(reg = default) ~before after =
+  List.map
+    (fun (name, v) ->
+      let v =
+        match (kind_of reg name, v, find before name) with
+        | Some (K_gauge _), _, _ | _, _, None -> v
+        | _, Int a, Some (Int b) -> Int (a - b)
+        | _, Float a, Some (Float b) -> Float (a -. b)
+        | _, Hist h, Some (Hist h0) when h.bounds = h0.bounds ->
+            Hist
+              {
+                h with
+                counts = Array.mapi (fun i c -> c - h0.counts.(i)) h.counts;
+                sum = h.sum -. h0.sum;
+              }
+        | _ -> v
+      in
+      (name, v))
+    after
 
 (* Merge snapshots taken in different processes (distributed workers).
    The rule comes from the metric's kind in the local registry: counters,
    Sum gauges, fcounters and histograms add; Max gauges take the max.
    Names absent from the local registry fall back to summation. *)
 let merge_snapshots ?(reg = default) snaps =
-  let kind_of name =
-    Mutex.lock reg.mutex;
-    let e = List.find_opt (fun e -> e.e_name = name) reg.entries in
-    Mutex.unlock reg.mutex;
-    Option.map (fun e -> e.e_kind) e
-  in
   let names =
     List.fold_left
       (fun acc snap ->
@@ -300,7 +323,7 @@ let merge_snapshots ?(reg = default) snaps =
     (fun name ->
       let vs = List.filter_map (fun snap -> List.assoc_opt name snap) snaps in
       let v =
-        match kind_of name, vs with
+        match kind_of reg name, vs with
         | _, [] -> Int 0
         | Some (K_gauge Max), _ ->
             Int

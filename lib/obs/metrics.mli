@@ -69,7 +69,14 @@ val get_int : snapshot -> string -> int
 (** The metric's int value, or 0 when absent / not an int. *)
 
 val get_float : snapshot -> string -> float
-(** The metric's numeric value as a float, or 0. when absent. *)
+(** The metric's numeric value as a float (a histogram's sum of
+    observations), or 0. when absent. *)
+
+val delta : ?reg:t -> before:snapshot -> snapshot -> snapshot
+(** [delta ~before after]: what one window of a run added, from two
+    snapshots of the same registry.  Counters, float accumulators and
+    histograms subtract [before]; gauges keep [after]'s value.  Kinds come
+    from [reg] as in {!merge_snapshots}. *)
 
 val merge_snapshots : ?reg:t -> snapshot list -> snapshot
 (** Combine snapshots taken in {e different processes} (distributed

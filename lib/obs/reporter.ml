@@ -26,8 +26,8 @@ type t = {
   mutable dom : unit Domain.t option;
 }
 
-let snapshot_line t ~kind =
-  let snap = Metrics.snapshot ~reg:t.reg () in
+(* The "metrics" and "hist" members of a line. *)
+let snapshot_fields snap =
   let metrics, hists =
     List.fold_left
       (fun (ms, hs) (name, v) ->
@@ -50,6 +50,10 @@ let snapshot_line t ~kind =
             (ms, (name, h) :: hs))
       ([], []) snap
   in
+  [ ("metrics", Jsonl.Obj (List.rev metrics)); ("hist", Jsonl.Obj (List.rev hists)) ]
+
+let snapshot_line t ~kind =
+  let fields = snapshot_fields (Metrics.snapshot ~reg:t.reg ()) in
   let shards =
     Metrics.shard_snapshots ~reg:t.reg ()
     |> List.map (fun (id, snap) ->
@@ -69,15 +73,14 @@ let snapshot_line t ~kind =
   in
   let now = Unix.gettimeofday () in
   Jsonl.Obj
-    [
-      ("ts", Jsonl.Num now);
-      ("elapsed_s", Jsonl.Num (now -. t.started));
-      ("seq", Jsonl.Num (float_of_int t.seq));
-      ("kind", Jsonl.Str kind);
-      ("metrics", Jsonl.Obj (List.rev metrics));
-      ("hist", Jsonl.Obj (List.rev hists));
-      ("shards", Jsonl.Arr shards);
-    ]
+    ([
+       ("ts", Jsonl.Num now);
+       ("elapsed_s", Jsonl.Num (now -. t.started));
+       ("seq", Jsonl.Num (float_of_int t.seq));
+       ("kind", Jsonl.Str kind);
+     ]
+    @ fields
+    @ [ ("shards", Jsonl.Arr shards) ])
 
 let emit t ~kind =
   output_string t.out (Jsonl.to_string (snapshot_line t ~kind));

@@ -13,6 +13,11 @@ val stop : t -> unit
 (** Stop and join the reporter domain, then emit a ["kind":"final"] line.
     Call after joining any worker domains so the final merge is exact. *)
 
+val snapshot_fields : Metrics.snapshot -> (string * Jsonl.t) list
+(** The ["metrics"] and ["hist"] members of a snapshot line, for writing
+    a line from a snapshot this process did not take itself (the merged
+    registries of a distributed run). *)
+
 val emit : t -> kind:string -> unit
 (** Write one snapshot line immediately (used for the final line; exposed
     for tests). *)

@@ -4,16 +4,15 @@
     the S2E prototype: independent-constraint slicing (only the constraints
     sharing variables with the query are sent to the SAT core), a
     counterexample/model cache (recent models are re-tried by evaluation
-    before any SAT call), an unsatisfiable-set cache, and statistics that
-    the Fig. 9 benchmarks report (per-query time, total solver time, query
-    counts).
+    before any SAT call), an unsatisfiable-set cache, and the [solver.*]
+    registry metrics the Fig. 9 benchmarks report (per-query time, total
+    solver time, query counts).
 
-    All mutable solver state — the two caches, the statistics and the
+    All mutable solver state — the caches, the instance ring and the
     conflict budget — lives in an explicit {!ctx} record so that parallel
     workers can each own a private solver context ({!S2e_core.Parallel}).
-    The module-level [stats]/[model_cache]/[max_conflicts]/[reset_stats]
-    bindings are thin views of {!default_ctx}, kept so single-threaded
-    callers and the existing benchmarks compile unchanged. *)
+    The module-level [max_conflicts] binding is a view of {!default_ctx}
+    for single-threaded callers. *)
 
 open S2e_expr
 module Obs = S2e_obs
@@ -46,10 +45,9 @@ let mode_of_string = function
   | "incremental" -> Some Incremental
   | _ -> None
 
-(* Process-wide telemetry (lib/obs).  [ctx_stats] stays the per-context
-   view parallel workers aggregate; the registry is the merged live view
-   the run-stats reporter streams.  Both are fed from the same sites, so
-   they cannot drift. *)
+(* The solver's counters live in the process-wide registry (lib/obs)
+   only: every report reads them from a snapshot, merged across worker
+   domains by the registry and across processes by the coordinator. *)
 let m_queries = Obs.Metrics.counter "solver.queries"
 let m_sat_queries = Obs.Metrics.counter "solver.sat_queries"
 let m_cache_hits = Obs.Metrics.counter "solver.cache_hits"
@@ -58,6 +56,12 @@ let m_timeouts = Obs.Metrics.counter "solver.timeouts"
 let m_inc_hits = Obs.Metrics.counter "solver.inc_hits"
 let m_inc_partials = Obs.Metrics.counter "solver.inc_partials"
 
+(* SAT-core clause learning: clauses ever learned, and the learned clauses
+   live in the calling domain's instance ring after its last incremental
+   query — the pool later prefix-matching queries reuse. *)
+let m_sat_learned = Obs.Metrics.counter "solver.sat_learned"
+let m_sat_kept = Obs.Metrics.gauge ~merge:Obs.Metrics.Sum "solver.sat_kept"
+
 let m_query_hist =
   Obs.Metrics.histogram
     ~bounds:[| 1e-5; 3e-5; 1e-4; 3e-4; 1e-3; 3e-3; 1e-2; 3e-2; 0.1; 0.3; 1.0 |]
@@ -65,26 +69,7 @@ let m_query_hist =
 
 let solver_phase = Obs.Span.phase "solver"
 
-type stats = {
-  mutable queries : int;
-  mutable sat_queries : int; (* queries that reached the SAT core *)
-  mutable cache_hits : int;
-  mutable unknowns : int; (* queries answered Unknown (budget/deadline/fault) *)
-  mutable total_time : float;
-  mutable max_time : float;
-  mutable prefix_reused : int;
-      (* queries whose constraint prefix (assumption stack below the query
-         condition) this context had already seen *)
-  mutable prefix_reused_time : float;
-  (* Realized incremental reuse (vs [prefix_reused]'s opportunity): *)
-  mutable inc_hits : int; (* probes on an instance matching the whole prefix *)
-  mutable inc_partials : int; (* popped to a common ancestor, suffix asserted *)
-  (* SAT-core clause learning, aggregated over this context's instances: *)
-  mutable sat_learned : int; (* learned clauses ever created *)
-  mutable sat_kept : int; (* learned clauses live across queries (reuse pool) *)
-}
-
-(** One solver context: caches + statistics + budget.  Contexts are not
+(** One solver context: caches + instance ring + budget.  Contexts are not
     thread-safe; each domain must use its own. *)
 (* Recent models in a fixed-capacity ring, most recent first.  Evaluating
    a candidate model against the constraints is far cheaper than a SAT
@@ -140,7 +125,7 @@ type instance = {
   mutable istack : Expr.t array;
   mutable ilen : int;
   mutable itick : int; (* LRU clock *)
-  mutable ilearned : int; (* Sat learned-total last folded into ctx stats *)
+  mutable ilearned : int; (* Sat learned-total last added to the registry *)
 }
 
 (* Ring capacity: sibling probes and parent/child chains need very few
@@ -153,39 +138,18 @@ let inst_ring_cap = 4
 let inst_retire_clauses = 300_000
 
 type ctx = {
-  ctx_stats : stats;
   model_cache : model_ring;
   (* Unsatisfiable-set cache: loops whose infeasible side is re-queried
      every iteration would otherwise pay a full SAT call each time.  Keyed
      by the interned expressions' cached hashes, verified by structural
      equality (physical in the common case). *)
   unsat_cache : (int, Expr.t list list) Hashtbl.t;
-  (* Constraint-prefix hashes already queried at least once in this
-     context: the measurement base for the prefix-reuse share an
-     assumption-stack (incremental) solver could exploit. *)
-  seen_prefixes : (int, unit) Hashtbl.t;
   max_conflicts : int ref;
   timeout_ms : float option ref; (* wall-clock watchdog per SAT-core call *)
   mode : mode ref;
   insts : instance option array; (* the incremental instance ring *)
   mutable inst_tick : int;
 }
-
-let new_stats () =
-  {
-    queries = 0;
-    sat_queries = 0;
-    cache_hits = 0;
-    unknowns = 0;
-    total_time = 0.;
-    max_time = 0.;
-    prefix_reused = 0;
-    prefix_reused_time = 0.;
-    inc_hits = 0;
-    inc_partials = 0;
-    sat_learned = 0;
-    sat_kept = 0;
-  }
 
 (* Watchdog inherited by contexts created after it is set: parallel and
    distributed workers call [create_ctx ()] internally, so a CLI-level
@@ -200,10 +164,8 @@ let default_mode : mode ref = ref Incremental
 
 let create_ctx ?(max_conflicts = 200_000) ?timeout_ms ?mode () =
   {
-    ctx_stats = new_stats ();
     model_cache = new_ring ();
     unsat_cache = Hashtbl.create 256;
-    seen_prefixes = Hashtbl.create 256;
     max_conflicts = ref max_conflicts;
     timeout_ms =
       ref (match timeout_ms with Some _ as t -> t | None -> !default_timeout_ms);
@@ -214,8 +176,7 @@ let create_ctx ?(max_conflicts = 200_000) ?timeout_ms ?mode () =
 
 let default_ctx = create_ctx ()
 
-(* Legacy module-level views over the default context. *)
-let stats = default_ctx.ctx_stats
+(* Module-level view of the default context's budget. *)
 let max_conflicts = default_ctx.max_conflicts
 
 let models ctx = ring_to_list ctx.model_cache
@@ -232,40 +193,10 @@ let set_default_mode m =
   default_mode := m;
   default_ctx.mode := m
 
-let reset_stats ?(ctx = default_ctx) () =
-  let st = ctx.ctx_stats in
-  st.queries <- 0;
-  st.sat_queries <- 0;
-  st.cache_hits <- 0;
-  st.unknowns <- 0;
-  st.total_time <- 0.;
-  st.max_time <- 0.;
-  st.prefix_reused <- 0;
-  st.prefix_reused_time <- 0.;
-  st.inc_hits <- 0;
-  st.inc_partials <- 0;
-  st.sat_learned <- 0;
-  st.sat_kept <- 0
-
 let clear_caches ctx =
   ring_clear ctx.model_cache;
   Hashtbl.reset ctx.unsat_cache;
-  Hashtbl.reset ctx.seen_prefixes;
   Array.fill ctx.insts 0 inst_ring_cap None
-
-let merge_stats ~into src =
-  into.queries <- into.queries + src.queries;
-  into.sat_queries <- into.sat_queries + src.sat_queries;
-  into.cache_hits <- into.cache_hits + src.cache_hits;
-  into.unknowns <- into.unknowns + src.unknowns;
-  into.total_time <- into.total_time +. src.total_time;
-  if src.max_time > into.max_time then into.max_time <- src.max_time;
-  into.prefix_reused <- into.prefix_reused + src.prefix_reused;
-  into.prefix_reused_time <- into.prefix_reused_time +. src.prefix_reused_time;
-  into.inc_hits <- into.inc_hits + src.inc_hits;
-  into.inc_partials <- into.inc_partials + src.inc_partials;
-  into.sat_learned <- into.sat_learned + src.sat_learned;
-  into.sat_kept <- into.sat_kept + src.sat_kept
 
 let remember_model ctx m = ring_push ctx.model_cache m
 
@@ -355,34 +286,30 @@ let note_unknown deadline =
   | Some d when Unix.gettimeofday () >= d -> Obs.Metrics.incr m_timeouts
   | _ -> ()
 
-(* Fold an instance's SAT-core learning counters into the context stats.
-   [learned] accumulates as a delta (monotone per instance); [kept] is the
-   current live pool summed over the ring. *)
+(* Report an instance's SAT-core learning: [learned] as a delta (monotone
+   per instance), [kept] as the current live pool summed over the ring. *)
 let note_sat_stats ctx inst =
   let sst = Sat.stats inst.isat in
-  let st = ctx.ctx_stats in
-  st.sat_learned <- st.sat_learned + sst.Sat.learned - inst.ilearned;
+  Obs.Metrics.add m_sat_learned (sst.Sat.learned - inst.ilearned);
   inst.ilearned <- sst.Sat.learned;
-  st.sat_kept <-
-    Array.fold_left
-      (fun acc -> function
-        | None -> acc
-        | Some i -> acc + (Sat.stats i.isat).Sat.learned_kept)
-      0 ctx.insts
+  Obs.Metrics.set m_sat_kept
+    (Array.fold_left
+       (fun acc -> function
+         | None -> acc
+         | Some i -> acc + (Sat.stats i.isat).Sat.learned_kept)
+       0 ctx.insts)
 
 (* One cold SAT instance per query: the [Fresh] strategy, and the only
    strategy value-producing (pristine) queries ever use — the model found
    is a pure function of the constraint set. *)
 let run_sat ctx constraints =
-  ctx.ctx_stats.sat_queries <- ctx.ctx_stats.sat_queries + 1;
   Obs.Metrics.incr m_sat_queries;
   let deadline = query_deadline ctx in
   let sat = Sat.create () in
   let bctx = Bitblast.create sat in
   List.iter (Bitblast.assert_true bctx) constraints;
   let r = Sat.solve ~max_conflicts:!(ctx.max_conflicts) ?deadline sat in
-  let st = Sat.stats sat in
-  ctx.ctx_stats.sat_learned <- ctx.ctx_stats.sat_learned + st.Sat.learned;
+  Obs.Metrics.add m_sat_learned (Sat.stats sat).Sat.learned;
   match r with
   | Sat.Sat ->
       let m = Bitblast.model bctx in
@@ -402,7 +329,6 @@ let run_sat ctx constraints =
    are two probes on one instance and learned clauses carry across every
    query the instance serves. *)
 let run_incremental ctx ~q_inc constraints =
-  ctx.ctx_stats.sat_queries <- ctx.ctx_stats.sat_queries + 1;
   Obs.Metrics.incr m_sat_queries;
   let probe, base =
     match constraints with
@@ -503,16 +429,13 @@ let run_incremental ctx ~q_inc constraints =
   (* Realized reuse means a nonempty shared prefix survived the pop; a
      new instance or a level-0 recycle reuses gates at best, so it stays
      classified fresh. *)
-  let st = ctx.ctx_stats in
   if created || k = 0 then q_inc := 0
   else if k = nbase then begin
     q_inc := 2;
-    st.inc_hits <- st.inc_hits + 1;
     Obs.Metrics.incr m_inc_hits
   end
   else begin
     q_inc := 1;
-    st.inc_partials <- st.inc_partials + 1;
     Obs.Metrics.incr m_inc_partials
   end;
   let deadline = query_deadline ctx in
@@ -555,11 +478,6 @@ let run_incremental ctx ~q_inc constraints =
       ctx.insts;
   result
 
-(* Bound on the remembered-prefix population, same amnesia policy as the
-   unsat cache: reuse attribution is a measurement, not a correctness
-   concern. *)
-let seen_prefix_keys = 8192
-
 (* [use_model_cache:false] makes the returned model a pure function of the
    constraint set (the SAT core is deterministic), independent of any
    queries the context answered before.  Value-picking paths (concretize,
@@ -568,30 +486,20 @@ let seen_prefix_keys = 8192
 
    Each query runs inside a "solver" phase span: the span feeds the
    registry's exclusive-time breakdown, and its single pair of clock
-   readings also feeds the per-context totals, the latency histogram, the
-   prefix-reuse attribution and the per-query trace event through
-   [on_elapsed]. *)
+   readings also feeds the latency histogram (whose sum is the total
+   solver time) and the per-query trace event through [on_elapsed]. *)
 let check_ctx ~use_model_cache ctx constraints =
-  let st = ctx.ctx_stats in
-  st.queries <- st.queries + 1;
   Obs.Metrics.incr m_queries;
   (* Attribution facts for this query, filled in by the canonicalization
      below and consumed once the span closes. *)
   let q_prefix = ref 0 in
   let q_nodes = ref 0 in
   let q_cache = ref 0 (* 0 miss / 1 model hit / 2 unsat hit *) in
-  let q_reused = ref false in
   let q_inc = ref 0 (* 0 fresh / 1 partial prefix hit / 2 full hit *) in
   let q_result = ref 2 (* 0 sat / 1 unsat / 2 unknown *) in
   Obs.Span.timed solver_phase
     ~on_elapsed:(fun dt ->
-      st.total_time <- st.total_time +. dt;
-      if dt > st.max_time then st.max_time <- dt;
       Obs.Metrics.observe m_query_hist dt;
-      if !q_reused then begin
-        st.prefix_reused <- st.prefix_reused + 1;
-        st.prefix_reused_time <- st.prefix_reused_time +. dt
-      end;
       if Obs.Trace.enabled () then
         Obs.Trace.query ~inc:!q_inc ~dur:dt ~prefix:!q_prefix ~nodes:!q_nodes
           ~result:!q_result ~cache:!q_cache ())
@@ -612,18 +520,14 @@ let check_ctx ~use_model_cache ctx constraints =
         else begin
           (* The canonical list's head is the query-specific condition
              ([check_with] conses it onto the slice); the tail is the
-             inherited assumption stack — the prefix an incremental solver
-             could keep pushed across sibling queries. *)
-          (match constraints with
-          | _ :: tl -> q_prefix := constraints_key tl
-          | [] -> ());
-          q_nodes :=
-            List.fold_left (fun acc c -> acc + Expr.size c) 0 constraints;
-          q_reused := Hashtbl.mem ctx.seen_prefixes !q_prefix;
-          if not !q_reused then begin
-            if Hashtbl.length ctx.seen_prefixes >= seen_prefix_keys then
-              Hashtbl.reset ctx.seen_prefixes;
-            Hashtbl.add ctx.seen_prefixes !q_prefix ()
+             inherited assumption stack, whose hash groups the trace's
+             per-prefix attribution. *)
+          if Obs.Trace.enabled () then begin
+            (match constraints with
+            | _ :: tl -> q_prefix := constraints_key tl
+            | [] -> ());
+            q_nodes :=
+              List.fold_left (fun acc c -> acc + Expr.size c) 0 constraints
           end;
           (* Fault injection fires per canonical query, before any cache
              lookup: cache-hit patterns are solver-history-dependent and
@@ -632,7 +536,6 @@ let check_ctx ~use_model_cache ctx constraints =
              incremental and fresh runs and break their differential. *)
           if S2e_fault.Fault.(fire Solver_latency) then Unix.sleepf 0.005;
           if S2e_fault.Fault.(fire Solver_unknown) then begin
-            st.unknowns <- st.unknowns + 1;
             Obs.Metrics.incr m_unknowns;
             Unknown
           end
@@ -644,14 +547,12 @@ let check_ctx ~use_model_cache ctx constraints =
           in
           match cached_model with
           | Some m ->
-              st.cache_hits <- st.cache_hits + 1;
               Obs.Metrics.incr m_cache_hits;
               q_cache := 1;
               q_result := 0;
               Sat m
           | None ->
               if unsat_cached ctx constraints then begin
-                st.cache_hits <- st.cache_hits + 1;
                 Obs.Metrics.incr m_cache_hits;
                 q_cache := 2;
                 q_result := 1;
@@ -675,7 +576,6 @@ let check_ctx ~use_model_cache ctx constraints =
                     (* Never silently fold Unknown into Unsat: the
                        value-picking callers below still return [None],
                        but the miss is now visible in run stats. *)
-                    st.unknowns <- st.unknowns + 1;
                     Obs.Metrics.incr m_unknowns
                 | Sat _ -> q_result := 0);
                 r

@@ -6,6 +6,17 @@
     call), an unsatisfiable-set cache, and statistics for the Fig. 9
     benchmarks.
 
+    The statistics are [solver.*] metrics in the process-wide
+    {!S2e_obs.Metrics} registry, read from snapshots: [queries],
+    [sat_queries] (reached the SAT core), [cache_hits], [unknowns]
+    (conflict budget or watchdog exhausted, or an injected fault —
+    counted so [None] from a value query never masquerades as
+    unsatisfiable), [timeouts], [inc_hits]/[inc_partials] (incremental
+    probes whose whole / partial prefix matched a live instance),
+    [sat_learned] (learned clauses created), [sat_kept] (a [Sum] gauge:
+    learned clauses live in each domain's instance ring) and the
+    [query_s] latency histogram, whose sum is the total solver time.
+
     All mutable solver state lives in an explicit {!ctx}; every query
     function takes an optional [?ctx] defaulting to {!default_ctx}, so
     legacy single-threaded callers are unaffected while parallel workers
@@ -31,37 +42,6 @@ type mode = Fresh | Incremental
 val mode_name : mode -> string
 val mode_of_string : string -> mode option
 
-type stats = {
-  mutable queries : int;
-  mutable sat_queries : int; (** queries that reached the SAT core *)
-  mutable cache_hits : int;
-  mutable unknowns : int;
-      (** queries answered [Unknown] — conflict budget or wall-clock
-          watchdog exhausted, or an injected solver fault.  Counted
-          separately so value-picking callers returning [None] on
-          [Unknown] never silently masquerade as unsatisfiable. *)
-  mutable total_time : float;
-  mutable max_time : float;
-  mutable prefix_reused : int;
-      (** queries whose constraint prefix — the assumption stack below the
-          query-specific condition, hashed with the interned per-node
-          hashes — this context had already seen.  The share of
-          [total_time] spent in such queries bounds what an incremental
-          (assumption-stack) solver could save. *)
-  mutable prefix_reused_time : float;
-  mutable inc_hits : int;
-      (** realized incremental reuse: probes answered on a live instance
-          whose assumption stack matched the query's whole prefix *)
-  mutable inc_partials : int;
-      (** probes that popped a live instance to a common ancestor and
-          asserted only a suffix *)
-  mutable sat_learned : int;
-      (** SAT-core learned clauses created, summed over instances *)
-  mutable sat_kept : int;
-      (** learned clauses currently live in the instance ring — the pool
-          future prefix-matching queries reuse *)
-}
-
 type model_ring
 (** Bounded ring of recently found models, most recent first.  Inspect
     through {!models} / {!latest_model}; drop through {!clear_caches}. *)
@@ -72,14 +52,10 @@ type instance
     asserted as retractable assumption frames. *)
 
 type ctx = {
-  ctx_stats : stats;
   model_cache : model_ring;
   unsat_cache : (int, Expr.t list list) Hashtbl.t;
       (** Keyed by a mix of the constraints' interned hashes; both the
           per-key entry list and the key population are bounded. *)
-  seen_prefixes : (int, unit) Hashtbl.t;
-      (** Constraint-prefix hashes this context has queried before; feeds
-          [stats.prefix_reused].  Bounded like the unsat cache. *)
   max_conflicts : int ref;
       (** SAT-core conflict budget per query; exceeding it yields
           [Unknown]. *)
@@ -92,12 +68,12 @@ type ctx = {
           clause budget).  Empty in [Fresh] mode. *)
   mutable inst_tick : int;
 }
-(** One solver context: caches + statistics + budgets.  A context is
+(** One solver context: caches + instance ring + budgets.  A context is
     single-threaded; concurrent domains must each own one. *)
 
 val create_ctx :
   ?max_conflicts:int -> ?timeout_ms:float -> ?mode:mode -> unit -> ctx
-(** A fresh context with empty caches and zeroed statistics.
+(** A fresh context with empty caches.
     [timeout_ms] defaults to {!default_timeout_ms}'s current value and
     [mode] to {!default_mode}'s. *)
 
@@ -120,20 +96,8 @@ val default_ctx : ctx
 (** The context used when [?ctx] is omitted — the process-wide solver
     state legacy callers share. *)
 
-val new_stats : unit -> stats
-
-val reset_stats : ?ctx:ctx -> unit -> unit
-(** Zero the context's statistics (default: {!default_ctx}'s). *)
-
 val clear_caches : ctx -> unit
-(** Drop the model and unsat caches (statistics are untouched). *)
-
-val merge_stats : into:stats -> stats -> unit
-(** Accumulate [src] into [into]: sums counters and times, maxes
-    [max_time].  Used to fold per-worker statistics into an aggregate. *)
-
-val stats : stats
-(** = [default_ctx.ctx_stats]. *)
+(** Drop the model and unsat caches and the instance ring. *)
 
 val models : ctx -> Expr.model list
 (** The context's cached models, most recent first.  Used by the cache

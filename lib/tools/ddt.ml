@@ -80,7 +80,6 @@ let install_lc_annotations engine img checker =
 (** Test [driver] under [consistency].  Returns the distinct bugs found. *)
 let run ?(max_seconds = 20.0) ?(max_instructions = 3_000_000) ~driver
     ~consistency () =
-  S2e_solver.Solver.reset_stats ();
   let engine, img = build_engine ~driver ~consistency in
   let coverage = Coverage.attach engine in
   let checker =

@@ -7,7 +7,7 @@
 open S2e_core
 open S2e_plugins
 module Expr = S2e_expr.Expr
-module Solver = S2e_solver.Solver
+module Obs = S2e_obs
 module Guest = S2e_guest.Guest
 
 type measurement = {
@@ -26,10 +26,13 @@ type measurement = {
 
 let netdev_ports = (S2e_vm.Layout.port_netdev, S2e_vm.Layout.port_netdev + 16)
 
-let finish_measurement ~target ~consistency ~started ~finished ~coverage ~paths
-    engine =
+(* [before]: the registry when the measurement began. *)
+let finish_measurement ~target ~consistency ~started ~before ~finished
+    ~coverage ~paths engine =
   let seconds = Unix.gettimeofday () -. started in
-  let st = Solver.stats in
+  let d = Obs.Metrics.delta ~before (Obs.Metrics.snapshot ()) in
+  let solver_s = Obs.Metrics.get_float d "solver.query_s" in
+  let queries = Obs.Metrics.get_int d "solver.queries" in
   {
     target;
     consistency;
@@ -38,11 +41,10 @@ let finish_measurement ~target ~consistency ~started ~finished ~coverage ~paths
     coverage;
     paths;
     mem_watermark = engine.Executor.stats.footprint_watermark;
-    solver_fraction = (if seconds > 0. then st.total_time /. seconds else 0.);
+    solver_fraction = (if seconds > 0. then solver_s /. seconds else 0.);
     avg_query_ms =
-      (if st.queries > 0 then 1000. *. st.total_time /. float_of_int st.queries
-       else 0.);
-    solver_queries = st.queries;
+      (if queries > 0 then 1000. *. solver_s /. float_of_int queries else 0.);
+    solver_queries = queries;
     instructions = engine.Executor.stats.concrete_instret;
   }
 
@@ -50,7 +52,7 @@ let finish_measurement ~target ~consistency ~started ~finished ~coverage ~paths
     budget runs out. *)
 let run_driver ?(max_seconds = 20.0) ?(max_instructions = 4_000_000) ~driver
     ~consistency () =
-  Solver.reset_stats ();
+  let before = Obs.Metrics.snapshot () in
   let driver_src = List.assoc driver Guest.drivers in
   let img =
     Guest.build ~driver:(driver, driver_src)
@@ -100,7 +102,7 @@ let run_driver ?(max_seconds = 20.0) ?(max_instructions = 4_000_000) ~driver
   in
   ignore (Executor.run ~limits engine s0);
   let finished = engine.Executor.searcher.select () = None in
-  finish_measurement ~target:driver ~consistency ~started ~finished
+  finish_measurement ~target:driver ~consistency ~started ~before ~finished
     ~coverage:(Coverage.module_coverage coverage driver)
     ~paths:engine.Executor.stats.states_completed engine
 
@@ -136,7 +138,7 @@ let inject_opcodes engine img ~count ~constrain =
     for Lua. *)
 let run_mua ?(max_seconds = 20.0) ?(max_instructions = 4_000_000) ~consistency
     () =
-  Solver.reset_stats ();
+  let before = Obs.Metrics.snapshot () in
   let sym_source =
     match consistency with Consistency.SC_SE -> "1" | _ -> "0"
   in
@@ -185,7 +187,7 @@ let run_mua ?(max_seconds = 20.0) ?(max_instructions = 4_000_000) ~consistency
   (* Coverage of the interpreter range. *)
   let total = (mua.m_code_end - interp_addr) / S2e_isa.Insn.insn_size in
   let covered = Coverage.covered_in_range coverage interp_addr mua.m_code_end in
-  finish_measurement ~target:"mua" ~consistency ~started ~finished
+  finish_measurement ~target:"mua" ~consistency ~started ~before ~finished
     ~coverage:(float_of_int covered /. float_of_int total)
     ~paths:engine.Executor.stats.states_completed engine
 

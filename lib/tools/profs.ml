@@ -55,7 +55,7 @@ let input_of_model engine (s : State.t) =
 let run ?(max_seconds = 30.0) ?(max_instructions = 6_000_000)
     ?(consistency = Consistency.LC) ?(driver = ("nulldrv", S2e_guest.Drivers_src.nulldrv))
     ?(frames = []) ?unit_modules ?registry ~workload:(wname, wsrc) () =
-  S2e_solver.Solver.reset_stats ();
+  let before = S2e_obs.Metrics.snapshot () in
   let img = Guest.build ?registry ~driver ~workload:(wname, wsrc) () in
   let config = Executor.default_config () in
   config.consistency <- consistency;
@@ -126,7 +126,8 @@ let run ?(max_seconds = 30.0) ?(max_instructions = 6_000_000)
     killed_paths = !killed;
     unbounded = !unbounded;
     seconds;
-    solver_seconds = S2e_solver.Solver.stats.total_time;
+    solver_seconds =
+      S2e_obs.Metrics.(get_float (delta ~before (snapshot ())) "solver.query_s");
   }
 
 let completed r = List.filter (fun p -> p.p_status = "halted") r.paths

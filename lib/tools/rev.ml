@@ -144,7 +144,6 @@ let entry_point_names =
     configuration or the RevNIC-style baseline. *)
 let run ?(max_seconds = 30.0) ?(max_instructions = 4_000_000)
     ?(mode = `Rev_plus) ~driver () =
-  S2e_solver.Solver.reset_stats ();
   let driver_src = List.assoc driver Guest.drivers in
   let img =
     Guest.build ~driver:(driver, driver_src)

@@ -12,7 +12,6 @@ open S2e_expr
 module Codec = S2e_dist.Codec
 module Proto = S2e_dist.Proto
 module Coordinator = S2e_dist.Coordinator
-module Solver = S2e_solver.Solver
 
 let runtime =
   {|
@@ -232,6 +231,9 @@ let dist_case_set (r : Coordinator.result) =
 let test_procs2_matches_serial () =
   let make_engine = make_engine_for workload_32 in
   let serial_cases, serial = serial_case_set workload_32 in
+  (* The coordinator only boots: solver counts in the merged registry come
+     from the workers' Bye snapshots. *)
+  S2e_obs.Metrics.reset ();
   let r =
     Coordinator.explore ~procs:2 ~cases:true
       ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
@@ -253,7 +255,7 @@ let test_procs2_matches_serial () =
     serial.Parallel.stats.Executor.states_created
     r.Coordinator.stats.Executor.states_created;
   Alcotest.(check bool) "worker solver contexts did the solving" true
-    (r.Coordinator.solver_stats.Solver.queries > 0)
+    (S2e_obs.Metrics.get_int r.Coordinator.obs "solver.queries" > 0)
 
 let test_kill_worker_mid_run () =
   let make_engine = make_engine_for workload_64 in
@@ -311,7 +313,7 @@ let test_corrupt_frame_is_disconnect () =
           | (_ : Proto.msg) -> Alcotest.fail "a damaged frame was delivered"
           | exception Proto.Closed -> ());
       let path = { Proto.p_status = "halted"; p_case = [ ("x", 5L) ] } in
-      let stats = Executor.new_stats () and solver = Solver.new_stats () in
+      let stats = Executor.new_stats () in
       let every_kind =
         [
           Proto.Hello { version = Proto.version; pid = 41; jobs = 2 };
@@ -321,15 +323,9 @@ let test_corrupt_frame_is_disconnect () =
           Proto.Shutdown;
           Proto.Heartbeat { pid = 7; frontier = 3; now = 12.5; trace = "t" };
           Proto.Nak { item = 3 };
-          Proto.Result { item = 3; paths = [ path ]; stats; solver };
+          Proto.Result { item = 3; paths = [ path ]; stats };
           Proto.Checkpoint
-            {
-              item = 4;
-              paths = [ path ];
-              stats;
-              solver;
-              states = [ "a"; "b" ];
-            };
+            { item = 4; paths = [ path ]; stats; states = [ "a"; "b" ] };
           Proto.Bye
             { obs = [ ("dist.steals", S2e_obs.Metrics.Int 2) ]; now = 3.25;
               trace = "" };

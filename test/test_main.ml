@@ -1,7 +1,10 @@
+(* The suites that fork worker processes come first: OCaml 5 refuses
+   [Unix.fork] once the process has spawned a domain. *)
 let () =
   Alcotest.run "s2e"
     [
       ("dist", Test_dist.tests);
+      ("obs", Test_obs.tests);
       ("fault", Test_fault.tests);
       ("expr", Test_expr.tests);
       ("prop_expr", Test_prop_expr.tests);
@@ -12,7 +15,6 @@ let () =
       ("engine", Test_engine.tests);
       ("parallel", Test_parallel.tests);
       ("merge", Test_merge.tests);
-      ("obs", Test_obs.tests);
       ("trace", Test_trace.tests);
       ("guest", Test_guest.tests);
       ("cachesim", Test_cachesim.tests);

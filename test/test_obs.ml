@@ -235,15 +235,9 @@ let make_engine () =
   Executor.set_unit engine [ "prog" ];
   engine
 
-(* Drain the workload's full execution tree with [jobs] workers and return
-   the default registry's merged totals. *)
-let totals jobs =
-  Metrics.reset ();
-  ignore
-    (Parallel.explore ~jobs ~make_engine
-       ~boot:(fun engine -> Executor.boot engine ~entry:0x1000 ())
-       ());
-  let snap = Metrics.snapshot () in
+let boot engine = Executor.boot engine ~entry:0x1000 ()
+
+let read_totals snap =
   List.map
     (fun name -> (name, Metrics.get_int snap name))
     [
@@ -259,23 +253,53 @@ let totals jobs =
       "solver.queries";
     ]
 
+(* Drain the workload's full execution tree with [jobs] workers and return
+   the default registry's merged totals. *)
+let totals jobs =
+  Metrics.reset ();
+  ignore (Parallel.explore ~jobs ~make_engine ~boot ());
+  read_totals (Metrics.snapshot ())
+
+(* The same drain over two forked worker processes, read from the
+   coordinator's merged registry: the source of a distributed run
+   summary's solver line. *)
+let dist_totals () =
+  Metrics.reset ();
+  let r =
+    S2e_dist.Coordinator.explore ~procs:2
+      ~spawn:(S2e_dist.Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
+      ~make_engine ~boot ()
+  in
+  read_totals r.S2e_dist.Coordinator.obs
+
 let test_registry_totals_jobs_independent () =
   (* The deterministic-exploration guarantee, observed through the
      registry: a drained frontier yields identical counter totals at any
-     worker count (sharding must lose or double-count nothing). *)
+     worker count or process count (sharding and the cross-process merge
+     must lose or double-count nothing). *)
   let serial = totals 1 in
-  let parallel = totals 4 in
-  List.iter2
-    (fun (name, a) (name', b) ->
-      Alcotest.(check string) "same metric" name name';
-      Alcotest.(check int) (name ^ " equal across jobs") a b)
-    serial parallel;
+  (* Forked workers first: OCaml 5 refuses [Unix.fork] once the process
+     has spawned a domain, which the --jobs 4 leg does. *)
+  let dist = dist_totals () in
+  let same what other =
+    List.iter2
+      (fun (name, a) (name', b) ->
+        Alcotest.(check string) "same metric" name name';
+        Alcotest.(check int) (name ^ " equal " ^ what) a b)
+      serial other
+  in
+  same "at --procs 2" dist;
+  same "at --jobs 4" (totals 4);
   Alcotest.(check bool) "counted real work" true
     (List.assoc "engine.instructions" serial > 0
     && List.assoc "engine.forks" serial = 31)
 
+(* The registry-totals test forks worker processes, so it runs before
+   every test here that spawns a domain. *)
 let tests =
   [
+    Alcotest.test_case "registry totals independent of jobs" `Quick
+      test_registry_totals_jobs_independent;
     Alcotest.test_case "counter merge across domains" `Quick
       test_counter_merge_across_domains;
     Alcotest.test_case "snapshot under concurrent increments" `Quick
@@ -290,6 +314,4 @@ let tests =
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
     Alcotest.test_case "jsonl roundtrip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "jsonl rejects garbage" `Quick test_jsonl_rejects_garbage;
-    Alcotest.test_case "registry totals independent of jobs" `Quick
-      test_registry_totals_jobs_independent;
   ]

@@ -89,12 +89,15 @@ let test_parallel_same_path_set () =
 
 let test_parallel_solver_isolation () =
   (* Worker solver contexts are private: a parallel run must not touch
-     the process-wide default context. *)
-  let before = Solver.stats.Solver.queries in
-  let r = explore 2 in
-  Alcotest.(check int) "default solver ctx untouched" before Solver.stats.Solver.queries;
+     the process-wide default context's caches. *)
+  let models = Solver.models Solver.default_ctx in
+  let before = S2e_obs.Metrics.snapshot () in
+  ignore (explore 2);
+  Alcotest.(check bool) "default solver ctx untouched" true
+    (List.equal ( == ) models (Solver.models Solver.default_ctx));
   Alcotest.(check bool) "worker contexts did the solving" true
-    (r.Parallel.solver_stats.Solver.queries > 0)
+    (S2e_obs.Metrics.(get_int (delta ~before (snapshot ())) "solver.queries")
+    > 0)
 
 let tests =
   [

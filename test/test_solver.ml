@@ -197,6 +197,9 @@ let test_cache_soundness () =
   in
   let pool = Array.of_list pool in
   let warm = Solver.create_ctx () in
+  (* Fresh contexts have empty caches: every registry cache hit below is
+     the warm context's. *)
+  let before = S2e_obs.Metrics.snapshot () in
   for _ = 1 to 60 do
     let n = 1 + Random.State.int rng 4 in
     let cs =
@@ -215,26 +218,23 @@ let test_cache_soundness () =
   (* The sequence above repeats queries: the warm context must have hits,
      otherwise this test exercises nothing. *)
   Alcotest.(check bool) "warm cache was exercised" true
-    (warm.Solver.ctx_stats.Solver.cache_hits > 0)
+    (S2e_obs.Metrics.(get_int (delta ~before (snapshot ())) "solver.cache_hits")
+    > 0)
 
-(* Contexts are isolated: queries on one leave another (and the default)
-   untouched, and reset/clear act per-context. *)
+(* Contexts are isolated: queries on one leave another's (and the
+   default's) caches untouched, and clear acts per-context. *)
 let test_ctx_isolation () =
   let a = Solver.create_ctx () and b = Solver.create_ctx () in
-  Alcotest.(check int) "fresh ctx starts at zero" 0 a.Solver.ctx_stats.Solver.queries;
   let x = Expr.fresh_var ~width:8 "iso" in
   let c = Expr.ult x (Expr.const ~width:8 4L) in
-  let default_before = Solver.stats.Solver.queries in
+  let default_before = Solver.models Solver.default_ctx in
   (match Solver.check ~ctx:a [ c ] with
   | Solver.Sat _ -> ()
   | _ -> Alcotest.fail "expected sat");
-  Alcotest.(check int) "ctx a counted its query" 1 a.Solver.ctx_stats.Solver.queries;
-  Alcotest.(check int) "ctx b untouched" 0 b.Solver.ctx_stats.Solver.queries;
-  Alcotest.(check int) "default ctx untouched" default_before Solver.stats.Solver.queries;
   Alcotest.(check bool) "ctx a cached a model" true (Solver.models a <> []);
   Alcotest.(check bool) "ctx b cache empty" true (Solver.models b = []);
-  Solver.reset_stats ~ctx:a ();
-  Alcotest.(check int) "reset zeroes only ctx a" 0 a.Solver.ctx_stats.Solver.queries;
+  Alcotest.(check bool) "default ctx untouched" true
+    (List.equal ( == ) default_before (Solver.models Solver.default_ctx));
   Solver.clear_caches a;
   Alcotest.(check bool) "clear_caches empties model cache" true (Solver.models a = []);
   Alcotest.(check int) "clear_caches keeps unsat cache empty too" 0
@@ -395,6 +395,58 @@ let test_mode_differential () =
     "incremental jobs=4 = fresh" fresh
     (explore_cases Solver.Incremental 4)
 
+(* The same differential on the stock urlparse workload (8 symbolic input
+   bytes, far too many paths to drain): the first 500 paths of a serial
+   run, with the status and every test case of each, as `explore --cases`
+   prints them. *)
+let urlparse_cases mode =
+  let module Guest = S2e_guest.Guest in
+  let open S2e_core in
+  with_mode mode (fun () ->
+      let img =
+        Guest.build
+          ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
+          ~workload:("urlparse", S2e_guest.Workloads_src.urlparse)
+          ()
+      in
+      let make_engine () =
+        let config = Executor.default_config () in
+        config.consistency <- Consistency.LC;
+        config.symbolic_hardware_ports <-
+          [ (S2e_vm.Layout.port_netdev, S2e_vm.Layout.port_netdev + 16) ];
+        let engine = Executor.create ~config () in
+        Guest.load_into_engine engine img;
+        Executor.set_unit engine [ "nulldrv"; "urlparse" ];
+        engine
+      in
+      let r =
+        Parallel.explore ~jobs:1
+          ~limits:
+            {
+              Executor.max_instructions = None;
+              max_seconds = Some 120.;
+              max_completed = Some 500;
+            }
+          ~make_engine
+          ~boot:(fun eng -> Executor.boot eng ~entry:img.Guest.entry ())
+          ()
+      in
+      List.concat_map
+        (fun s ->
+          List.map
+            (fun tc ->
+              State.report_string s ^ " | " ^ Parallel.test_case_to_string tc)
+            (Parallel.test_cases s))
+        r.Parallel.completed
+      |> List.sort compare)
+
+let test_urlparse_mode_differential () =
+  let fresh = urlparse_cases Solver.Fresh in
+  Alcotest.(check int) "500 case lines" 500 (List.length fresh);
+  Alcotest.(check (list string))
+    "incremental = fresh" fresh
+    (urlparse_cases Solver.Incremental)
+
 (* --- cold-solve trajectory lock ---------------------------------------- *)
 
 (* Emitted case bytes are a function of the cold solve's CNF and of its
@@ -517,9 +569,11 @@ let expr_corpus buf =
             (random_bool rng vars 2))
     in
     let ctx = Solver.create_ctx ~max_conflicts:200_000 () in
+    let before = S2e_obs.Metrics.snapshot () in
     let r = Solver.check_model ~ctx constraints in
     Printf.bprintf buf "expr%d %s l%d " i (verdict_tag r)
-      ctx.Solver.ctx_stats.Solver.sat_learned;
+      S2e_obs.Metrics.(
+        get_int (delta ~before (snapshot ())) "solver.sat_learned");
     (match r with
     | Solver.Sat m ->
         Array.iter
@@ -577,6 +631,8 @@ let tests =
       test_bitblast_literal_stable;
     Alcotest.test_case "solver modes explore identical case sets" `Quick
       test_mode_differential;
+    Alcotest.test_case "urlparse: incremental == fresh cases" `Quick
+      test_urlparse_mode_differential;
     Alcotest.test_case "cold-solve trajectory lock" `Quick test_trajectory_lock;
     QCheck_alcotest.to_alcotest prop_models_satisfy;
     QCheck_alcotest.to_alcotest prop_solver_vs_brute;

@@ -182,7 +182,11 @@ let test_jobs_invariant () =
 
 let test_lifecycle_matches_stats () =
   with_trace (fun () ->
+      let before = Obs.Metrics.snapshot () in
       let r, events = traced_explore 1 in
+      let queries =
+        Obs.Metrics.(get_int (delta ~before (snapshot ())) "solver.queries")
+      in
       let count code =
         List.length (List.filter (fun e -> e.Trace.ev_code = code) events)
       in
@@ -192,8 +196,7 @@ let test_lifecycle_matches_stats () =
       Alcotest.(check int) "one path_end per completed state"
         r.Parallel.stats.Executor.states_completed
         (count Trace.Path_end);
-      Alcotest.(check int) "one query event per solver query"
-        r.Parallel.solver_stats.S2e_solver.Solver.queries
+      Alcotest.(check int) "one query event per solver query" queries
         (count Trace.Query))
 
 (* --- worker-chunk codec (the distributed merge transport) --- *)
