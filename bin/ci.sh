@@ -159,15 +159,17 @@ echo "CI: chaos solver differential passed (incremental degrades like fresh)"
 
 # Cold-solve exactness: case bytes are a function of the cold solve's CNF
 # and search trajectory (DESIGN.md §12), so a solver change that moves a
-# single decision can change them.  The two case-heavy benchmark
-# workloads must still emit exactly their committed expected case sets.
-for w in solver-pcnet cases-rtl8029; do
+# single decision can change them.  Every case-emitting benchmark workload
+# must still emit exactly its committed expected case set: the two
+# case-heavy serial ones, the merged one and the two-worker one (whose
+# cases are solved on the workers' reused cold instances).
+for w in solver-pcnet cases-rtl8029 merge-url2 procs-url3; do
   last=$(dune exec bench/e2e/e2e.exe -- one --workload "$w" | tail -n 1)
   printf '%s\n' "$last" | grep -q '"correct":true' \
     && printf '%s\n' "$last" | grep -q '"failed":0[,}]' \
     || { echo "CI: $w cases differ from bench/e2e/expected" >&2; exit 1; }
 done
-echo "CI: cold-solve exactness smoke test passed (solver-pcnet, cases-rtl8029)"
+echo "CI: cold-solve exactness smoke test passed (solver-pcnet, cases-rtl8029, merge-url2, procs-url3)"
 
 # Chaos smoke test: exploration with an armed fault plan and solver
 # watchdog must complete cleanly in both execution modes (recovery, not
@@ -185,9 +187,11 @@ echo "CI: jobs-mode chaos smoke test passed ($injected faults injected)"
 
 # Transport-only plan at procs=2: a corrupted frame reads as a
 # disconnect and the owned worker rejoins, with zero lost work -- the
-# case set must still equal the clean serial run's.
+# case set must still equal the clean serial run's.  Each process corrupts
+# its first two sends, so every run injects faults however fast it ends
+# (a probabilistic plan drew none in about 1 of 40 runs).
 dune exec bin/s2e_cli.exe -- explore --driver nulldrv --workload symloop \
-  --procs 2 --seconds 30 --fault-plan 'proto=corrupt:0.3' --cases \
+  --procs 2 --seconds 30 --fault-plan 'proto=corrupt:1.0#2' --cases \
   > "$chaos_out" \
   || { echo "CI: procs-mode chaos run failed" >&2; exit 1; }
 injected=$(sed -n 's/^resilience: .* \([0-9][0-9]*\) injected faults$/\1/p' "$chaos_out")

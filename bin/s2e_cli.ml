@@ -907,6 +907,10 @@ let stats_cmd =
       (mi "solver.queries") (mi "solver.sat_queries")
       (pct (m "solver.cache_hits") queries)
       (mi "solver.unknowns") (mi "solver.timeouts");
+    (* SAT-core time by layer, over every cold and incremental call. *)
+    if m "solver.blast_s" +. m "solver.search_s" > 0. then
+      Fmt.pr "solver layers: %.3f s building CNF (bitblast), %.3f s SAT search@."
+        (m "solver.blast_s") (m "solver.search_s");
     (* Incremental reuse (--solver=incremental): realized prefix hits on
        live SAT instances, shown only when the mode actually fired. *)
     if mi "solver.inc_hits" + mi "solver.inc_partials" > 0 then

@@ -36,7 +36,7 @@ type ctx = {
 
 let create sat =
   let t = Sat.new_var sat in
-  Sat.add_clause sat [ Sat.pos t ];
+  Sat.add_clause sat [| Sat.pos t |];
   {
     sat;
     true_lit = Sat.pos t;
@@ -60,9 +60,9 @@ let gate_and ctx a b =
   else if a = Sat.lit_neg b then ctx.false_lit
   else begin
     let o = fresh ctx in
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; a ];
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; b ];
-    Sat.add_clause ctx.sat [ o; Sat.lit_neg a; Sat.lit_neg b ];
+    Sat.add_clause ctx.sat [| Sat.lit_neg o; a |];
+    Sat.add_clause ctx.sat [| Sat.lit_neg o; b |];
+    Sat.add_clause ctx.sat [| o; Sat.lit_neg a; Sat.lit_neg b |];
     o
   end
 
@@ -77,10 +77,10 @@ let gate_xor ctx a b =
   else if a = Sat.lit_neg b then ctx.true_lit
   else begin
     let o = fresh ctx in
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; a; b ];
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; Sat.lit_neg a; Sat.lit_neg b ];
-    Sat.add_clause ctx.sat [ o; Sat.lit_neg a; b ];
-    Sat.add_clause ctx.sat [ o; a; Sat.lit_neg b ];
+    Sat.add_clause ctx.sat [| Sat.lit_neg o; a; b |];
+    Sat.add_clause ctx.sat [| Sat.lit_neg o; Sat.lit_neg a; Sat.lit_neg b |];
+    Sat.add_clause ctx.sat [| o; Sat.lit_neg a; b |];
+    Sat.add_clause ctx.sat [| o; a; Sat.lit_neg b |];
     o
   end
 
@@ -91,10 +91,10 @@ let gate_ite ctx c a b =
   else if a = b then a
   else begin
     let o = fresh ctx in
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; Sat.lit_neg c; a ];
-    Sat.add_clause ctx.sat [ Sat.lit_neg o; c; b ];
-    Sat.add_clause ctx.sat [ o; Sat.lit_neg c; Sat.lit_neg a ];
-    Sat.add_clause ctx.sat [ o; c; Sat.lit_neg b ];
+    Sat.add_clause ctx.sat [| Sat.lit_neg o; Sat.lit_neg c; a |];
+    Sat.add_clause ctx.sat [| Sat.lit_neg o; c; b |];
+    Sat.add_clause ctx.sat [| o; Sat.lit_neg c; Sat.lit_neg a |];
+    Sat.add_clause ctx.sat [| o; c; Sat.lit_neg b |];
     o
   end
 
@@ -204,8 +204,10 @@ let rec blast ctx (e : Expr.t) : Sat.lit array =
   match Expr_tbl.find_opt ctx.cache e with
   | Some bits -> bits
   | None ->
+      (* [e] is not among its own subterms, so the miss still holds after
+         blasting them: [add] needs no second lookup. *)
       let bits = blast_uncached ctx e in
-      Expr_tbl.replace ctx.cache e bits;
+      Expr_tbl.add ctx.cache e bits;
       bits
 
 and blast_uncached ctx e =
@@ -266,7 +268,7 @@ and blast_uncached ctx e =
 let assert_true ctx e =
   assert (Expr.width e = 1);
   let bits = blast ctx e in
-  Sat.add_clause ctx.sat [ bits.(0) ]
+  Sat.add_clause ctx.sat [| bits.(0) |]
 
 (** The SAT literal equivalent to a width-1 expression: the Tseitin
     encoding is (re)used from the per-context persistent CNF map, so the

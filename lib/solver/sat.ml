@@ -16,7 +16,14 @@
     learned clauses as ordinary literals, never as resolved-away premises),
     all learned clauses remain valid across pops: retention is level-0-safe
     by construction.  Growth is bounded by an activity-ordered learned-
-    clause database with geometric reduction. *)
+    clause database with geometric reduction.
+
+    Storage is flat: every clause's literals live in one int arena, the
+    per-clause attributes in parallel arrays, and each literal's watch list
+    in an int vector, so adding or propagating a clause allocates nothing
+    the minor heap would have to promote.  {!reset} empties an instance
+    while keeping that storage, for callers that solve many cold problems
+    in a row. *)
 
 type lit = int
 
@@ -25,12 +32,6 @@ let neg v : lit = (v * 2) + 1
 let lit_var (l : lit) = l / 2
 let lit_neg (l : lit) = l lxor 1
 let lit_sign (l : lit) = l land 1 = 0 (* true when positive *)
-
-type clause = {
-  mutable lits : lit array;
-  mutable learned : bool;
-  mutable act : float; (* clause activity, learned clauses only *)
-}
 
 type stats = {
   conflicts : int;
@@ -43,10 +44,24 @@ type stats = {
 
 type t = {
   mutable nvars : int;
-  mutable clauses : clause array;
+  (* Clause arena: clause [ci]'s literals are
+     [arena.(cstart.(ci)) .. arena.(cstart.(ci) + clen.(ci) - 1)].  Clauses
+     are laid out in index order, so [reduce_db] compacts by sliding the
+     survivors down. *)
+  mutable arena : int array;
+  mutable arena_len : int;
+  mutable cstart : int array;
+  mutable clen : int array;
+  mutable clearned : Bytes.t; (* 1 = learned clause *)
+  mutable cact : float array; (* clause activity, learned clauses only *)
   mutable nclauses : int;
-  (* watches.(l) = indices of clauses watching literal l *)
-  mutable watches : int list array;
+  (* [watches.(l)] holds, in its first [wlen.(l)] slots, the clauses
+     watching literal [l].  Watch-visit order is part of the cold-solve
+     trajectory (DESIGN.md §12), so each vector is used as a stack:
+     [watch] pushes, and [propagate] visits from the top down. *)
+  mutable watches : int array array;
+  mutable wlen : int array;
+  mutable wbuf : int array; (* [propagate]'s copy of the stack it visits *)
   (* assignment: 0 = unassigned, 1 = true, 2 = false *)
   mutable assign : Bytes.t;
   mutable level : int array;
@@ -66,6 +81,12 @@ type t = {
   mutable heap_len : int;
   mutable heap_pos : int array;
   mutable polarity : Bytes.t; (* saved phase: 1 = last true *)
+  (* Conflict-analysis scratch: [seen] marks the variables met in the
+     current analysis (all 0 between analyses); [learnt] receives the
+     learned clause. *)
+  mutable seen : Bytes.t;
+  mutable learnt : int array;
+  mutable cbuf : int array; (* [add_clause]'s normalization buffer *)
   (* Assumption stack: retractable asserted literals, oldest first.
      [frame_lim] holds the assumption count at each {!push}. *)
   mutable assumptions : lit array;
@@ -86,12 +107,21 @@ type t = {
   mutable unsat : bool;
 }
 
+let initial_learn_limit = 2000
+
 let create () =
   {
     nvars = 0;
-    clauses = Array.make 64 { lits = [||]; learned = false; act = 0. };
+    arena = Array.make 256 0;
+    arena_len = 0;
+    cstart = Array.make 64 0;
+    clen = Array.make 64 0;
+    clearned = Bytes.make 64 '\000';
+    cact = Array.make 64 0.;
     nclauses = 0;
-    watches = Array.make 16 [];
+    watches = Array.make 16 [||];
+    wlen = Array.make 16 0;
+    wbuf = Array.make 16 0;
     assign = Bytes.make 8 '\000';
     level = Array.make 8 0;
     reason = Array.make 8 (-1);
@@ -106,12 +136,15 @@ let create () =
     heap_len = 0;
     heap_pos = Array.make 8 (-1);
     polarity = Bytes.make 8 '\000';
+    seen = Bytes.make 8 '\000';
+    learnt = Array.make 8 0;
+    cbuf = Array.make 8 0;
     assumptions = Array.make 8 0;
     n_assumptions = 0;
     frame_lim = Array.make 8 0;
     n_frames = 0;
     cla_inc = 1.0;
-    learn_limit = 2000;
+    learn_limit = initial_learn_limit;
     n_learned_live = 0;
     conflicts = 0;
     decisions = 0;
@@ -120,6 +153,30 @@ let create () =
     learned_total = 0;
     unsat = false;
   }
+
+(* Every scalar back to [create]'s value.  The arrays keep their contents:
+   slots past [nvars] / [nclauses] / a vector's length are never read
+   before [new_var] / [add_clause_internal] / a push writes them. *)
+let reset s =
+  s.nvars <- 0;
+  s.arena_len <- 0;
+  s.nclauses <- 0;
+  s.trail_len <- 0;
+  s.trail_lim_len <- 0;
+  s.qhead <- 0;
+  s.var_inc <- 1.0;
+  s.heap_len <- 0;
+  s.n_assumptions <- 0;
+  s.n_frames <- 0;
+  s.cla_inc <- 1.0;
+  s.learn_limit <- initial_learn_limit;
+  s.n_learned_live <- 0;
+  s.conflicts <- 0;
+  s.decisions <- 0;
+  s.propagations <- 0;
+  s.restarts <- 0;
+  s.learned_total <- 0;
+  s.unsat <- false
 
 let grow_array a n default =
   if Array.length a >= n then a
@@ -136,6 +193,22 @@ let grow_bytes b n =
     Bytes.blit b 0 b' 0 (Bytes.length b);
     b'
   end
+
+(* Push clause [ci] onto literal [l]'s watch stack. *)
+let watch s l ci =
+  let n = s.wlen.(l) in
+  let w = s.watches.(l) in
+  let w =
+    if n < Array.length w then w
+    else begin
+      let w' = Array.make (max 4 (2 * n)) 0 in
+      Array.blit w 0 w' 0 n;
+      s.watches.(l) <- w';
+      w'
+    end
+  in
+  w.(n) <- ci;
+  s.wlen.(l) <- n + 1
 
 (* ------------------------------------------------------------------ *)
 (* Branching heap                                                      *)
@@ -206,18 +279,36 @@ let heap_rebuild s =
     sift_down s i
   done
 
+(* Per-variable arrays share one capacity (twice it for the per-literal
+   ones), so [new_var] checks a single bound. *)
+let grow_vars s n =
+  s.assign <- grow_bytes s.assign n;
+  s.polarity <- grow_bytes s.polarity n;
+  s.seen <- grow_bytes s.seen n;
+  s.level <- grow_array s.level n 0;
+  s.reason <- grow_array s.reason n (-1);
+  s.trail <- grow_array s.trail n 0;
+  s.learnt <- grow_array s.learnt n 0;
+  s.activity <- grow_array s.activity n 0.0;
+  s.heap <- grow_array s.heap n 0;
+  s.heap_pos <- grow_array s.heap_pos n (-1);
+  s.watches <- grow_array s.watches (2 * n) [||];
+  s.wlen <- grow_array s.wlen (2 * n) 0
+
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  s.assign <- grow_bytes s.assign s.nvars;
-  s.polarity <- grow_bytes s.polarity s.nvars;
-  s.level <- grow_array s.level s.nvars 0;
-  s.reason <- grow_array s.reason s.nvars (-1);
-  s.trail <- grow_array s.trail s.nvars 0;
-  s.activity <- grow_array s.activity s.nvars 0.0;
-  s.heap <- grow_array s.heap s.nvars 0;
-  s.heap_pos <- grow_array s.heap_pos s.nvars (-1);
-  s.watches <- grow_array s.watches (2 * s.nvars) [];
+  if v >= Array.length s.level then grow_vars s (2 * (v + 1));
+  (* A reset instance hands out slots an earlier problem wrote. *)
+  Bytes.set s.assign v '\000';
+  Bytes.set s.polarity v '\000';
+  Bytes.set s.seen v '\000';
+  s.level.(v) <- 0;
+  s.reason.(v) <- -1;
+  s.activity.(v) <- 0.0;
+  s.heap_pos.(v) <- -1;
+  s.wlen.(pos v) <- 0;
+  s.wlen.(neg v) <- 0;
   heap_insert s v;
   v
 
@@ -251,14 +342,14 @@ let bump s v =
 
 let decay s = s.var_inc <- s.var_inc /. 0.95
 
+let is_learned s ci = Bytes.get s.clearned ci = '\001'
+
 let cla_bump s ci =
-  let c = s.clauses.(ci) in
-  if c.learned then begin
-    c.act <- c.act +. s.cla_inc;
-    if c.act > 1e20 then begin
+  if is_learned s ci then begin
+    s.cact.(ci) <- s.cact.(ci) +. s.cla_inc;
+    if s.cact.(ci) > 1e20 then begin
       for i = 0 to s.nclauses - 1 do
-        let d = s.clauses.(i) in
-        if d.learned then d.act <- d.act *. 1e-20
+        if is_learned s i then s.cact.(i) <- s.cact.(i) *. 1e-20
       done;
       s.cla_inc <- s.cla_inc *. 1e-20
     end
@@ -282,21 +373,35 @@ let backtrack s target_level =
     s.trail_lim_len <- target_level
   end
 
-let add_clause_internal s lits learned =
-  let c = { lits; learned; act = 0. } in
-  if s.nclauses >= Array.length s.clauses then
-    s.clauses <- grow_array s.clauses (s.nclauses + 1) c;
-  s.clauses.(s.nclauses) <- c;
+(* Store [src.(0 .. n-1)] (n >= 2) as clause [nclauses], watched on its
+   first two literals. *)
+let add_clause_internal s src n learned =
   let idx = s.nclauses in
-  s.nclauses <- s.nclauses + 1;
+  let start = s.arena_len in
+  if start + n > Array.length s.arena then
+    s.arena <- grow_array s.arena (start + n) 0;
+  if idx >= Array.length s.cstart then begin
+    s.cstart <- grow_array s.cstart (idx + 1) 0;
+    s.clen <- grow_array s.clen (idx + 1) 0;
+    s.clearned <- grow_bytes s.clearned (idx + 1);
+    s.cact <- grow_array s.cact (idx + 1) 0.
+  end;
+  let a = s.arena in
+  for i = 0 to n - 1 do
+    a.(start + i) <- src.(i)
+  done;
+  s.arena_len <- start + n;
+  s.cstart.(idx) <- start;
+  s.clen.(idx) <- n;
+  Bytes.set s.clearned idx (if learned then '\001' else '\000');
+  s.cact.(idx) <- 0.;
+  s.nclauses <- idx + 1;
   if learned then begin
     s.learned_total <- s.learned_total + 1;
     s.n_learned_live <- s.n_learned_live + 1
   end;
-  if Array.length lits >= 2 then begin
-    s.watches.(lits.(0)) <- idx :: s.watches.(lits.(0));
-    s.watches.(lits.(1)) <- idx :: s.watches.(lits.(1))
-  end;
+  watch s src.(0) idx;
+  watch s src.(1) idx;
   idx
 
 (** Add a problem clause.  Performs top-level simplification: satisfied
@@ -307,11 +412,13 @@ let add_clause_internal s lits learned =
 let add_clause s lits =
   if not s.unsat then begin
     backtrack s 0;
-    (* Insertion sort: the bit-blaster's clauses have at most three
-       literals, where it beats a general sort's setup. *)
-    let a = Array.of_list lits in
-    for i = 1 to Array.length a - 1 do
-      let x = a.(i) in
+    let n = Array.length lits in
+    if n > Array.length s.cbuf then s.cbuf <- grow_array s.cbuf n 0;
+    let a = s.cbuf in
+    (* Insertion sort into the buffer: the bit-blaster's clauses have at
+       most three literals, where it beats a general sort's setup. *)
+    for i = 0 to n - 1 do
+      let x = lits.(i) in
       let j = ref (i - 1) in
       while !j >= 0 && a.(!j) > x do
         a.(!j + 1) <- a.(!j);
@@ -322,7 +429,6 @@ let add_clause s lits =
     (* Compact in place.  Sorting puts duplicates side by side, and a
        literal next to its negation (2v, 2v+1), so both are checks on the
        previous literal. *)
-    let n = Array.length a in
     let k = ref 0 in
     let prev = ref (-1) in
     let tautology = ref false in
@@ -347,9 +453,7 @@ let add_clause s lits =
       match !k with
       | 0 -> s.unsat <- true
       | 1 -> enqueue s a.(0) (-1)
-      | k ->
-          let lits = if k = n then a else Array.sub a 0 k in
-          ignore (add_clause_internal s lits false)
+      | k -> ignore (add_clause_internal s a k false)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -386,7 +490,12 @@ let frames s = s.n_frames
 (* ------------------------------------------------------------------ *)
 
 (* Propagate all enqueued assignments.  Returns the index of a conflicting
-   clause, or -1. *)
+   clause, or -1.  A falsified literal's watch stack is copied out and
+   emptied, then visited from the top down; each clause that keeps the
+   watch is pushed back as it is visited, and on a conflict the unvisited
+   rest is pushed back in visit order.  The next visit of that literal
+   thus sees the kept clauses in reverse, an order the trajectory lock
+   pins. *)
 let propagate s =
   let conflict = ref (-1) in
   while !conflict = -1 && s.qhead < s.trail_len do
@@ -394,63 +503,63 @@ let propagate s =
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
     let falsified = lit_neg l in
-    let ws = s.watches.(falsified) in
-    s.watches.(falsified) <- [];
-    let rec go = function
-      | [] -> ()
-      | ci :: rest -> (
-          let c = s.clauses.(ci) in
-          let lits = c.lits in
-          (* Ensure the falsified literal is at position 1. *)
-          if lits.(0) = falsified then begin
-            lits.(0) <- lits.(1);
-            lits.(1) <- falsified
-          end;
-          if lit_value s lits.(0) = 1 then begin
-            (* Clause already satisfied; keep the watch. *)
-            s.watches.(falsified) <- ci :: s.watches.(falsified);
-            go rest
+    let n = s.wlen.(falsified) in
+    if n > Array.length s.wbuf then s.wbuf <- grow_array s.wbuf n 0;
+    let ws = s.wbuf in
+    let w = s.watches.(falsified) in
+    for i = 0 to n - 1 do
+      ws.(i) <- w.(i)
+    done;
+    s.wlen.(falsified) <- 0;
+    let j = ref (n - 1) in
+    while !j >= 0 do
+      let ci = ws.(!j) in
+      decr j;
+      let a = s.arena in
+      let st = s.cstart.(ci) in
+      (* Ensure the falsified literal is at position 1. *)
+      if a.(st) = falsified then begin
+        a.(st) <- a.(st + 1);
+        a.(st + 1) <- falsified
+      end;
+      if lit_value s a.(st) = 1 then
+        (* Clause already satisfied; keep the watch. *)
+        watch s falsified ci
+      else begin
+        (* Look for a new watch. *)
+        let stop = st + s.clen.(ci) in
+        let i = ref (st + 2) in
+        while !i < stop && lit_value s a.(!i) = 2 do
+          incr i
+        done;
+        if !i < stop then begin
+          a.(st + 1) <- a.(!i);
+          a.(!i) <- falsified;
+          watch s a.(st + 1) ci
+        end
+        else begin
+          watch s falsified ci;
+          if lit_value s a.(st) = 2 then begin
+            (* Conflict: restore remaining watches and stop. *)
+            conflict := ci;
+            while !j >= 0 do
+              watch s falsified ws.(!j);
+              decr j
+            done
           end
-          else begin
-            (* Look for a new watch. *)
-            let n = Array.length lits in
-            let rec find i =
-              if i >= n then -1
-              else if lit_value s lits.(i) <> 2 then i
-              else find (i + 1)
-            in
-            let i = find 2 in
-            if i >= 0 then begin
-              lits.(1) <- lits.(i);
-              lits.(i) <- falsified;
-              s.watches.(lits.(1)) <- ci :: s.watches.(lits.(1));
-              go rest
-            end
-            else begin
-              s.watches.(falsified) <- ci :: s.watches.(falsified);
-              if lit_value s lits.(0) = 2 then begin
-                (* Conflict: restore remaining watches and stop. *)
-                conflict := ci;
-                List.iter
-                  (fun cj ->
-                    s.watches.(falsified) <- cj :: s.watches.(falsified))
-                  rest
-              end
-              else begin
-                enqueue s lits.(0) ci;
-                go rest
-              end
-            end
-          end)
-    in
-    go ws
+          else enqueue s a.(st) ci
+        end
+      end
+    done
   done;
   !conflict
 
-(* First-UIP conflict analysis.  Returns (learned clause, backtrack level). *)
+(* First-UIP conflict analysis.  Leaves the learned clause in
+   [learnt.(0 .. n-1)], the asserting literal first, and returns [n]. *)
 let analyze s conflict =
-  let seen = Bytes.make s.nvars '\000' in
-  let learned = ref [] in
+  let seen = s.seen in
+  (* Lower-level literals go to [learnt.(1 ..)] in discovery order. *)
+  let nlow = ref 0 in
   let counter = ref 0 in
   let p = ref (-1) in
   let idx = ref (s.trail_len - 1) in
@@ -458,16 +567,21 @@ let analyze s conflict =
   let continue = ref true in
   while !continue do
     cla_bump s !clause;
-    let lits = s.clauses.(!clause).lits in
-    let start = if !p = -1 then 0 else 1 in
-    for i = start to Array.length lits - 1 do
-      let q = lits.(i) in
+    let a = s.arena in
+    let st = s.cstart.(!clause) in
+    (* The whole clause: a reason's literal 0, the one just resolved on,
+       is still marked and so skipped. *)
+    for i = st to st + s.clen.(!clause) - 1 do
+      let q = a.(i) in
       let v = lit_var q in
       if Bytes.get seen v = '\000' && s.level.(v) > 0 then begin
         Bytes.set seen v '\001';
         bump s v;
         if s.level.(v) >= decision_level s then incr counter
-        else learned := q :: !learned
+        else begin
+          incr nlow;
+          s.learnt.(!nlow) <- q
+        end
       end
     done;
     (* Select next literal to expand: most recent seen literal on trail. *)
@@ -485,25 +599,48 @@ let analyze s conflict =
     else begin
       clause := s.reason.(lit_var l);
       (* Put the resolved literal at front position convention. *)
-      let lits = s.clauses.(!clause).lits in
-      if lits.(0) <> l then begin
-        let rec find i = if lits.(i) = l then i else find (i + 1) in
-        let i = find 0 in
-        lits.(i) <- lits.(0);
-        lits.(0) <- l
+      let st = s.cstart.(!clause) in
+      if a.(st) <> l then begin
+        let rec find i = if a.(i) = l then i else find (i + 1) in
+        let i = find st in
+        a.(i) <- a.(st);
+        a.(st) <- l
       end
     end
   done;
-  let learned = !p :: !learned in
-  (* Backtrack level: second-highest level in the learned clause. *)
-  let blevel =
-    List.fold_left
-      (fun acc l ->
-        let v = lit_var l in
-        if l <> !p && s.level.(v) > acc then s.level.(v) else acc)
-      0 learned
-  in
-  (learned, blevel)
+  (* Clear the marks: the current level's all lie on the trail segment
+     [next] walked, the lower levels' are the discoveries. *)
+  for i = !idx + 1 to s.trail_len - 1 do
+    Bytes.set seen (lit_var s.trail.(i)) '\000'
+  done;
+  for i = 1 to !nlow do
+    Bytes.set seen (lit_var s.learnt.(i)) '\000'
+  done;
+  (* The learned clause is the asserting literal, then the discoveries
+     latest first: their order decides the watches and so the
+     trajectory. *)
+  let learnt = s.learnt in
+  let n = !nlow + 1 in
+  let i = ref 1 and k = ref (n - 1) in
+  while !i < !k do
+    let t = learnt.(!i) in
+    learnt.(!i) <- learnt.(!k);
+    learnt.(!k) <- t;
+    incr i;
+    decr k
+  done;
+  learnt.(0) <- !p;
+  n
+
+(* Backtrack level of a learned clause of [n] literals: the highest level
+   among its literals past the asserting one. *)
+let backjump_level s n =
+  let lv = ref 0 in
+  for i = 1 to n - 1 do
+    let v = lit_var s.learnt.(i) in
+    if s.level.(v) > !lv then lv := s.level.(v)
+  done;
+  !lv
 
 (* ------------------------------------------------------------------ *)
 (* Learned-clause database reduction                                   *)
@@ -512,10 +649,8 @@ let analyze s conflict =
 (* Is clause [ci] the reason of a current assignment?  The propagated
    literal sits at position 0 by the enqueue/analyze conventions. *)
 let locked s ci =
-  let lits = s.clauses.(ci).lits in
-  Array.length lits > 0
-  && lit_value s lits.(0) = 1
-  && s.reason.(lit_var lits.(0)) = ci
+  let l0 = s.arena.(s.cstart.(ci)) in
+  lit_value s l0 = 1 && s.reason.(lit_var l0) = ci
 
 (* Drop the lowest-activity half of the removable learned clauses
    (non-binary, not locked as a reason).  Must run at decision level 0.
@@ -525,58 +660,67 @@ let locked s ci =
    pure function of the clause database (ties break on clause index). *)
 let reduce_db s =
   let removable = ref [] in
-  for ci = 0 to s.nclauses - 1 do
-    let c = s.clauses.(ci) in
-    if c.learned && Array.length c.lits > 2 && not (locked s ci) then
-      removable := (c.act, ci) :: !removable
+  for ci = s.nclauses - 1 downto 0 do
+    if is_learned s ci && s.clen.(ci) > 2 && not (locked s ci) then
+      removable := ci :: !removable
   done;
   let removable = Array.of_list !removable in
-  Array.sort compare removable;
+  Array.sort
+    (fun a b ->
+      let c = Float.compare s.cact.(a) s.cact.(b) in
+      if c <> 0 then c else compare a b)
+    removable;
   let ndrop = Array.length removable / 2 in
   if ndrop > 0 then begin
     let drop = Bytes.make s.nclauses '\000' in
     for i = 0 to ndrop - 1 do
-      Bytes.set drop (snd removable.(i)) '\001'
+      Bytes.set drop removable.(i) '\001'
     done;
     let map = Array.make s.nclauses (-1) in
     let w = ref 0 in
+    let top = ref 0 in
     for ci = 0 to s.nclauses - 1 do
       if Bytes.get drop ci = '\000' then begin
+        let len = s.clen.(ci) in
         map.(ci) <- !w;
-        s.clauses.(!w) <- s.clauses.(ci);
+        Array.blit s.arena s.cstart.(ci) s.arena !top len;
+        s.cstart.(!w) <- !top;
+        s.clen.(!w) <- len;
+        Bytes.set s.clearned !w (Bytes.get s.clearned ci);
+        s.cact.(!w) <- s.cact.(ci);
+        top := !top + len;
         incr w
       end
     done;
     s.nclauses <- !w;
+    s.arena_len <- !top;
     s.n_learned_live <- s.n_learned_live - ndrop;
     (* Rebuild the watch lists over the surviving clauses, preferring
        non-false watch positions so the two-watch invariant holds at
        level 0. *)
-    Array.fill s.watches 0 (Array.length s.watches) [];
+    Array.fill s.wlen 0 (2 * s.nvars) 0;
+    let a = s.arena in
     for ci = 0 to s.nclauses - 1 do
-      let lits = s.clauses.(ci).lits in
-      if Array.length lits >= 2 then begin
-        let n = Array.length lits in
-        let swap i j =
-          let t = lits.(i) in
-          lits.(i) <- lits.(j);
-          lits.(j) <- t
-        in
-        let best = ref 0 in
-        for i = 1 to n - 1 do
-          if lit_value s lits.(i) <> 2 && lit_value s lits.(!best) = 2 then
-            best := i
-        done;
-        swap 0 !best;
-        let best = ref 1 in
-        for i = 2 to n - 1 do
-          if lit_value s lits.(i) <> 2 && lit_value s lits.(!best) = 2 then
-            best := i
-        done;
-        swap 1 !best;
-        s.watches.(lits.(0)) <- ci :: s.watches.(lits.(0));
-        s.watches.(lits.(1)) <- ci :: s.watches.(lits.(1))
-      end
+      let st = s.cstart.(ci) and n = s.clen.(ci) in
+      let swap i j =
+        let t = a.(st + i) in
+        a.(st + i) <- a.(st + j);
+        a.(st + j) <- t
+      in
+      let best = ref 0 in
+      for i = 1 to n - 1 do
+        if lit_value s a.(st + i) <> 2 && lit_value s a.(st + !best) = 2 then
+          best := i
+      done;
+      swap 0 !best;
+      let best = ref 1 in
+      for i = 2 to n - 1 do
+        if lit_value s a.(st + i) <> 2 && lit_value s a.(st + !best) = 2 then
+          best := i
+      done;
+      swap 1 !best;
+      watch s a.(st) ci;
+      watch s a.(st + 1) ci
     done;
     (* Kept clauses changed index: remap the reasons of the (level-0)
        trail.  Locked clauses were kept, so the map is always defined. *)
@@ -644,16 +788,13 @@ let solve_gen ?max_conflicts ?deadline s extra =
           result := Some Unsat
         end
         else if !result = None then begin
-          let learned, blevel = analyze s conflict in
-          backtrack s blevel;
+          let n = analyze s conflict in
+          backtrack s (backjump_level s n);
           decay s;
           cla_decay s;
-          (match learned with
-          | [ l ] -> enqueue s l (-1)
-          | l :: _ ->
-              let idx = add_clause_internal s (Array.of_list learned) true in
-              enqueue s l idx
-          | [] -> assert false);
+          let l = s.learnt.(0) in
+          if n = 1 then enqueue s l (-1)
+          else enqueue s l (add_clause_internal s s.learnt n true);
           (* Conflict analysis may have backtracked into (or below) the
              assumption levels; the decision loop re-assumes from there.
              If the asserting literal now contradicts a pending

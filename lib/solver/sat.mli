@@ -22,13 +22,21 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Return an instance to exactly the state {!create} gives — no
+    variables, clauses, frames, learned clauses or counters, and the same
+    initial activity increments and learned-clause limit — while keeping
+    its storage, so a caller solving many cold problems in a row
+    allocates the arena and watch vectors once.  Every later decision is
+    the one a fresh instance would make. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
 
-val add_clause : t -> lit list -> unit
+val add_clause : t -> lit array -> unit
 (** Add a permanent problem clause (at decision level 0).  Tautologies are
     dropped; an empty clause makes the instance unsatisfiable.  Safe to
-    call between incremental solves. *)
+    call between incremental solves.  The array is copied, not kept. *)
 
 val push : t -> unit
 (** Open a retractable assumption frame — a decision-level checkpoint. *)
@@ -36,7 +44,7 @@ val push : t -> unit
 val assume : t -> lit -> unit
 (** Assert a literal within the current top frame: it holds in every
     subsequent {!solve} until the frame is {!pop}ped.  Unlike
-    [add_clause [l]], the assertion is a search-time decision, not a
+    [add_clause [| l |]], the assertion is a search-time decision, not a
     clause, so it can be retracted in O(1). *)
 
 val pop : t -> unit

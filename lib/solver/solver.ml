@@ -62,6 +62,13 @@ let m_inc_partials = Obs.Metrics.counter "solver.inc_partials"
 let m_sat_learned = Obs.Metrics.counter "solver.sat_learned"
 let m_sat_kept = Obs.Metrics.gauge ~merge:Obs.Metrics.Sum "solver.sat_kept"
 
+(* Where SAT-core time goes, over every cold and incremental call:
+   building the CNF (bit-blasting, clause intake, assumption frames) and
+   searching it.  Plain accumulators, not {!Obs.Span} phases, so the
+   "solver" phase keeps its meaning. *)
+let m_blast_s = Obs.Metrics.fcounter "solver.blast_s"
+let m_search_s = Obs.Metrics.fcounter "solver.search_s"
+
 let m_query_hist =
   Obs.Metrics.histogram
     ~bounds:[| 1e-5; 3e-5; 1e-4; 3e-4; 1e-3; 3e-3; 1e-2; 3e-2; 0.1; 0.3; 1.0 |]
@@ -299,16 +306,27 @@ let note_sat_stats ctx inst =
          | Some i -> acc + (Sat.stats i.isat).Sat.learned_kept)
        0 ctx.insts)
 
+(* The cold instance of the calling domain: [run_sat] resets it before
+   every query, which leaves it exactly as [Sat.create] would, so reusing
+   it changes no decision, only where the clauses are stored. *)
+let cold_sat = Domain.DLS.new_key Sat.create
+
 (* One cold SAT instance per query: the [Fresh] strategy, and the only
    strategy value-producing (pristine) queries ever use — the model found
    is a pure function of the constraint set. *)
 let run_sat ctx constraints =
   Obs.Metrics.incr m_sat_queries;
   let deadline = query_deadline ctx in
-  let sat = Sat.create () in
+  let t0 = Unix.gettimeofday () in
+  let sat = Domain.DLS.get cold_sat in
+  Sat.reset sat;
   let bctx = Bitblast.create sat in
   List.iter (Bitblast.assert_true bctx) constraints;
+  let t1 = Unix.gettimeofday () in
   let r = Sat.solve ~max_conflicts:!(ctx.max_conflicts) ?deadline sat in
+  let t2 = Unix.gettimeofday () in
+  Obs.Metrics.fadd m_blast_s (t1 -. t0);
+  Obs.Metrics.fadd m_search_s (t2 -. t1);
   Obs.Metrics.add m_sat_learned (Sat.stats sat).Sat.learned;
   match r with
   | Sat.Sat ->
@@ -409,6 +427,7 @@ let run_incremental ctx ~q_inc constraints =
   in
   ctx.inst_tick <- ctx.inst_tick + 1;
   inst.itick <- ctx.inst_tick;
+  let t0 = Unix.gettimeofday () in
   (* Pop back to the common ancestor, assert the suffix — one retractable
      frame per constraint, so any later query can land between them. *)
   while inst.ilen > k do
@@ -443,7 +462,11 @@ let run_incremental ctx ~q_inc constraints =
   (* The conflict budget is per query: the bound Sat.solve takes is an
      absolute counter, so offset it by the instance's lifetime total. *)
   let budget = (Sat.stats inst.isat).Sat.conflicts + !(ctx.max_conflicts) in
+  let t1 = Unix.gettimeofday () in
   let r = Sat.solve_assuming ~max_conflicts:budget ?deadline inst.isat [ plit ] in
+  let t2 = Unix.gettimeofday () in
+  Obs.Metrics.fadd m_blast_s (t1 -. t0);
+  Obs.Metrics.fadd m_search_s (t2 -. t1);
   let result =
     match r with
     | Sat.Sat ->

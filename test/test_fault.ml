@@ -167,8 +167,8 @@ let hard_query () =
 let test_sat_deadline () =
   let s = Sat.create () in
   let a = Sat.new_var s and b = Sat.new_var s in
-  Sat.add_clause s [ Sat.pos a; Sat.pos b ];
-  Sat.add_clause s [ Sat.neg a ];
+  Sat.add_clause s [| Sat.pos a; Sat.pos b |];
+  Sat.add_clause s [| Sat.neg a |];
   (match Sat.solve ~deadline:(Unix.gettimeofday () -. 1.) s with
   | Sat.Unknown -> ()
   | _ -> Alcotest.fail "expired deadline must yield Unknown");

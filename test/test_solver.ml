@@ -6,14 +6,14 @@ open S2e_solver
 let test_sat_basic () =
   let s = Sat.create () in
   let a = Sat.new_var s and b = Sat.new_var s in
-  Sat.add_clause s [ Sat.pos a; Sat.pos b ];
-  Sat.add_clause s [ Sat.neg a ];
+  Sat.add_clause s [| Sat.pos a; Sat.pos b |];
+  Sat.add_clause s [| Sat.neg a |];
   (match Sat.solve s with
   | Sat.Sat ->
       assert (not (Sat.model_value s a));
       assert (Sat.model_value s b)
   | _ -> Alcotest.fail "expected sat");
-  Sat.add_clause s [ Sat.neg b ];
+  Sat.add_clause s [| Sat.neg b |];
   (match Sat.solve s with
   | Sat.Unsat -> ()
   | _ -> Alcotest.fail "expected unsat")
@@ -23,12 +23,12 @@ let test_sat_pigeonhole () =
   let s = Sat.create () in
   let v = Array.init 3 (fun _ -> Array.init 2 (fun _ -> Sat.new_var s)) in
   for p = 0 to 2 do
-    Sat.add_clause s [ Sat.pos v.(p).(0); Sat.pos v.(p).(1) ]
+    Sat.add_clause s [| Sat.pos v.(p).(0); Sat.pos v.(p).(1) |]
   done;
   for h = 0 to 1 do
     for p1 = 0 to 2 do
       for p2 = p1 + 1 to 2 do
-        Sat.add_clause s [ Sat.neg v.(p1).(h); Sat.neg v.(p2).(h) ]
+        Sat.add_clause s [| Sat.neg v.(p1).(h); Sat.neg v.(p2).(h) |]
       done
     done
   done;
@@ -293,7 +293,7 @@ let test_sat_incremental_vs_fresh () =
       List.init nclauses (fun _ ->
           List.init (1 + Random.State.int rng 3) (fun _ -> rand_lit ()))
     in
-    List.iter (Sat.add_clause inc) clauses;
+    List.iter (fun c -> Sat.add_clause inc (Array.of_list c)) clauses;
     let stack = ref [] in
     for _step = 1 to 10 do
       (if !stack = [] || Random.State.bool rng then begin
@@ -311,8 +311,8 @@ let test_sat_incremental_vs_fresh () =
       for _ = 1 to nvars do
         ignore (Sat.new_var fresh)
       done;
-      List.iter (Sat.add_clause fresh) clauses;
-      List.iter (fun l -> Sat.add_clause fresh [ l ]) (!stack @ extra);
+      List.iter (fun c -> Sat.add_clause fresh (Array.of_list c)) clauses;
+      List.iter (fun l -> Sat.add_clause fresh [| l |]) (!stack @ extra);
       let ri = Sat.solve_assuming inc extra in
       let rf = Sat.solve fresh in
       Alcotest.(check string)
@@ -484,7 +484,19 @@ let random_cnf rng s nvars nclauses =
       | 1 -> Sat.lit_neg (List.hd c) :: c (* tautology *)
       | _ -> c
     in
-    Sat.add_clause s c
+    Sat.add_clause s (Array.of_list c)
+  done
+
+(* Pigeonhole 8 into 7 (56 variables, unsatisfiable). *)
+let pigeonhole_8_7 s =
+  let v = Array.init 8 (fun _ -> Array.init 7 (fun _ -> Sat.new_var s)) in
+  Array.iter (fun row -> Sat.add_clause s (Array.map Sat.pos row)) v;
+  for h = 0 to 6 do
+    for p1 = 0 to 7 do
+      for p2 = p1 + 1 to 7 do
+        Sat.add_clause s [| Sat.neg v.(p1).(h); Sat.neg v.(p2).(h) |]
+      done
+    done
   done
 
 let cnf_corpus buf =
@@ -512,15 +524,7 @@ let cnf_corpus buf =
      every activity is rescaled, which can tie variables that were
      distinct. *)
   let s = Sat.create () in
-  let v = Array.init 8 (fun _ -> Array.init 7 (fun _ -> Sat.new_var s)) in
-  Array.iter (fun row -> Sat.add_clause s (Array.to_list (Array.map Sat.pos row))) v;
-  for h = 0 to 6 do
-    for p1 = 0 to 7 do
-      for p2 = p1 + 1 to 7 do
-        Sat.add_clause s [ Sat.neg v.(p1).(h); Sat.neg v.(p2).(h) ]
-      done
-    done
-  done;
+  pigeonhole_8_7 s;
   sat_trace buf "php8" s 56 (Sat.solve s);
   (Sat.stats s).Sat.conflicts
 
@@ -607,6 +611,116 @@ let test_trajectory_lock () =
     "9cee5f02dc2bc7fe027997494c089eda"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* --- cold-instance reuse ------------------------------------------------ *)
+
+(* One seeded problem, replayed identically on whatever instance it is
+   handed: a random 3-CNF near the satisfiability threshold (so solves
+   take conflicts) with a solve, three stacked assumption frames probed
+   and popped, clauses added after a solve, and a final solve left under
+   an open frame; or, for [nvars] = 0, pigeonhole 8 into 7, long enough
+   to reduce the learned-clause database and rescale the activities.
+   Returns every verdict, model and [Sat.stats] field in order. *)
+let reuse_problem seed nvars s =
+  let buf = Buffer.create 256 in
+  let trace nv r =
+    let st = Sat.stats s in
+    Printf.bprintf buf "%s d%d c%d p%d r%d l%d k%d n%d f%d " (result_tag r)
+      st.Sat.decisions st.Sat.conflicts st.Sat.propagations st.Sat.restarts
+      st.Sat.learned st.Sat.learned_kept (Sat.size s) (Sat.frames s);
+    if r = Sat.Sat then
+      for v = 0 to nv - 1 do
+        Buffer.add_char buf (if Sat.model_value s v then '1' else '0')
+      done;
+    Buffer.add_char buf '\n'
+  in
+  if nvars = 0 then begin
+    pigeonhole_8_7 s;
+    trace 56 (Sat.solve s)
+  end
+  else begin
+    let rng = Random.State.make [| 0x5E7; seed |] in
+    for _ = 1 to nvars do
+      ignore (Sat.new_var s)
+    done;
+    random_cnf rng s nvars ((nvars * 4) + Random.State.int rng (nvars / 4));
+    trace nvars (Sat.solve s);
+    for _ = 1 to 3 do
+      Sat.push s;
+      Sat.assume s (rand_lit rng nvars);
+      trace nvars (Sat.solve_assuming s [ rand_lit rng nvars ])
+    done;
+    for _ = 1 to 3 do
+      Sat.pop s
+    done;
+    random_cnf rng s nvars 4;
+    Sat.push s;
+    Sat.assume s (rand_lit rng nvars);
+    trace nvars (Sat.solve s)
+  end;
+  Buffer.contents buf
+
+(* [Sat.reset] must leave an instance exactly as [Sat.create] does: one
+   instance reset between problems of growing and shrinking size, after
+   conflicts, open frames, a learned-clause reduction and an activity
+   rescale, answers every problem with the verdicts, models and counters
+   of a fresh instance.  Pigeonhole runs twice in a row: a second run that
+   inherited the first's activity increments or learned-clause limit
+   would rescale and reduce at other conflicts. *)
+let test_sat_reset_is_create () =
+  let shared = Sat.create () in
+  let conflicts = ref 0 in
+  List.iteri
+    (fun seed nvars ->
+      let fresh = reuse_problem seed nvars (Sat.create ()) in
+      Sat.reset shared;
+      let reused = reuse_problem seed nvars shared in
+      conflicts := !conflicts + (Sat.stats shared).Sat.conflicts;
+      Alcotest.(check string)
+        (Printf.sprintf "problem %d (%d vars): reset = create" seed nvars)
+        fresh reused)
+    [ 50; 120; 0; 0; 30; 200; 10; 80 ];
+  Alcotest.(check bool) "the problems take conflicts" true (!conflicts > 4500)
+
+(* [check_model] solves on its domain's one reused cold instance.  A
+   constraint list solved right after a larger query on that domain must
+   get the model it gets on a domain that has solved nothing before. *)
+let test_check_model_after_larger_query () =
+  let x = Expr.fresh_var ~width:16 "cm_x" and y = Expr.fresh_var ~width:16 "cm_y" in
+  let b = Expr.fresh_var ~width:8 "cm_b" in
+  let larger =
+    [
+      Expr.eq (Expr.mul x y) (Expr.const ~width:16 0x1234L);
+      Expr.ult y (Expr.const ~width:16 0x100L);
+      Expr.ne x (Expr.const ~width:16 1L);
+      Expr.ne y (Expr.const ~width:16 1L);
+    ]
+  in
+  let small =
+    [
+      Expr.ult (Expr.add b (Expr.const ~width:8 3L)) (Expr.const ~width:8 200L);
+      Expr.ne (Expr.band b (Expr.const ~width:8 0x0fL)) (Expr.const ~width:8 0L);
+    ]
+  in
+  let ctx = Solver.create_ctx () in
+  (match Solver.check_model ~ctx larger with
+  | Solver.Sat m ->
+      Alcotest.(check int64) "larger query solved" 0x1234L
+        (Expr.eval m (Expr.mul x y))
+  | _ -> Alcotest.fail "larger query should be sat");
+  let here = Solver.check_model ~ctx small in
+  let there =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let intern = Expr.interner () in
+           Solver.check_model ~ctx:(Solver.create_ctx ())
+             (List.map intern small)))
+  in
+  match (here, there) with
+  | Solver.Sat m, Solver.Sat m' ->
+      Alcotest.(check bool) "same model as a fresh domain" true
+        (Expr.Int_map.equal Int64.equal m m')
+  | _ -> Alcotest.fail "small query should be sat on both domains"
+
 let tests =
   [
     Alcotest.test_case "sat basic" `Quick test_sat_basic;
@@ -634,6 +748,10 @@ let tests =
     Alcotest.test_case "urlparse: incremental == fresh cases" `Quick
       test_urlparse_mode_differential;
     Alcotest.test_case "cold-solve trajectory lock" `Quick test_trajectory_lock;
+    Alcotest.test_case "Sat.reset answers like Sat.create" `Quick
+      test_sat_reset_is_create;
+    Alcotest.test_case "check_model after a larger query = fresh domain"
+      `Quick test_check_model_after_larger_query;
     QCheck_alcotest.to_alcotest prop_models_satisfy;
     QCheck_alcotest.to_alcotest prop_solver_vs_brute;
   ]
