@@ -3,28 +3,21 @@
     [Printf], so field quoting and float precision drifted per site and
     nothing marked schema revisions.
 
-    Shared schema: ["name"] first (CI greps [^BENCH {"name":"..."]), then
+    Shared schema: ["name"] first (scrapers grep [^BENCH {"name":"..."]), then
     ["version"] — bump {!schema_version} when a field's meaning changes,
     so downstream scrapers can refuse lines they no longer understand —
-    then the experiment's own fields in emission order.
-
-    The committed seed artifacts at the repository root
-    ([BENCH_expr.json], [BENCH_merge.json]) hold the same JSON object,
-    bare.  They are regenerated — never hand-edited — by running the
-    experiment with [S2E_BENCH_ARTIFACTS=1] in the environment. *)
+    then the experiment's own fields in emission order. *)
 
 let schema_version = 1
 
 type v =
   | Int of int
   | Float of float * int  (** value, printed decimals *)
-  | Bool of bool
   | Str of string
 
 let render_value = function
   | Int i -> string_of_int i
   | Float (f, decimals) -> Printf.sprintf "%.*f" decimals f
-  | Bool b -> string_of_bool b
   | Str s -> Printf.sprintf "%S" s
 
 let json ~name fields =
@@ -35,18 +28,5 @@ let json ~name fields =
        :: field ("version", Int schema_version)
        :: List.map field fields))
 
-(** Print the experiment's [BENCH {...}] line on stdout; with
-    [S2E_BENCH_ARTIFACTS] set and [artifact] given, also (re)write the
-    committed seed file [BENCH_<artifact>.json] at the current
-    directory's root (bench runs from the repository root). *)
-let emit ?artifact ~name fields =
-  let j = json ~name fields in
-  Printf.printf "BENCH %s\n" j;
-  match artifact with
-  | Some base when Sys.getenv_opt "S2E_BENCH_ARTIFACTS" <> None ->
-      let path = Printf.sprintf "BENCH_%s.json" base in
-      let oc = open_out path in
-      output_string oc j;
-      output_char oc '\n';
-      close_out oc
-  | _ -> ()
+(** Print the experiment's [BENCH {...}] line on stdout. *)
+let emit ~name fields = Printf.printf "BENCH %s\n" (json ~name fields)

@@ -1,11 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (section 6), plus the ablations called out in DESIGN.md.
+   evaluation (section 6), plus the ablations called out in DESIGN.md and
+   the three measurements the end-to-end benchmark (bench/e2e) has no
+   workload for: parallel, chaos and oracle.
 
    Usage:  dune exec bench/main.exe [-- experiment ...]
-   Experiments: table4 table5 table6 fig6 fig7 fig8 fig9 ddt profs-url
-   profs-ping overhead pagesize ablate parallel merge breakdown solver dist
-   chaos expr oracle all (default: all).  The per-run budget can be scaled
-   with S2E_BENCH_SECONDS (default 12). *)
+   Experiments: oracle chaos table4 table5 fig6 table6 fig7 fig8 fig9 ddt
+   profs-url profs-ping overhead pagesize ablate parallel all (default:
+   all).  The per-run budget can be scaled with S2E_BENCH_SECONDS
+   (default 12). *)
 
 open S2e_core
 open S2e_tools
@@ -661,7 +663,10 @@ int main() {
 (* Parallel exploration: serial vs N workers (ROADMAP scaling item)   *)
 (* ---------------------------------------------------------------- *)
 
-(* Solver-heavy multi-path workload: every iteration branches on a
+(* Here rather than in bench/e2e because it is the only measurement of
+   --jobs: every e2e workload is serial or crosses processes (--procs).
+
+   Solver-heavy multi-path workload: every iteration branches on a
    multiplication of the symbolic inputs, so each of the ~2^9 paths pays
    real SAT time — the component the per-worker solver contexts
    parallelize. *)
@@ -764,527 +769,18 @@ let parallel () =
     cores
 
 (* ---------------------------------------------------------------- *)
-(* State merging: path reduction at identical case discovery          *)
-(* ---------------------------------------------------------------- *)
-
-(* The stock urlparse workload makes 8 input bytes symbolic, far too
-   many for plain enumeration to drain (hundreds of thousands of paths)
-   — and without the enumerated baseline there is no case set to compare
-   the merged run against.  Narrow the symbolic window so both modes
-   drain inside the budget while exercising the same parser code the
-   merge controller collapses. *)
-let merge_narrow_urlparse bytes =
-  let src = S2e_guest.Workloads_src.urlparse in
-  let wide = "__s2e_sym_mem(url + 8, 8, 1);" in
-  let narrow = Printf.sprintf "__s2e_sym_mem(url + 8, %d, 1);" bytes in
-  let wl = String.length wide in
-  let rec find i =
-    if i + wl > String.length src then failwith "urlparse pattern not found"
-    else if String.sub src i wl = wide then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub src 0 i ^ narrow
-  ^ String.sub src (i + wl) (String.length src - i - wl)
-
-let merge () =
-  section "State merging: completed paths, merged vs enumerated";
-  let run img name mode =
-    let make_engine () =
-      let config = Executor.default_config () in
-      config.consistency <- Consistency.LC;
-      let engine = Executor.create ~config () in
-      Guest.load_into_engine engine img;
-      Executor.set_unit engine [ "nulldrv"; name ];
-      ignore (S2e_merge.Controller.install ~mode engine);
-      engine
-    in
-    Parallel.explore ~jobs:1 ~make_engine
-      ~boot:(fun eng -> Executor.boot eng ~entry:img.Guest.entry ())
-      ()
-  in
-  let case_set (r : Parallel.result) =
-    List.concat_map Parallel.test_cases r.Parallel.completed
-    |> List.map Parallel.test_case_to_string
-    |> List.sort compare
-  in
-  let fields =
-    List.concat_map
-      (fun (name, src) ->
-        let img =
-          Guest.build
-            ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
-            ~workload:(name, src) ()
-        in
-        let off = run img name S2e_merge.Policy.Off in
-        let auto = run img name S2e_merge.Policy.Auto in
-        let po = List.length off.Parallel.completed in
-        let pa = List.length auto.Parallel.completed in
-        let co = case_set off and ca = case_set auto in
-        let equal = co = ca in
-        let reduction = float_of_int po /. float_of_int (max 1 pa) in
-        Printf.printf
-          "%-10s off: %4d paths  auto: %3d paths  %5.1fx fewer  %4d cases %s\n"
-          name po pa reduction (List.length co)
-          (if equal then "identical" else "DIVERGED");
-        [
-          (name ^ "_paths_off", Bench_json.Int po);
-          (name ^ "_paths_auto", Bench_json.Int pa);
-          (name ^ "_reduction", Bench_json.Float (reduction, 1));
-          (name ^ "_cases", Bench_json.Int (List.length co));
-          (name ^ "_cases_equal", Bench_json.Bool equal);
-        ])
-      [
-        ("urlparse", merge_narrow_urlparse 2);
-        ("symloop", S2e_guest.Workloads_src.symloop);
-      ]
-  in
-  Printf.printf
-    "\nurlparse runs with a narrowed 2-byte symbolic window so the\n\
-     enumerated baseline drains; the merged run must reproduce its case\n\
-     set exactly while completing an order of magnitude fewer paths.\n";
-  Bench_json.emit ~name:"merge" ~artifact:"merge" fields
-
-(* ---------------------------------------------------------------- *)
-(* Telemetry breakdown: Table-5-of-DBT-papers-style time accounting   *)
-(* ---------------------------------------------------------------- *)
-
-(* Where does a run's wall-clock go?  Replays the parallel workload
-   serially with the lib/obs registry reset, then reads the phase spans'
-   exclusive times out of the final snapshot.  The solver fraction is the
-   number the paper's Fig. 9 tracks per consistency model. *)
-let breakdown () =
-  section "Telemetry: per-phase time breakdown of a multi-path run";
-  let img =
-    Guest.build
-      ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
-      ~workload:("pbench", parallel_workload)
-      ()
-  in
-  let make_engine () =
-    let config = Executor.default_config () in
-    config.consistency <- Consistency.LC;
-    let engine = Executor.create ~config () in
-    Guest.load_into_engine engine img;
-    Executor.set_unit engine [ "pbench" ];
-    engine
-  in
-  Obs.Metrics.reset ();
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Parallel.explore ~jobs:1
-      ~limits:
-        {
-          Executor.max_instructions = None;
-          max_seconds = Some (budget *. 4.);
-          max_completed = None;
-        }
-      ~make_engine
-      ~boot:(fun eng -> Executor.boot eng ~entry:img.entry ())
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let snap = Obs.Metrics.snapshot () in
-  let phases =
-    List.filter_map
-      (fun (name, v) ->
-        let n = String.length name in
-        if
-          n > 8
-          && String.sub name 0 6 = "phase."
-          && String.sub name (n - 2) 2 = "_s"
-        then
-          match v with
-          | Obs.Metrics.Float s -> Some (String.sub name 6 (n - 8), s)
-          | _ -> None
-        else None)
-      snap
-  in
-  let accounted = List.fold_left (fun a (_, s) -> a +. s) 0. phases in
-  Printf.printf "%d paths in %.2fs wall (%.2fs accounted by phase spans)\n"
-    r.stats.Executor.states_completed wall accounted;
-  Printf.printf "%-12s %8s %8s\n" "phase" "self (s)" "share";
-  List.iter
-    (fun (name, s) ->
-      Printf.printf "%-12s %8.3f %7.1f%%\n" name s
-        (if accounted > 0. then 100. *. s /. accounted else 0.))
-    (List.sort (fun (_, a) (_, b) -> compare b a) phases);
-  let solver_s =
-    try List.assoc "solver" phases with Not_found -> 0.
-  in
-  let instr = Obs.Metrics.get_int snap "engine.instructions" in
-  (* Realized incremental reuse: the share of SAT-core queries answered
-     on a live instance whose assumption stack matched part or all of the
-     query's constraint prefix. *)
-  let inc_reuse =
-    let n = Obs.Metrics.get_int snap in
-    if n "solver.sat_queries" > 0 then
-      float_of_int (n "solver.inc_hits" + n "solver.inc_partials")
-      /. float_of_int (n "solver.sat_queries")
-    else 0.
-  in
-  Bench_json.emit ~name:"breakdown"
-    [
-      ("paths", Bench_json.Int r.stats.Executor.states_completed);
-      ("wall_s", Bench_json.Float (wall, 3));
-      ("accounted_s", Bench_json.Float (accounted, 3));
-      ( "solver_frac",
-        Bench_json.Float ((if accounted > 0. then solver_s /. accounted else 0.), 4) );
-      ( "instr_per_sec",
-        Bench_json.Float ((if wall > 0. then float_of_int instr /. wall else 0.), 0) );
-      ("queries", Bench_json.Int (Obs.Metrics.get_int snap "solver.queries"));
-      ( "tb_hit_rate",
-        Bench_json.Float
-          ( (let h = float_of_int (Obs.Metrics.get_int snap "dbt.tb_hits") in
-             let m = float_of_int (Obs.Metrics.get_int snap "dbt.tb_misses") in
-             if h +. m > 0. then h /. (h +. m) else 0.),
-            4 ) );
-      ("inc_reuse", Bench_json.Float (inc_reuse, 4));
-    ];
-  Printf.printf
-    "\nThe solver share dominating a symbolic workload (and execute\n\
-     dominating a concrete one) is the paper's Fig. 9 shape; phase spans\n\
-     subtract nested time, so the shares sum to ~100%%.\n"
-
-(* ---------------------------------------------------------------- *)
-(* Solver: fresh vs incremental SAT core on the breakdown workload    *)
-(* ---------------------------------------------------------------- *)
-
-(* The incremental acceptance experiment: the same serial multi-path run
-   once with per-query throwaway SAT instances (--solver=fresh) and once
-   with the assumption-stack instance ring (--solver=incremental).  Both
-   runs must complete the identical path set with byte-identical test
-   cases; the headline number is the solver-wall ratio, backed by the
-   realized reuse rate (queries that popped a live instance back to a
-   shared prefix instead of rebuilding). *)
-let solver_exp () =
-  section "Solver: fresh vs incremental (assumption-stack clause reuse)";
-  let img =
-    Guest.build
-      ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
-      ~workload:("pbench", parallel_workload)
-      ()
-  in
-  let make_engine () =
-    let config = Executor.default_config () in
-    config.consistency <- Consistency.LC;
-    let engine = Executor.create ~config () in
-    Guest.load_into_engine engine img;
-    Executor.set_unit engine [ "pbench" ];
-    engine
-  in
-  let run mode =
-    Solver.set_default_mode mode;
-    let before = Obs.Metrics.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Parallel.explore ~jobs:1
-        ~limits:
-          {
-            Executor.max_instructions = None;
-            max_seconds = Some (budget *. 4.);
-            max_completed = None;
-          }
-        ~make_engine
-        ~boot:(fun eng -> Executor.boot eng ~entry:img.entry ())
-        ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    (* The exploration's solver work, before case extraction adds its own. *)
-    let d = since before in
-    let cases =
-      List.map Parallel.test_case r.completed |> List.sort compare
-    in
-    (r, wall, cases, Obs.Metrics.get_int d, Obs.Metrics.get_float d "solver.query_s")
-  in
-  let fresh, fresh_wall, fresh_cases, fn, fresh_s = run Solver.Fresh in
-  let inc, inc_wall, inc_cases, n, inc_s = run Solver.Incremental in
-  Solver.set_default_mode Solver.Incremental;
-  let ratio = if fresh_s > 0. then inc_s /. fresh_s else 1. in
-  let reuse_rate =
-    if n "solver.sat_queries" > 0 then
-      float_of_int (n "solver.inc_hits" + n "solver.inc_partials")
-      /. float_of_int (n "solver.sat_queries")
-    else 0.
-  in
-  let kept_rate =
-    if n "solver.sat_learned" > 0 then
-      float_of_int (n "solver.sat_kept") /. float_of_int (n "solver.sat_learned")
-    else 0.
-  in
-  let cases_equal = fresh_cases = inc_cases in
-  Printf.printf "%-14s %8s %10s %12s %8s\n" "mode" "paths" "wall (s)"
-    "solver (s)" "queries";
-  Printf.printf "%-14s %8d %10.2f %12.3f %8d\n" "fresh"
-    fresh.Parallel.stats.Executor.states_completed fresh_wall fresh_s
-    (fn "solver.queries");
-  Printf.printf "%-14s %8d %10.2f %12.3f %8d\n" "incremental"
-    inc.Parallel.stats.Executor.states_completed inc_wall inc_s
-    (n "solver.queries");
-  Printf.printf
-    "solver wall ratio (inc/fresh): %.3f; reuse: %d full + %d partial of %d \
-     SAT-core queries (%.1f%%)\n"
-    ratio (n "solver.inc_hits") (n "solver.inc_partials")
-    (n "solver.sat_queries") (100. *. reuse_rate);
-  Printf.printf "learned clauses: %d learned, %d kept live (%.1f%%)\n"
-    (n "solver.sat_learned") (n "solver.sat_kept") (100. *. kept_rate);
-  if not cases_equal then
-    Printf.printf "WARNING: incremental case set diverged from fresh\n";
-  Bench_json.emit ~name:"solver" ~artifact:"solver"
-    [
-      ("paths", Bench_json.Int inc.Parallel.stats.Executor.states_completed);
-      ("fresh_solver_s", Bench_json.Float (fresh_s, 3));
-      ("inc_solver_s", Bench_json.Float (inc_s, 3));
-      ("inc_over_fresh", Bench_json.Float (ratio, 3));
-      ("reuse_rate", Bench_json.Float (reuse_rate, 4));
-      ("inc_hits", Bench_json.Int (n "solver.inc_hits"));
-      ("inc_partials", Bench_json.Int (n "solver.inc_partials"));
-      ("learned", Bench_json.Int (n "solver.sat_learned"));
-      ("learned_kept", Bench_json.Int (n "solver.sat_kept"));
-      ("kept_rate", Bench_json.Float (kept_rate, 4));
-      ("cases_equal", Bench_json.Bool cases_equal);
-    ];
-  Printf.printf
-    "\nThe ratio is the tentpole number: feasibility siblings and case-tree\n\
-     expansions land on live instances whose learned clauses carry over,\n\
-     so the SAT core re-derives nothing it already proved on the shared\n\
-     constraint prefix.\n"
-
-(* ---------------------------------------------------------------- *)
-(* Tracing overhead: the same multi-path run with and without the      *)
-(* event tracer, checked byte-identical                                *)
-(* ---------------------------------------------------------------- *)
-
-let trace_overhead () =
-  section "Tracing: event-tracer overhead on a multi-path run";
-  let img =
-    Guest.build
-      ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
-      ~workload:("pbench", parallel_workload)
-      ()
-  in
-  let make_engine () =
-    let config = Executor.default_config () in
-    config.consistency <- Consistency.LC;
-    let engine = Executor.create ~config () in
-    Guest.load_into_engine engine img;
-    Executor.set_unit engine [ "pbench" ];
-    engine
-  in
-  (* One full serial drain of the fork tree; the run is deterministic, so
-     the only difference between the two passes is the tracer. *)
-  let run () =
-    Obs.Metrics.reset ();
-    Obs.Trace.reset ();
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Parallel.explore ~jobs:1
-        ~limits:
-          {
-            Executor.max_instructions = None;
-            max_seconds = Some (budget *. 4.);
-            max_completed = None;
-          }
-        ~make_engine
-        ~boot:(fun eng -> Executor.boot eng ~entry:img.entry ())
-        ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    (* The paths-and-cases identity of the run, sorted: tracing must not
-       change what was explored, byte for byte. *)
-    let cases =
-      List.sort compare
-        (List.map
-           (fun (s : State.t) ->
-             State.report_string s ^ " | "
-             ^ Parallel.test_case_to_string (Parallel.test_case s))
-           r.completed)
-    in
-    (r.stats.Executor.states_completed, wall, cases)
-  in
-  Obs.Trace.set_enabled false;
-  let base_paths, base_wall, base_cases = run () in
-  Obs.Trace.set_enabled true;
-  let traced_paths, traced_wall, traced_cases = run () in
-  let events, dropped = Obs.Trace.drain () in
-  Obs.Trace.set_enabled false;
-  Obs.Trace.reset ();
-  let overhead =
-    if base_wall > 0. then (traced_wall -. base_wall) /. base_wall else 0.
-  in
-  let cases_equal = base_cases = traced_cases && base_paths = traced_paths in
-  Printf.printf "untraced: %d paths in %.3fs\n" base_paths base_wall;
-  Printf.printf "traced:   %d paths in %.3fs (%d events, %d dropped)\n"
-    traced_paths traced_wall (List.length events) dropped;
-  Printf.printf "overhead: %+.1f%%; path/case sets %s\n" (100. *. overhead)
-    (if cases_equal then "identical" else "DIFFERENT (BUG)");
-  Bench_json.emit ~name:"trace"
-    [
-      ("paths", Bench_json.Int traced_paths);
-      ("base_wall_s", Bench_json.Float (base_wall, 3));
-      ("traced_wall_s", Bench_json.Float (traced_wall, 3));
-      ("overhead_frac", Bench_json.Float (overhead, 4));
-      ("events", Bench_json.Int (List.length events));
-      ("dropped", Bench_json.Int dropped);
-      ("cases_equal", Bench_json.Bool cases_equal);
-    ];
-  Printf.printf
-    "\nThe emit path is one array store into the domain's own ring, so\n\
-     tracing stays within a few percent of the untraced run while the\n\
-     exploration itself (paths and test cases) is unchanged.\n"
-
-(* ---------------------------------------------------------------- *)
-(* Distributed exploration: multi-process throughput                  *)
-(* ---------------------------------------------------------------- *)
-
-(* Same solver-heavy workload as the `parallel` experiment, distributed
-   across worker processes instead of domains.  Runs with a fixed
-   per-run wall budget and compares drained-path throughput.  Listed
-   FIRST in [experiments]: Fork-mode workers must be spawned before any
-   experiment has spun up OCaml domains. *)
-let dist () =
-  section "Distributed exploration: multi-process throughput";
-  let module Coordinator = S2e_dist.Coordinator in
-  let img =
-    Guest.build
-      ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
-      ~workload:("pbench", parallel_workload)
-      ()
-  in
-  let make_engine () =
-    let config = Executor.default_config () in
-    config.consistency <- Consistency.LC;
-    let engine = Executor.create ~config () in
-    Guest.load_into_engine engine img;
-    Executor.set_unit engine [ "pbench" ];
-    engine
-  in
-  let seconds = Float.min 2.0 (budget /. 5.) in
-  let run procs =
-    Coordinator.explore ~procs
-      ~limits:
-        {
-          Executor.max_instructions = None;
-          max_seconds = Some seconds;
-          max_completed = None;
-        }
-      ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.02; make_engine })
-      ~make_engine
-      ~boot:(fun eng -> Executor.boot eng ~entry:img.entry ())
-      ()
-  in
-  Printf.printf "per-run budget: %.1f s, workload: pbench (solver-heavy)\n"
-    seconds;
-  Printf.printf "%-8s %10s %8s %10s %8s %9s %10s\n" "procs" "wall (s)" "paths"
-    "paths/s" "steals" "requeues" "speedup";
-  let rate (r : Coordinator.result) =
-    if r.wall_seconds > 0. then
-      float_of_int r.stats.Executor.states_completed /. r.wall_seconds
-    else 0.
-  in
-  let serial = run 1 in
-  let report (r : Coordinator.result) =
-    Printf.printf "%-8d %10.2f %8d %10.1f %8d %9d %9.2fx\n%!" r.procs
-      r.wall_seconds r.stats.Executor.states_completed (rate r) r.steals
-      r.requeues
-      (if rate serial > 0. then rate r /. rate serial else 0.)
-  in
-  report serial;
-  let results = List.map (fun procs -> let r = run procs in report r; r) [ 2; 4 ] in
-  List.iter
-    (fun (r : Coordinator.result) ->
-      Bench_json.emit ~name:"dist_explore"
-        [
-          ("procs", Bench_json.Int r.procs);
-          ("serial_paths_per_s", Bench_json.Float (rate serial, 3));
-          ("paths_per_s", Bench_json.Float (rate r, 3));
-          ( "speedup",
-            Bench_json.Float
-              ((if rate serial > 0. then rate r /. rate serial else 0.), 3) );
-          ("paths", Bench_json.Int r.stats.Executor.states_completed);
-          ("steals", Bench_json.Int r.steals);
-          ("requeues", Bench_json.Int r.requeues);
-          ("restarts", Bench_json.Int r.restarts);
-          ("unexplored", Bench_json.Int r.unexplored);
-        ])
-    results;
-  (* Remote-worker leg: the same workload with no owned workers and 2
-     remote workers dialing a caller-owned listener, pricing the
-     admission and lease machinery. *)
-  let fork_tcp_worker ~port =
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-        for fd = 3 to 255 do
-          try Unix.close (S2e_dist.Proto.fd_of_int fd)
-          with Unix.Unix_error _ -> ()
-        done;
-        (try
-           S2e_dist.Worker.serve_tcp ~jobs:1 ~slice:0.02 ~heartbeat:0.05
-             ~host:"127.0.0.1" ~port ~make_engine ()
-         with _ -> ());
-        Unix._exit 0
-    | pid -> pid
-  in
-  let lfd = S2e_dist.Proto.listen ~host:"127.0.0.1" ~port:0 in
-  let port = S2e_dist.Proto.bound_port lfd in
-  let pids = [ fork_tcp_worker ~port; fork_tcp_worker ~port ] in
-  let rt =
-    Coordinator.explore ~procs:0 ~listener:lfd
-      ~limits:
-        {
-          Executor.max_instructions = None;
-          max_seconds = Some seconds;
-          max_completed = None;
-        }
-      ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.02; make_engine })
-      ~make_engine
-      ~boot:(fun eng -> Executor.boot eng ~entry:img.entry ())
-      ()
-  in
-  (try Unix.close lfd with Unix.Unix_error _ -> ());
-  List.iter
-    (fun pid ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    pids;
-  Printf.printf
-    "tcp x2   %10.2f %8d %10.1f %8d %9d %9.2fx\n%!" rt.wall_seconds
-    rt.stats.Executor.states_completed (rate rt) rt.steals rt.requeues
-    (if rate serial > 0. then rate rt /. rate serial else 0.);
-  Printf.printf "tcp leg: %d joins, %d reconnects, %d solo paths\n%!"
-    rt.Coordinator.joins rt.Coordinator.reconnects rt.Coordinator.solo_paths;
-  Bench_json.emit ~name:"dist_explore"
-    [
-      ("procs", Bench_json.Int 0);
-      ("tcp_workers", Bench_json.Int 2);
-      ("serial_paths_per_s", Bench_json.Float (rate serial, 3));
-      ("paths_per_s", Bench_json.Float (rate rt, 3));
-      ( "speedup",
-        Bench_json.Float
-          ((if rate serial > 0. then rate rt /. rate serial else 0.), 3) );
-      ("paths", Bench_json.Int rt.stats.Executor.states_completed);
-      ("joins", Bench_json.Int rt.Coordinator.joins);
-      ("reconnects", Bench_json.Int rt.Coordinator.reconnects);
-      ("solo_paths", Bench_json.Int rt.Coordinator.solo_paths);
-      ("unexplored", Bench_json.Int rt.unexplored);
-    ];
-  Printf.printf
-    "\nEach worker process rebuilds the engine stack and decodes serialized\n\
-     fork-point states; on a single core the processes time-slice and\n\
-     throughput stays ~1x (this machine reports %d core(s)).\n"
-    (Domain.recommended_domain_count ())
-
-(* ---------------------------------------------------------------- *)
 (* Chaos: resilience under an armed fault plan                        *)
 (* ---------------------------------------------------------------- *)
 
-(* The dist workload re-run with the fault injector armed at every
-   boundary (guest hardware, solver, transport): what the chaos costs in
-   drained-path throughput, and how fast the coordinator turns a crashed
-   worker back into a working one.  Fork-mode like `dist`, so it is
-   listed right after it, before any experiment spins up domains. *)
+(* Here rather than in bench/e2e because it measures the open lib/dist
+   recovery item (ROADMAP), and no e2e workload arms a fault plan.
+
+   The parallel workload over two worker processes, run clean and then
+   with the fault injector armed at every boundary (guest hardware,
+   solver, transport): what the chaos costs in drained-path throughput,
+   and how fast the coordinator turns a crashed worker back into a
+   working one.  Its workers are forked, so it is listed before any
+   experiment spins up domains. *)
 let chaos () =
   section "Chaos: distributed exploration under an armed fault plan";
   let module Coordinator = S2e_dist.Coordinator in
@@ -1409,209 +905,11 @@ let chaos () =
      any, are reported above).\n"
 
 (* ---------------------------------------------------------------- *)
-(* Expression interning: O(1) identity vs structural reference        *)
-(* ---------------------------------------------------------------- *)
-
-(* Microbenchmark of the hash-consing layer: equality, hash and
-   independent-constraint slicing against reference implementations that
-   recompute structurally — what every consumer paid before interning.
-   Then an end-to-end serial run of the parallel workload to put the
-   solver-side effect on record. *)
-let expr_intern () =
-  section "Expression interning: cached identity vs structural recomputation";
-  (* Deterministic tree pool over a shared variable set; depth is high
-     enough that tree walks dominate the reference timings, mirroring the
-     address-arithmetic chains the DBT emits. *)
-  let rng = Random.State.make [| 0x51E; 7; 2026 |] in
-  let vars = Array.init 8 (fun i -> Expr.fresh_var (Printf.sprintf "b%d" i)) in
-  let rec gen depth =
-    if depth = 0 then
-      if Random.State.bool rng then vars.(Random.State.int rng 8)
-      else Expr.const (Random.State.int64 rng 1024L)
-    else
-      match Random.State.int rng 5 with
-      | 0 -> Expr.add (gen (depth - 1)) (gen (depth - 1))
-      | 1 -> Expr.bxor (gen (depth - 1)) (gen (depth - 1))
-      | 2 -> Expr.band (gen (depth - 1)) (Expr.bor (gen (depth - 1)) (gen (depth - 1)))
-      | 3 -> Expr.mul (gen (depth - 1)) (vars.(Random.State.int rng 8))
-      | _ -> Expr.sub (gen (depth - 1)) (gen (depth - 1))
-  in
-  let pool = Array.init 64 (fun _ -> gen 8) in
-  (* A second generation from the same seed: structurally identical trees,
-     which interning makes physically identical. *)
-  let rng2 = Random.State.make [| 0x51E; 7; 2026 |] in
-  let vars2 = vars in
-  let rec gen2 depth =
-    if depth = 0 then
-      if Random.State.bool rng2 then vars2.(Random.State.int rng2 8)
-      else Expr.const (Random.State.int64 rng2 1024L)
-    else
-      match Random.State.int rng2 5 with
-      | 0 -> Expr.add (gen2 (depth - 1)) (gen2 (depth - 1))
-      | 1 -> Expr.bxor (gen2 (depth - 1)) (gen2 (depth - 1))
-      | 2 -> Expr.band (gen2 (depth - 1)) (Expr.bor (gen2 (depth - 1)) (gen2 (depth - 1)))
-      | 3 -> Expr.mul (gen2 (depth - 1)) (vars2.(Random.State.int rng2 8))
-      | _ -> Expr.sub (gen2 (depth - 1)) (gen2 (depth - 1))
-  in
-  let pool2 = Array.init 64 (fun _ -> gen2 8) in
-  (* Reference implementations: what the pre-interning representation
-     computed on every use. *)
-  let rec ref_equal (a : Expr.t) (b : Expr.t) =
-    match a, b with
-    | Const a, Const b -> a.value = b.value && a.width = b.width
-    | Var a, Var b -> a.id = b.id
-    | Unop a, Unop b -> a.op = b.op && ref_equal a.arg b.arg
-    | Binop a, Binop b ->
-        a.op = b.op && ref_equal a.lhs b.lhs && ref_equal a.rhs b.rhs
-    | Cmp a, Cmp b -> a.op = b.op && ref_equal a.lhs b.lhs && ref_equal a.rhs b.rhs
-    | Ite a, Ite b ->
-        ref_equal a.cond b.cond && ref_equal a.then_ b.then_
-        && ref_equal a.else_ b.else_
-    | Extract a, Extract b -> a.hi = b.hi && a.lo = b.lo && ref_equal a.arg b.arg
-    | Concat a, Concat b -> ref_equal a.high b.high && ref_equal a.low b.low
-    | Zext a, Zext b -> a.width = b.width && ref_equal a.arg b.arg
-    | Sext a, Sext b -> a.width = b.width && ref_equal a.arg b.arg
-    | _, _ -> false
-  in
-  let ref_vars e =
-    Expr.fold_vars (fun acc id _ _ -> Expr.Int_set.add id acc) Expr.Int_set.empty e
-  in
-  let ref_slice ~seed_vars constraints =
-    let remaining = ref (List.map (fun c -> (c, ref_vars c)) constraints) in
-    let relevant = ref [] in
-    let frontier = ref seed_vars in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      let keep, rest =
-        List.partition
-          (fun (_, vs) -> not (Expr.Int_set.disjoint vs !frontier))
-          !remaining
-      in
-      if keep <> [] then begin
-        changed := true;
-        List.iter
-          (fun (c, vs) ->
-            relevant := c :: !relevant;
-            frontier := Expr.Int_set.union !frontier vs)
-          keep;
-        remaining := rest
-      end
-    done;
-    !relevant
-  in
-  (* Per-op timing with adaptive repetition (cheap ops need millions of
-     iterations for a stable clock read). *)
-  let per_op f =
-    let rec go reps =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do f () done;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < 0.2 && reps < 50_000_000 then go (reps * 4) else dt /. float_of_int reps
-    in
-    ignore (go 64);
-    go 256
-  in
-  let n = Array.length pool in
-  let idx = ref 0 in
-  let next () = let i = !idx in idx := (i + 1) mod n; i in
-  let sink = ref false and isink = ref 0 in
-  let t_equal_cached =
-    per_op (fun () -> let i = next () in sink := Expr.equal pool.(i) pool2.(i))
-  in
-  let t_equal_ref =
-    per_op (fun () -> let i = next () in sink := ref_equal pool.(i) pool2.(i))
-  in
-  let t_hash_cached = per_op (fun () -> isink := Expr.hash pool.(next ())) in
-  let t_hash_ref = per_op (fun () -> isink := Hashtbl.hash pool.(next ())) in
-  (* Slicing: chained constraints (each shares a variable with the next)
-     so the transitive closure does real work. *)
-  let constraints =
-    List.init 48 (fun i ->
-        Expr.ult
-          (Expr.add pool.(i mod n) vars.(i mod 8))
-          (Expr.add pool.((i + 1) mod n) vars.((i + 1) mod 8)))
-  in
-  let seed_vars = Expr.vars pool.(0) in
-  let lsink = ref [] in
-  let t_slice_cached =
-    per_op (fun () -> lsink := Solver.slice ~seed_vars constraints)
-  in
-  let t_slice_ref =
-    per_op (fun () -> lsink := ref_slice ~seed_vars constraints)
-  in
-  ignore !sink; ignore !isink; ignore !lsink;
-  let safe_div a b = if b > 0. then a /. b else 0. in
-  let s_equal = safe_div t_equal_ref t_equal_cached in
-  let s_hash = safe_div t_hash_ref t_hash_cached in
-  let s_slice = safe_div t_slice_ref t_slice_cached in
-  Printf.printf "%-10s %14s %14s %9s\n" "op" "interned (ns)" "reference (ns)"
-    "speedup";
-  let row name c r s =
-    Printf.printf "%-10s %14.1f %14.1f %8.1fx\n" name (c *. 1e9) (r *. 1e9) s
-  in
-  row "equal" t_equal_cached t_equal_ref s_equal;
-  row "hash" t_hash_cached t_hash_ref s_hash;
-  row "slice" t_slice_cached t_slice_ref s_slice;
-  (* End-to-end: the breakdown workload run serially; solver time is where
-     identity-keyed caches and O(1) slicing land. *)
-  let img =
-    Guest.build
-      ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
-      ~workload:("pbench", parallel_workload)
-      ()
-  in
-  let make_engine () =
-    let config = Executor.default_config () in
-    config.consistency <- Consistency.LC;
-    let engine = Executor.create ~config () in
-    Guest.load_into_engine engine img;
-    Executor.set_unit engine [ "pbench" ];
-    engine
-  in
-  let before = Obs.Metrics.snapshot () in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Parallel.explore ~jobs:1
-      ~limits:
-        {
-          Executor.max_instructions = None;
-          max_seconds = Some (budget *. 4.);
-          max_completed = None;
-        }
-      ~make_engine
-      ~boot:(fun eng -> Executor.boot eng ~entry:img.entry ())
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let d = since before in
-  let solver_s = Obs.Metrics.get_float d "solver.query_s" in
-  let queries = Obs.Metrics.get_int d "solver.queries" in
-  Printf.printf
-    "end-to-end (serial pbench): %d paths, %.2fs wall, %.2fs solver, %d queries\n"
-    r.stats.Executor.states_completed wall solver_s queries;
-  Bench_json.emit ~name:"expr_intern" ~artifact:"expr"
-    [
-      ("equal_speedup", Bench_json.Float (s_equal, 2));
-      ("hash_speedup", Bench_json.Float (s_hash, 2));
-      ("slice_speedup", Bench_json.Float (s_slice, 2));
-      ("equal_ns", Bench_json.Float (t_equal_cached *. 1e9, 1));
-      ("hash_ns", Bench_json.Float (t_hash_cached *. 1e9, 1));
-      ("slice_ns", Bench_json.Float (t_slice_cached *. 1e9, 1));
-      ("e2e_paths", Bench_json.Int r.stats.Executor.states_completed);
-      ("e2e_wall_s", Bench_json.Float (wall, 3));
-      ("e2e_solver_s", Bench_json.Float (solver_s, 3));
-      ("e2e_queries", Bench_json.Int queries);
-    ];
-  Printf.printf
-    "\nInterned equality is a pointer comparison and slicing reads the\n\
-     per-node cached variable sets, so both are independent of tree\n\
-     depth; the reference columns walk the structure the way the\n\
-     pre-interning representation had to on every query.\n"
-
-(* ---------------------------------------------------------------- *)
 (* Executable ISA oracle: differential-testing throughput            *)
 (* ---------------------------------------------------------------- *)
+
+(* Here rather than in bench/e2e because the oracle is a separate
+   subsystem from the symbolic engine that e2e measures. *)
 
 let oracle () =
   section "ORACLE: reference interpreter vs DBT differential throughput";
@@ -1672,9 +970,7 @@ let oracle () =
 
 let experiments =
   [
-    ("expr", expr_intern);
     ("oracle", oracle);
-    ("dist", dist);
     ("chaos", chaos);
     ("table4", table4);
     ("table5", table5);
@@ -1690,10 +986,6 @@ let experiments =
     ("pagesize", pagesize);
     ("ablate", ablate);
     ("parallel", parallel);
-    ("merge", merge);
-    ("breakdown", breakdown);
-    ("solver", solver_exp);
-    ("trace", trace_overhead);
   ]
 
 let () =

@@ -268,7 +268,7 @@ let fault_plan_arg =
   let doc =
     "Deterministic fault-injection plan: comma-separated \
      $(i,site)=$(i,kind):$(i,prob)[#$(i,cap)] rules, e.g. \
-     'dev.read=err:0.05,dma=drop:0.01,solver=unknown:0.02,\\
+     'dev.read=err:0.05,dma=drop:0.01,solver=unknown:0.02,\
      proto=corrupt:0.03'.  Sites: dev.read, dma, irq, solver (kinds \
      unknown/latency), proto (kinds corrupt/delay/disconnect/stall).  \
      A corrupted frame reads as a disconnect: the connection drops and \

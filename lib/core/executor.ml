@@ -859,8 +859,6 @@ let exec_tb_body t (s : State.t) =
     end
   in
   (try go 0 with Path_end -> ());
-  let executed = (s.sym_instret - sym_before, n) in
-  ignore executed;
   (* Advance virtual time: slower when the block touched symbolic data. *)
   let ticks =
     if s.sym_instret > sym_before then max 1 (n / t.config.timer_divisor) else n

@@ -70,11 +70,7 @@ let test_symloop_merge_equiv () =
   check_drained "off" off;
   check_drained "auto" auto;
   Alcotest.(check int) "off enumerates 32 paths" 32 (completed off);
-  Alcotest.(check bool)
-    (Printf.sprintf "merged run completes >=10x fewer paths (%d vs %d)"
-       (completed auto) (completed off))
-    true
-    (completed off >= 10 * completed auto);
+  Alcotest.(check int) "auto merges them into 2 paths" 2 (completed auto);
   Alcotest.(check (list string))
     "identical case sets" (case_set off) (case_set auto)
 
@@ -84,11 +80,8 @@ let test_urlparse_merge_equiv () =
   let auto = explore ~mode:Policy.Auto img in
   check_drained "off" off;
   check_drained "auto" auto;
-  Alcotest.(check bool)
-    (Printf.sprintf "merged run completes >=5x fewer paths (%d vs %d)"
-       (completed auto) (completed off))
-    true
-    (completed off >= 5 * completed auto);
+  Alcotest.(check int) "off enumerates 103 paths" 103 (completed off);
+  Alcotest.(check int) "auto merges them into 7 paths" 7 (completed auto);
   Alcotest.(check (list string))
     "identical case sets" (case_set off) (case_set auto)
 
