@@ -204,6 +204,18 @@ for w in solver-pcnet exec-urlparse cases-rtl8029 merge-url2 procs-url3; do
   printf '%s\n' "$last" | grep -q '"correct":true' \
     && printf '%s\n' "$last" | grep -q '"failed":0[,}]' \
     || { echo "CI: $w outputs differ from bench/e2e/expected" >&2; exit 1; }
+  # Allocation gate: the concrete fast path (DESIGN.md, "Concrete fast
+  # path") keeps exec-urlparse near 0.33 GB allocated per unit, a value
+  # deterministic to about 1e-5; the engine before it allocated 1.21 GB.
+  if [ "$w" = exec-urlparse ]; then
+    alloc=$(printf '%s\n' "$last" | tr ',{}' '\n\n\n' \
+      | sed -n 's/^"gc\.alloc_gb":\([0-9.eE+-]*\)$/\1/p')
+    [ -n "$alloc" ] \
+      || { echo "CI: exec-urlparse reported no gc.alloc_gb" >&2; exit 1; }
+    awk -v a="$alloc" 'BEGIN { exit !(a <= 0.80) }' \
+      || { echo "CI: exec-urlparse allocated $alloc GB, above the 0.80 GB gate" >&2; exit 1; }
+    echo "CI: allocation gate passed (exec-urlparse gc.alloc_gb $alloc <= 0.80)"
+  fi
   [ "$w" = procs-url3 ] && continue
   printf '%s\n' "$last" | tr ',{}' '\n\n\n' | grep -E "^\"($counters)\":" \
     | sed "s/^\"\([^\"]*\)\":\"\{0,1\}\([^\"]*\)\"\{0,1\}\$/$w \1 \2/" \

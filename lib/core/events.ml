@@ -105,6 +105,13 @@ let reg_state_merge t f = t.on_state_merge <- t.on_state_merge @ [ f ]
 let reg_bug t f = t.on_bug <- t.on_bug @ [ f ]
 let reg_print t f = t.on_print <- t.on_print @ [ f ]
 
+(* Whether a hot-path event has a subscriber: the executor builds an
+   event's payload, or looks up per-instruction marks, only when one
+   does. *)
+let has_before_instr t = match t.on_before_instr with [] -> false | _ -> true
+let has_instr_execute t = match t.on_instr_execute with [] -> false | _ -> true
+let has_memory_access t = match t.on_memory_access with [] -> false | _ -> true
+
 (* Emission. *)
 let instr_translate t addr insn = List.iter (fun f -> f addr insn) t.on_instr_translate
 let instr_execute t s addr insn = List.iter (fun f -> f s addr insn) t.on_instr_execute

@@ -249,9 +249,9 @@ let report_bug t (s : State.t) kind message =
    pinning it, and return the concrete value.  This is the symbolic→concrete
    conversion of section 2.2. *)
 let concretize t (s : State.t) e =
-  match Expr.to_const e with
-  | Some v -> v
-  | None ->
+  match e with
+  | Expr.Const { value; _ } -> value
+  | _ ->
       t.stats.concretizations <- t.stats.concretizations + 1;
       Obs.Metrics.incr m_concretizations;
       Obs.Span.timed concretize_phase (fun () ->
@@ -274,21 +274,22 @@ let mem_fault t s msg =
   end_state t s (State.Faulted msg)
 
 let do_read t (s : State.t) addr_e size =
-  let read_concrete a =
-    try if size = 1 then Expr.zext ~width:32 (Symmem.read_byte s.mem a)
-      else Symmem.read_word s.mem a
-    with Symmem.Fault m -> mem_fault t s m
-  in
-  match Expr.to_const addr_e with
-  | Some a ->
-      let a = Int64.to_int a in
-      let v = read_concrete a in
-      Events.memory_access t.events
-        { ma_state = s; ma_addr = addr_e; ma_concrete_addr = a; ma_value = v;
-          ma_is_write = false; ma_size = size;
-          ma_pre_constraints = s.constraints };
+  match addr_e with
+  | Expr.Const { value; _ } ->
+      let a = Int64.to_int value in
+      let v =
+        try
+          if size = 1 then Expr.zext ~width:32 (Symmem.read_byte s.mem a)
+          else Symmem.read_word s.mem a
+        with Symmem.Fault m -> mem_fault t s m
+      in
+      if Events.has_memory_access t.events then
+        Events.memory_access t.events
+          { ma_state = s; ma_addr = addr_e; ma_concrete_addr = a; ma_value = v;
+            ma_is_write = false; ma_size = size;
+            ma_pre_constraints = s.constraints };
       v
-  | None ->
+  | _ ->
       (* Symbolic pointer. *)
       if
         (not (in_unit t s.pc))
@@ -331,9 +332,9 @@ let do_read t (s : State.t) addr_e size =
 let do_write t (s : State.t) addr_e v size =
   let pre_constraints = s.constraints in
   let a =
-    match Expr.to_const addr_e with
-    | Some a -> Int64.to_int a
-    | None ->
+    match addr_e with
+    | Expr.Const { value; _ } -> Int64.to_int value
+    | _ ->
         if
           (not (in_unit t s.pc))
           && t.config.consistency = Consistency.LC
@@ -348,9 +349,10 @@ let do_write t (s : State.t) addr_e v size =
      else s.mem <- Symmem.write_word s.mem a v
    with Symmem.Fault m -> mem_fault t s m);
   Dbt.invalidate t.dbt a;
-  Events.memory_access t.events
-    { ma_state = s; ma_addr = addr_e; ma_concrete_addr = a; ma_value = v;
-      ma_is_write = true; ma_size = size; ma_pre_constraints = pre_constraints }
+  if Events.has_memory_access t.events then
+    Events.memory_access t.events
+      { ma_state = s; ma_addr = addr_e; ma_concrete_addr = a; ma_value = v;
+        ma_is_write = true; ma_size = size; ma_pre_constraints = pre_constraints }
 
 (* ------------------------------------------------------------------ *)
 (* Forking and branches                                                *)
@@ -612,9 +614,9 @@ let apply_device_actions t (s : State.t) actions =
     actions
 
 let read32c t (s : State.t) addr =
-  match Expr.to_const (Symmem.read_word s.mem addr) with
-  | Some v -> Int64.to_int v
-  | None -> end_state t s (State.Faulted "symbolic value in vector table")
+  match Symmem.read_word s.mem addr with
+  | Expr.Const { value; _ } -> Int64.to_int value
+  | _ -> end_state t s (State.Faulted "symbolic value in vector table")
 
 let do_port_read t (s : State.t) port =
   let default = Vm.Devices.read_port s.devices port in
@@ -642,54 +644,54 @@ let do_port_read t (s : State.t) port =
   Events.port_read t.events pr;
   pr.pr_value
 
+(* Count an instruction that touched symbolic data. *)
+let mark_sym (s : State.t) cond = if cond then s.sym_instret <- s.sym_instret + 1
+
 (* Execute one instruction.  Updates [s.pc]. *)
 let exec_insn t (s : State.t) addr insn =
   let next = addr + Insn.insn_size in
-  let reg = State.get_reg s in
-  let setr = State.set_reg s in
-  let mark_sym cond = if cond then s.sym_instret <- s.sym_instret + 1 in
   s.instret <- s.instret + 1;
   match insn with
   | Insn.Alu { op; rd; rs1; rs2 } ->
-      let a = reg rs1 and b = reg rs2 in
-      mark_sym (is_symbolic a || is_symbolic b);
-      setr rd (alu_expr op a b);
+      let a = State.get_reg s rs1 and b = State.get_reg s rs2 in
+      mark_sym s (is_symbolic a || is_symbolic b);
+      State.set_reg s rd (alu_expr op a b);
       s.pc <- next
   | Insn.Alui { op; rd; rs1; imm } ->
-      let a = reg rs1 in
-      mark_sym (is_symbolic a);
-      setr rd (alu_expr op a (to_expr32 imm));
+      let a = State.get_reg s rs1 in
+      mark_sym s (is_symbolic a);
+      State.set_reg s rd (alu_expr op a (to_expr32 imm));
       s.pc <- next
   | Insn.Li { rd; imm } ->
-      setr rd (to_expr32 imm);
+      State.set_reg s rd (to_expr32 imm);
       s.pc <- next
   | Insn.Mov { rd; rs1 } ->
-      setr rd (reg rs1);
+      State.set_reg s rd (State.get_reg s rs1);
       s.pc <- next
   | Insn.Lw { rd; base; off } ->
-      let addr_e = Expr.add (reg base) (to_expr32 off) in
-      mark_sym (is_symbolic addr_e);
-      setr rd (do_read t s addr_e 4);
+      let addr_e = Expr.add (State.get_reg s base) (to_expr32 off) in
+      mark_sym s (is_symbolic addr_e);
+      State.set_reg s rd (do_read t s addr_e 4);
       s.pc <- next
   | Insn.Lb { rd; base; off } ->
-      let addr_e = Expr.add (reg base) (to_expr32 off) in
-      mark_sym (is_symbolic addr_e);
-      setr rd (do_read t s addr_e 1);
+      let addr_e = Expr.add (State.get_reg s base) (to_expr32 off) in
+      mark_sym s (is_symbolic addr_e);
+      State.set_reg s rd (do_read t s addr_e 1);
       s.pc <- next
   | Insn.Sw { src; base; off } ->
-      let addr_e = Expr.add (reg base) (to_expr32 off) in
-      mark_sym (is_symbolic addr_e || is_symbolic (reg src));
-      do_write t s addr_e (reg src) 4;
+      let addr_e = Expr.add (State.get_reg s base) (to_expr32 off) in
+      mark_sym s (is_symbolic addr_e || is_symbolic (State.get_reg s src));
+      do_write t s addr_e (State.get_reg s src) 4;
       s.pc <- next
   | Insn.Sb { src; base; off } ->
-      let addr_e = Expr.add (reg base) (to_expr32 off) in
-      mark_sym (is_symbolic addr_e || is_symbolic (reg src));
-      do_write t s addr_e (reg src) 1;
+      let addr_e = Expr.add (State.get_reg s base) (to_expr32 off) in
+      mark_sym s (is_symbolic addr_e || is_symbolic (State.get_reg s src));
+      do_write t s addr_e (State.get_reg s src) 1;
       s.pc <- next
   | Insn.Jmp { target } -> s.pc <- Int32.to_int target land 0xFFFFFFFF
   | Insn.Jr { rs1 } ->
-      let target = reg rs1 in
-      mark_sym (is_symbolic target);
+      let target = State.get_reg s rs1 in
+      mark_sym s (is_symbolic target);
       let dst = concrete_addr t s target in
       (* shadow call stack: a jump back to the innermost pending return
          address is a return *)
@@ -699,46 +701,48 @@ let exec_insn t (s : State.t) addr insn =
       s.pc <- dst
   | Insn.Jal { target } ->
       let target = Int32.to_int target land 0xFFFFFFFF in
-      setr Insn.reg_lr (Expr.const (Int64.of_int next));
+      State.set_reg s Insn.reg_lr (Expr.const (Int64.of_int next));
       s.ret_stack <- next :: s.ret_stack;
       on_call t s ~target ~return_addr:next ~via_syscall:false;
       s.pc <- target
   | Insn.Jalr { rs1 } ->
-      let target = concrete_addr t s (reg rs1) in
-      setr Insn.reg_lr (Expr.const (Int64.of_int next));
+      let target = concrete_addr t s (State.get_reg s rs1) in
+      State.set_reg s Insn.reg_lr (Expr.const (Int64.of_int next));
       s.ret_stack <- next :: s.ret_stack;
       on_call t s ~target ~return_addr:next ~via_syscall:false;
       s.pc <- target
   | Insn.Branch { cond; rs1; rs2; target } ->
-      let a = reg rs1 and b = reg rs2 in
+      let a = State.get_reg s rs1 and b = State.get_reg s rs2 in
       let c = simplify t (branch_cond cond a b) in
       let taken_pc = Int32.to_int target land 0xFFFFFFFF in
-      (match Expr.to_const c with
-      | Some 1L -> s.pc <- taken_pc
-      | Some _ -> s.pc <- next
-      | None ->
-          mark_sym true;
+      (match c with
+      | Expr.Const { value = 1L; _ } -> s.pc <- taken_pc
+      | Expr.Const _ -> s.pc <- next
+      | _ ->
+          mark_sym s true;
           symbolic_branch t s c ~taken_pc ~fall_pc:next)
   | Insn.In { rd; port; port_off } ->
       let p =
-        Int64.to_int (concretize t s (Expr.add (reg port) (to_expr32 port_off)))
+        Int64.to_int
+          (concretize t s (Expr.add (State.get_reg s port) (to_expr32 port_off)))
       in
       let v =
         if p = 0x0f then Expr.const (Int64.of_int s.last_irq)
         else do_port_read t s p
       in
-      mark_sym (is_symbolic v);
-      setr rd v;
+      mark_sym s (is_symbolic v);
+      State.set_reg s rd v;
       s.pc <- next
   | Insn.Out { src; port; port_off } ->
       let p =
-        Int64.to_int (concretize t s (Expr.add (reg port) (to_expr32 port_off)))
+        Int64.to_int
+          (concretize t s (Expr.add (State.get_reg s port) (to_expr32 port_off)))
       in
       (* Analyzers see the un-concretized value: symbolic provenance is how
          the privacy analyzer spots secrets leaving the system. *)
       Events.port_write t.events
-        { pw_state = s; pw_port = p; pw_value = reg src };
-      let v = Int64.to_int (concretize t s (reg src)) in
+        { pw_state = s; pw_port = p; pw_value = State.get_reg s src };
+      let v = Int64.to_int (concretize t s (State.get_reg s src)) in
       apply_device_actions t s (Vm.Devices.write_port s.devices p v);
       s.pc <- next
   | Insn.Syscall ->
@@ -766,11 +770,11 @@ let exec_insn t (s : State.t) addr insn =
           (* Under SC-CE the guest's request for symbolic data is ignored:
              the sample input stays concrete. *)
           if t.config.consistency <> Consistency.SC_CE then
-            setr rs1 (fresh_sym t (Printf.sprintf "sym%ld" imm) 32)
+            State.set_reg s rs1 (fresh_sym t (Printf.sprintf "sym%ld" imm) 32)
       | Insn.Sym_mem ->
           if t.config.consistency <> Consistency.SC_CE then begin
-            let base = concrete_addr t s (reg rs1) in
-            let len = Int64.to_int (concretize t s (reg rs2)) in
+            let base = concrete_addr t s (State.get_reg s rs1) in
+            let len = Int64.to_int (concretize t s (State.get_reg s rs2)) in
             for i = 0 to len - 1 do
               s.mem <-
                 Symmem.write_byte s.mem (base + i)
@@ -779,11 +783,11 @@ let exec_insn t (s : State.t) addr insn =
           end
       | Insn.Enable_mp -> s.multipath <- true
       | Insn.Disable_mp -> s.multipath <- false
-      | Insn.Print -> Events.print t.events s (reg rs1)
+      | Insn.Print -> Events.print t.events s (State.get_reg s rs1)
       | Insn.Kill_path ->
           end_state t s (State.Killed (Printf.sprintf "guest kill (%ld)" imm))
       | Insn.Assert_op -> (
-          let c = Expr.ne (reg rs1) (Expr.const 0L) in
+          let c = Expr.ne (State.get_reg s rs1) (Expr.const 0L) in
           match Expr.to_const c with
           | Some 1L -> ()
           | Some _ ->
@@ -804,8 +808,8 @@ let exec_insn t (s : State.t) addr insn =
                       end_state t s (State.Faulted "assertion always fails"))
               | Solver.Unsat | Solver.Unknown -> State.add_constraint s c))
       | Insn.Concretize ->
-          let v = concretize t s (reg rs1) in
-          setr rs1 (Expr.const v)
+          let v = concretize t s (State.get_reg s rs1) in
+          State.set_reg s rs1 (Expr.const v)
       | Insn.Disable_irq -> s.irqs_suppressed <- true
       | Insn.Enable_irq -> s.irqs_suppressed <- false);
       s.pc <- next
@@ -851,8 +855,10 @@ let exec_tb_body t (s : State.t) =
       let addr, insn = tb.insns.(i) in
       if s.pc <> addr then () (* control left the block (e.g. fork child) *)
       else begin
-        Events.before_instr t.events s addr insn;
-        if Dbt.is_marked t.dbt addr then Events.instr_execute t.events s addr insn;
+        if Events.has_before_instr t.events then
+          Events.before_instr t.events s addr insn;
+        if Events.has_instr_execute t.events && Dbt.is_marked t.dbt addr then
+          Events.instr_execute t.events s addr insn;
         exec_insn t s addr insn;
         go (i + 1)
       end
@@ -867,7 +873,7 @@ let exec_tb_body t (s : State.t) =
   t.stats.sym_instret <- t.stats.sym_instret + (s.sym_instret - sym_before);
   Obs.Metrics.add m_instructions n;
   Obs.Metrics.add m_sym_instructions (s.sym_instret - sym_before);
-  Obs.Metrics.set m_max_constraints (List.length s.constraints);
+  Obs.Metrics.set m_max_constraints (State.constraint_count s);
   s.virtual_time <- Int64.add s.virtual_time (Int64.of_int ticks);
   if s.status = State.Active && not s.irqs_suppressed then begin
     let irqs = Vm.Devices.tick s.devices ticks in

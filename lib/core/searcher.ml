@@ -35,6 +35,13 @@ let instrument t =
 
 let filter_live states = List.filter State.is_active states
 
+(* Pop dead states off the top of a stack; the first live state is the
+   same one filtering the whole stack would put on top, and dead states
+   further down are popped when they surface. *)
+let rec drop_dead = function
+  | s :: rest when not (State.is_active s) -> drop_dead rest
+  | l -> l
+
 let dfs () =
   let stack = ref [] in
   instrument
@@ -43,7 +50,7 @@ let dfs () =
     remove = (fun s -> stack := List.filter (fun s' -> s'.State.id <> s.State.id) !stack);
     select =
       (fun () ->
-        stack := filter_live !stack;
+        stack := drop_dead !stack;
         match !stack with [] -> None | s :: _ -> Some s);
     size = (fun () -> List.length (filter_live !stack));
   }

@@ -80,6 +80,12 @@ type t = {
       (* pending merge rendezvous as (merge_id, pc, ret-stack depth),
          innermost first; empty unless a merge controller is installed *)
   mutable cases : case_tree;
+  mutable measured : Expr.t list;
+      (* the constraint list [measured_len] and [measured_size] describe:
+         a suffix of [constraints] in the common case, so bringing them
+         up to date walks only the newer constraints *)
+  mutable measured_len : int;
+  mutable measured_size : int; (* summed [Expr.size] *)
 }
 
 (* Atomic so states can be forked concurrently by parallel exploration
@@ -121,6 +127,9 @@ let create ~mem ~devices ~pc =
     ret_stack = [];
     rendezvous = [];
     cases = Case_leaf;
+    measured = [];
+    measured_len = 0;
+    measured_size = 0;
   }
 
 (** Fork a copy for the other side of a branch. *)
@@ -170,13 +179,42 @@ let reintern t =
   t.mem <- Symmem.map_overlay intern t.mem;
   t.cases <- map_case_tree intern t.cases
 
+(* Bring [measured_len]/[measured_size] up to date with [constraints].
+   Constraint lists are persistent and grow by consing, so the walk stops
+   at the previously measured list and adds; a list that does not end in
+   it (a merge join rewrote the constraints) is measured whole. *)
+let rec measure_from t l len size =
+  if l == t.measured then begin
+    t.measured_len <- t.measured_len + len;
+    t.measured_size <- t.measured_size + size
+  end
+  else
+    match l with
+    | [] ->
+        t.measured_len <- len;
+        t.measured_size <- size
+    | c :: tl -> measure_from t tl (len + 1) (size + Expr.size c)
+
+let measure t =
+  let l = t.constraints in
+  if l != t.measured then begin
+    measure_from t l 0 0;
+    t.measured <- l
+  end
+
+(** [List.length t.constraints], in time proportional to the constraints
+    added since the last call. *)
+let constraint_count t =
+  measure t;
+  t.measured_len
+
 (** Estimated state footprint in "words" (registers + private memory
     overlay + constraints): the quantity the Fig. 8 memory benchmark
-    reports a high-watermark of. *)
+    reports a high-watermark of.  O(1) unless constraints were added
+    since the last call. *)
 let footprint t =
-  Array.length t.regs
-  + Symmem.overlay_size t.mem
-  + List.fold_left (fun acc c -> acc + Expr.size c) 0 t.constraints
+  measure t;
+  Array.length t.regs + Symmem.overlay_size t.mem + t.measured_size
 
 (* Concrete snapshot helpers for the differential oracle: evaluate the
    state's registers / a memory window under a solver model, yielding the

@@ -73,6 +73,12 @@ type t = {
       (** pending merge rendezvous as [(merge_id, pc, ret-stack depth)],
           innermost first; empty unless a merge controller is installed *)
   mutable cases : case_tree;
+  mutable measured : Expr.t list;
+      (** the constraint list [measured_len]/[measured_size] were last
+          computed on; maintained by {!constraint_count} and
+          {!footprint}, never set elsewhere *)
+  mutable measured_len : int;
+  mutable measured_size : int;
 }
 
 val create : mem:Symmem.t -> devices:S2e_vm.Devices.t -> pc:int -> t
@@ -101,9 +107,14 @@ val reintern : t -> unit
     the current domain's hash-cons table (structure-preserving, sharing
     kept).  Call after adopting a state produced by another domain. *)
 
+val constraint_count : t -> int
+(** [List.length t.constraints], walking only the constraints added since
+    the previous call (the whole list after a non-consing rewrite). *)
+
 val footprint : t -> int
 (** Estimated state size in words (registers + private memory overlay +
-    constraints): the Fig. 8 memory metric. *)
+    constraints): the Fig. 8 memory metric.  O(1) per call plus the
+    constraints added since the previous measurement. *)
 
 val eval_regs : Expr.model -> t -> int array
 (** The register file evaluated concretely under a solver model (the zero

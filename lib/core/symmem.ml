@@ -18,12 +18,14 @@ module Int_map = Map.Make (Int)
 type t = {
   base : Bytes.t; (* immutable after construction; shared by all states *)
   overlay : Expr.t Int_map.t;
+  count : int; (* Int_map.cardinal overlay, kept so reading it is O(1) *)
   size : int;
 }
 
 exception Fault of string
 
-let create ~base = { base; overlay = Int_map.empty; size = Bytes.length base }
+let create ~base =
+  { base; overlay = Int_map.empty; count = 0; size = Bytes.length base }
 
 let fault fmt = Fmt.kstr (fun m -> raise (Fault m)) fmt
 
@@ -32,7 +34,7 @@ let check t addr =
 
 (** Number of overlay entries: a proxy for per-state memory footprint,
     reported by the Fig. 8 benchmark. *)
-let overlay_size t = Int_map.cardinal t.overlay
+let overlay_size t = t.count
 
 let base t = t.base
 
@@ -45,34 +47,53 @@ let map_overlay f t = { t with overlay = Int_map.map f t.overlay }
 
 (** Rebuild a memory from a base image and a decoded overlay list. *)
 let of_overlay ~base entries =
-  {
-    base;
-    overlay =
-      List.fold_left (fun m (a, e) -> Int_map.add a e m) Int_map.empty entries;
-    size = Bytes.length base;
-  }
+  let overlay =
+    List.fold_left (fun m (a, e) -> Int_map.add a e m) Int_map.empty entries
+  in
+  { base; overlay; count = Int_map.cardinal overlay; size = Bytes.length base }
 
 let read_byte t addr =
   check t addr;
-  match Int_map.find_opt addr t.overlay with
-  | Some e -> e
-  | None -> Expr.const ~width:8 (Int64.of_int (Char.code (Bytes.get t.base addr)))
+  match Int_map.find addr t.overlay with
+  | e -> e
+  | exception Not_found ->
+      Expr.const ~width:8 (Int64.of_int (Char.code (Bytes.get t.base addr)))
 
 let write_byte t addr v =
   check t addr;
   assert (Expr.width v = 8);
-  { t with overlay = Int_map.add addr v t.overlay }
+  let count = if Int_map.mem addr t.overlay then t.count else t.count + 1 in
+  let overlay = Int_map.add addr v t.overlay in
+  (* [Int_map.add] returns the map itself when the byte already holds [v]. *)
+  if overlay == t.overlay then t else { t with overlay; count }
+
+(* The little-endian value of the 4 bytes at [addr], or -1 when one of
+   them is symbolic. *)
+let rec concrete_bytes t addr i acc =
+  if i < 0 then acc
+  else
+    let b =
+      match Int_map.find (addr + i) t.overlay with
+      | Expr.Const { value; _ } -> Int64.to_int value
+      | _ -> -1
+      | exception Not_found -> Char.code (Bytes.unsafe_get t.base (addr + i))
+    in
+    if b < 0 then -1 else concrete_bytes t addr (i - 1) ((acc lsl 8) lor b)
 
 let read_word t addr =
   check t addr;
   check t (addr + 3);
-  let b0 = read_byte t addr
-  and b1 = read_byte t (addr + 1)
-  and b2 = read_byte t (addr + 2)
-  and b3 = read_byte t (addr + 3) in
-  Expr.concat
-    ~high:(Expr.concat ~high:b3 ~low:b2)
-    ~low:(Expr.concat ~high:b1 ~low:b0)
+  let v = concrete_bytes t addr 3 0 in
+  (* Concrete bytes fold to this very constant through [Expr.concat]. *)
+  if v >= 0 then Expr.const (Int64.of_int v)
+  else
+    let b0 = read_byte t addr
+    and b1 = read_byte t (addr + 1)
+    and b2 = read_byte t (addr + 2)
+    and b3 = read_byte t (addr + 3) in
+    Expr.concat
+      ~high:(Expr.concat ~high:b3 ~low:b2)
+      ~low:(Expr.concat ~high:b1 ~low:b0)
 
 let write_word t addr v =
   check t addr;

@@ -36,9 +36,16 @@ type t = {
   cuts : (int, unit) Hashtbl.t;
   mutable translations : int;
   mutable max_block : int;
-  (* Invalidation: translated address ranges, coarse-grained. *)
-  mutable translated_ranges : (int * int) list;
+  (* One bit per code page of guest RAM, set when a translated block
+     covers part of the page.  A clear bit proves no cached block covers
+     an address, so a store there costs one bit test; a set bit may be
+     stale (blocks are dropped without clearing it) and falls through to
+     the exact search.  Only [flush] clears bits. *)
+  code_pages : Bytes.t;
 }
+
+let page_bits = 8 (* 256-byte code pages: a full 32-instruction block *)
+let num_pages = S2e_vm.Layout.ram_size lsr page_bits
 
 let create ?(max_block = 32) () =
   {
@@ -47,8 +54,21 @@ let create ?(max_block = 32) () =
     cuts = Hashtbl.create 64;
     translations = 0;
     max_block;
-    translated_ranges = [];
+    code_pages = Bytes.make ((num_pages + 7) / 8) '\000';
   }
+
+(* Addresses outside RAM have no bit and always take the exact search. *)
+let may_hold_code t addr =
+  let p = addr asr page_bits in
+  p < 0 || p >= num_pages
+  || Char.code (Bytes.unsafe_get t.code_pages (p lsr 3)) land (1 lsl (p land 7)) <> 0
+
+let set_code_pages t lo hi =
+  for p = max 0 (lo asr page_bits) to min (num_pages - 1) ((hi - 1) asr page_bits) do
+    let i = p lsr 3 in
+    Bytes.set t.code_pages i
+      (Char.unsafe_chr (Char.code (Bytes.get t.code_pages i) lor (1 lsl (p land 7))))
+  done
 
 (** Mark [addr] for execution notification (called by plugins from an
     onInstrTranslation handler). *)
@@ -82,15 +102,13 @@ let translate t ~fetch ~on_translate pc =
           let tb = { tb_start = pc; insns; exec_count = 0 } in
           Hashtbl.replace t.cache pc tb;
           let last, _ = insns.(Array.length insns - 1) in
-          t.translated_ranges <-
-            (pc, last + Insn.insn_size) :: t.translated_ranges;
+          set_code_pages t pc (last + Insn.insn_size);
           tb)
 
 (** Invalidate any block covering [addr] (a guest write hit translated
     code). *)
 let invalidate t addr =
-  let hit = List.exists (fun (lo, hi) -> addr >= lo && addr < hi) t.translated_ranges in
-  if hit then begin
+  if may_hold_code t addr then begin
     (* Coarse but correct: drop every cached block overlapping the write. *)
     let victims =
       Hashtbl.fold
@@ -99,23 +117,21 @@ let invalidate t addr =
           if addr >= start && addr < stop then start :: acc else acc)
         t.cache []
     in
-    Obs.Metrics.add m_tb_invalidations (List.length victims);
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:addr ~b:(List.length victims) t_invalidate;
-    List.iter (Hashtbl.remove t.cache) victims;
-    t.translated_ranges <-
-      List.filter
-        (fun (lo, hi) -> not (addr >= lo && addr < hi))
-        t.translated_ranges
+    if victims <> [] then begin
+      Obs.Metrics.add m_tb_invalidations (List.length victims);
+      if Obs.Trace.enabled () then
+        Obs.Trace.instant ~a:addr ~b:(List.length victims) t_invalidate;
+      List.iter (Hashtbl.remove t.cache) victims
+    end
   end
 
 (** Drop every cached block.  The cumulative translation count is kept
-    (it is monotone by contract); only the cache and its range index are
-    cleared.  Used by the differential oracle, which reuses one
+    (it is monotone by contract); only the cache and its code-page bitmap
+    are cleared.  Used by the differential oracle, which reuses one
     translator across runs that place different code at the same pc. *)
 let flush t =
   Hashtbl.reset t.cache;
-  t.translated_ranges <- []
+  Bytes.fill t.code_pages 0 (Bytes.length t.code_pages) '\000'
 
 (** Force a block boundary before [addr]: no block extends past it, so
     [addr] always starts its own block and execution pauses there between

@@ -27,7 +27,14 @@ val translate :
     fires once per instruction per (re-)translation. *)
 
 val invalidate : t -> int -> unit
-(** A guest write hit this address: drop any block covering it. *)
+(** A guest write hit this address: drop any block covering it.  A write
+    to a code page no block was translated on since the last {!flush}
+    costs one bitmap test. *)
+
+val may_hold_code : t -> int -> bool
+(** [false] proves no block translated since the last {!flush} covers
+    the address (its code page was never translated); [true] may be a
+    false positive.  Addresses outside guest RAM always answer [true]. *)
 
 val cut : t -> int -> unit
 (** Force a permanent block boundary before this address: no translation
@@ -36,8 +43,9 @@ val cut : t -> int -> unit
     the address are dropped.  Used to make merge points schedulable. *)
 
 val flush : t -> unit
-(** Drop every cached block.  The cumulative translation count is
-    preserved; [stats] stays monotone across a flush. *)
+(** Drop every cached block and clear the code-page bitmap.  The
+    cumulative translation count is preserved; [stats] stays monotone
+    across a flush. *)
 
 val stats : t -> int * int
 (** (total translations, blocks currently cached). *)

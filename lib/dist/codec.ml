@@ -589,4 +589,7 @@ let decode_state ~base buf =
     ret_stack;
     rendezvous = [];
     cases;
+    measured = [];
+    measured_len = 0;
+    measured_size = 0;
   }

@@ -92,17 +92,17 @@ let hash e = (meta e).mhash
 let size e = (meta e).msize
 let vars e = (meta e).mvars
 
-let mask w =
+let[@inline] mask w =
   if w >= 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
 
 (* Sign-extend the low [w] bits of [v] to a full int64. *)
-let sext64 v w =
+let[@inline] sext64 v w =
   if w >= 64 then v
   else
     let shift = 64 - w in
     Int64.shift_right (Int64.shift_left v shift) shift
 
-let norm v w = Int64.logand v (mask w)
+let[@inline] norm v w = Int64.logand v (mask w)
 
 let is_const = function Const _ -> true | _ -> false
 
@@ -119,7 +119,7 @@ let mix h k =
   h lxor (h lsr 29)
 
 (* Fold a 64-bit value into a native int without losing the top bit. *)
-let i64h v = Int64.to_int v lxor Int64.to_int (Int64.shift_right_logical v 32)
+let[@inline] i64h v = Int64.to_int v lxor Int64.to_int (Int64.shift_right_logical v 32)
 
 let unop_tag = function Neg -> 0 | Bnot -> 1
 
@@ -278,9 +278,43 @@ let mk_sext arg width =
 (* Basic constructors                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let const ?(width = 32) value = mk_const (norm value width) width
-let bool_t = const ~width:1 1L
-let bool_f = const ~width:1 0L
+(* Per-domain direct-mapped cache of interned constants.  Concrete
+   execution builds a constant for nearly every operand and result, and
+   each [mk_const] allocates a node plus its metadata only to find the
+   existing node in the weak table.  A slot holds the node [intern]
+   returned for its (value, width), so a hit returns exactly the node a
+   miss would (physical identity holds), and the slot's strong reference
+   keeps that node in the weak table.  A hit consumes no uid: uids only
+   key memo tables, so gaps and skipped ids change nothing. *)
+let const_slots = 4096
+
+(* Fills empty slots; width 0 matches no real constant. *)
+let no_const =
+  Const
+    { value = 0L; width = 0;
+      meta = { uid = -1; mhash = 0; msize = 1; mvars = Int_set.empty } }
+
+let const_cache_key : t array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make const_slots no_const)
+
+(* The cache lookup behind every constant.  It is also [const] without
+   the optional argument, which would allocate a [Some] at every folding
+   site below. *)
+let[@inline] constw width value =
+  let value = norm value width in
+  let slots = Domain.DLS.get const_cache_key in
+  let i = (i64h value * 0x9e3779b1 + width) land (const_slots - 1) in
+  let n = Array.unsafe_get slots i in
+  match n with
+  | Const c when c.value = value && c.width = width -> n
+  | _ ->
+      let n = mk_const value width in
+      Array.unsafe_set slots i n;
+      n
+
+let const ?(width = 32) value = constw width value
+let bool_t = constw 1 1L
+let bool_f = constw 1 0L
 let of_bool b = if b then bool_t else bool_f
 
 (* Atomic so parallel exploration workers can mint variables
@@ -322,12 +356,12 @@ let rec equal a b =
          _ ) ->
          false
 
-let eval_unop op v w =
+let[@inline] eval_unop op v w =
   match op with
   | Neg -> norm (Int64.neg v) w
   | Bnot -> norm (Int64.lognot v) w
 
-let eval_binop op a b w =
+let[@inline] eval_binop op a b w =
   let m = mask w in
   match op with
   | Add -> norm (Int64.add a b) w
@@ -363,7 +397,7 @@ let eval_cmp op a b w =
 let unop op arg =
   let w = width arg in
   match arg with
-  | Const { value; _ } -> const ~width:w (eval_unop op value w)
+  | Const { value; _ } -> constw w (eval_unop op value w)
   | Unop { op = op'; arg = inner; _ } when op = op' -> inner
   | _ -> mk_unop op arg w
 
@@ -380,28 +414,28 @@ let rec binop op lhs rhs =
   assert (width rhs = w);
   match lhs, rhs with
   | Const { value = a; _ }, Const { value = b; _ } ->
-      const ~width:w (eval_binop op a b w)
+      constw w (eval_binop op a b w)
   | _ -> (
       match op with
       | Add when is_zero lhs -> rhs
       | Add when is_zero rhs -> lhs
       | Sub when is_zero rhs -> lhs
-      | Sub when equal lhs rhs -> const ~width:w 0L
-      | Mul when is_zero lhs || is_zero rhs -> const ~width:w 0L
+      | Sub when equal lhs rhs -> constw w 0L
+      | Mul when is_zero lhs || is_zero rhs -> constw w 0L
       | Mul when to_const lhs = Some 1L -> rhs
       | Mul when to_const rhs = Some 1L -> lhs
-      | And when is_zero lhs || is_zero rhs -> const ~width:w 0L
+      | And when is_zero lhs || is_zero rhs -> constw w 0L
       | And when is_all_ones rhs -> lhs
       | And when is_all_ones lhs -> rhs
       | And when equal lhs rhs -> lhs
       | Or when is_zero lhs -> rhs
       | Or when is_zero rhs -> lhs
       | Or when is_all_ones lhs || is_all_ones rhs ->
-          const ~width:w (mask w)
+          constw w (mask w)
       | Or when equal lhs rhs -> lhs
       | Xor when is_zero lhs -> rhs
       | Xor when is_zero rhs -> lhs
-      | Xor when equal lhs rhs -> const ~width:w 0L
+      | Xor when equal lhs rhs -> constw w 0L
       | (Shl | Lshr | Ashr) when is_zero rhs -> lhs
       | (Shl | Lshr) when is_zero lhs -> lhs
       (* Reassociate (x + c1) + c2 into x + (c1+c2): the DBT emits long
@@ -409,7 +443,7 @@ let rec binop op lhs rhs =
       | Add -> (
           match lhs, rhs with
           | Binop { op = Add; lhs = x; rhs = Const c1; _ }, Const c2 ->
-              binop Add x (const ~width:w (Int64.add c1.value c2.value))
+              binop Add x (constw w (Int64.add c1.value c2.value))
           | Const _, _ -> binop Add rhs lhs
           | _ -> mk_binop op lhs rhs w)
       | _ -> mk_binop op lhs rhs w)
@@ -470,7 +504,7 @@ let rec extract ~hi ~lo arg =
   else
     match arg with
     | Const { value; _ } ->
-        const ~width:(hi - lo + 1) (Int64.shift_right_logical value lo)
+        constw (hi - lo + 1) (Int64.shift_right_logical value lo)
     | Extract { lo = lo'; arg = inner; _ } ->
         mk_extract (hi + lo') (lo + lo') inner
     | Concat { high = _; low; _ } when hi < width low -> extract ~hi ~lo low
@@ -478,7 +512,7 @@ let rec extract ~hi ~lo arg =
         extract ~hi:(hi - width low) ~lo:(lo - width low) high
     | Zext { arg = inner; _ } when hi < width inner -> extract ~hi ~lo inner
     | Zext { arg = inner; _ } when lo >= width inner ->
-        const ~width:(hi - lo + 1) 0L
+        constw (hi - lo + 1) 0L
     | _ -> mk_extract hi lo arg
 
 let concat ~high ~low =
@@ -486,7 +520,7 @@ let concat ~high ~low =
   assert (w <= 64);
   match high, low with
   | Const { value = vh; _ }, Const { value = vl; _ } ->
-      const ~width:w (Int64.logor (Int64.shift_left vh (width low)) vl)
+      constw w (Int64.logor (Int64.shift_left vh (width low)) vl)
   | _, _ ->
       (* Re-fuse adjacent extracts of the same expression. *)
       (match high, low with
@@ -502,7 +536,7 @@ let zext ~width:w arg =
   if w = aw then arg
   else
     match arg with
-    | Const { value; _ } -> const ~width:w value
+    | Const { value; _ } -> constw w value
     | _ -> mk_zext arg w
 
 let sext ~width:w arg =
@@ -511,7 +545,7 @@ let sext ~width:w arg =
   if w = aw then arg
   else
     match arg with
-    | Const { value; _ } -> const ~width:w (sext64 value aw)
+    | Const { value; _ } -> constw w (sext64 value aw)
     | _ -> mk_sext arg w
 
 (* ------------------------------------------------------------------ *)
@@ -523,7 +557,7 @@ let sext ~width:w arg =
    distribution codec's determinism argument requires a decoded state to
    carry exactly the constraint structure the fork point had. *)
 module Raw = struct
-  let const ~width value = mk_const (norm value width) width
+  let const ~width value = constw width value
   let var ~id ~name ~width = mk_var id name width
 
   let unop op arg = mk_unop op arg (width arg)
@@ -566,7 +600,7 @@ let rec intern_into memo e =
   | None ->
       let e' =
         match e with
-        | Const { value; width; _ } -> mk_const value width
+        | Const { value; width; _ } -> constw width value
         | Var { id; name; width; _ } -> mk_var id name width
         | Unop { op; arg; width; _ } -> mk_unop op (intern_into memo arg) width
         | Binop { op; lhs; rhs; width; _ } ->
@@ -616,6 +650,71 @@ let rec eval (m : model) e =
       Int64.logor (Int64.shift_left (eval m high) (width low)) (eval m low)
   | Zext { arg; _ } -> eval m arg
   | Sext { arg; width = w; _ } -> norm (sext64 (eval m arg) (width arg)) w
+
+(* [eval] on native ints, for the solver's model-cache probes: [eval]
+   boxes an int64 at every node.  A value of width w <= 62 fits a
+   non-negative OCaml int, and OCaml int arithmetic wraps modulo 2^63, so
+   add, sub, mul and neg masked to w bits agree with the int64 results.
+   Wider nodes are evaluated by [eval] and narrowed where a <= 62-bit
+   parent (a comparison, an extract) consumes them. *)
+let int_width_max = 62
+
+let[@inline] imask w = (1 lsl w) - 1
+
+(* Sign-extend the low [w] bits (w <= 62) to the native 63-bit int. *)
+let[@inline] isext v w = (v lsl (63 - w)) asr (63 - w)
+
+let rec eval_int (m : model) e =
+  match e with
+  | Const { value; _ } -> Int64.to_int value
+  | Var { id; width = w; _ } -> (
+      match Int_map.find id m with
+      | v -> Int64.to_int v land imask w
+      | exception Not_found -> 0)
+  | Unop { op; arg; width = w; _ } -> (
+      let a = eval_int m arg in
+      match op with Neg -> -a land imask w | Bnot -> lnot a land imask w)
+  | Binop { op; lhs; rhs; width = w; _ } -> (
+      let a = eval_int m lhs and b = eval_int m rhs in
+      match op with
+      | Add -> (a + b) land imask w
+      | Sub -> (a - b) land imask w
+      | Mul -> a * b land imask w
+      | Udiv -> if b = 0 then imask w else a / b
+      | Urem -> if b = 0 then a else a mod b
+      | And -> a land b
+      | Or -> a lor b
+      | Xor -> a lxor b
+      | Shl -> (a lsl (b mod w)) land imask w
+      | Lshr -> a lsr (b mod w)
+      | Ashr -> (isext a w asr (b mod w)) land imask w)
+  | Cmp { op; lhs; rhs; _ } ->
+      let w = width lhs in
+      if w > int_width_max then
+        Bool.to_int (eval_cmp op (eval m lhs) (eval m rhs) w)
+      else
+        let a = eval_int m lhs and b = eval_int m rhs in
+        Bool.to_int
+          (match op with
+          | Eq -> a = b
+          | Ult -> a < b
+          | Ule -> a <= b
+          | Slt -> isext a w < isext b w
+          | Sle -> isext a w <= isext b w)
+  | Ite { cond; then_; else_; _ } ->
+      if eval_int m cond = 1 then eval_int m then_ else eval_int m else_
+  | Extract { hi; lo; arg; _ } ->
+      if width arg > int_width_max then
+        Int64.to_int (norm (Int64.shift_right_logical (eval m arg) lo) (hi - lo + 1))
+      else (eval_int m arg lsr lo) land imask (hi - lo + 1)
+  | Concat { high; low; _ } -> (eval_int m high lsl width low) lor eval_int m low
+  | Zext { arg; _ } -> eval_int m arg
+  | Sext { arg; width = w; _ } -> isext (eval_int m arg) (width arg) land imask w
+
+let eval_int m e =
+  if width e > int_width_max then
+    invalid_arg (Printf.sprintf "Expr.eval_int: width %d > %d" (width e) int_width_max);
+  eval_int m e
 
 (* ------------------------------------------------------------------ *)
 (* Variable collection, printing                                       *)

@@ -91,7 +91,9 @@ val vars : t -> Int_set.t
 (** {1 Construction} *)
 
 val const : ?width:int -> int64 -> t
-(** Defaults to width 32; the value is truncated to the width. *)
+(** Defaults to width 32; the value is truncated to the width.  A
+    per-domain cache of recently built constants answers most calls
+    without allocating; a hit returns the same interned node. *)
 
 val bool_t : t
 val bool_f : t
@@ -193,6 +195,12 @@ type model = int64 Int_map.t
 (** Variable id → concrete value.  Unbound variables read as 0. *)
 
 val eval : model -> t -> int64
+
+val eval_int : model -> t -> int
+(** [eval] on native ints, without boxing: equal to
+    [Int64.to_int (eval m e)] for expressions of width at most 62.
+    Subterms wider than 62 bits (under a comparison or an extract) are
+    evaluated by {!eval}.  Raises [Invalid_argument] on a wider [e]. *)
 
 (** {1 Inspection} *)
 

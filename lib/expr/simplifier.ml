@@ -320,9 +320,9 @@ let simplify e =
   | Const _ | Var _ -> e
   | _ -> (
       let tbl = Domain.DLS.get simplify_memo in
-      match Hashtbl.find_opt tbl (node_id e) with
-      | Some e' -> e'
-      | None ->
+      match Hashtbl.find tbl (node_id e) with
+      | e' -> e'
+      | exception Not_found ->
           let e' = simplify_raw e in
           memo_store tbl (node_id e) e';
           e')

@@ -86,33 +86,72 @@ let solver_phase = Obs.Span.phase "solver"
    remembered model. *)
 let model_cache_limit = 24
 
+(* Per ring slot, a direct-mapped table of constraint verdicts under the
+   slot's model, as [uid * 2 + holds]: consecutive queries along a path
+   re-check the same constraints against the same recent models, and a
+   verdict is a pure function of the (immutable) model and the
+   constraint node, whose uid no other node ever takes.  Cleared when the
+   slot takes a new model.  A slot's table is allocated when the slot
+   first takes a model: a context that serves a few cold queries (one
+   per test-case state) stays as small as before. *)
+let verdict_slots = 128
+
 type model_ring = {
   slots : Expr.model array;
+  verdicts : int array array; (* per slot; -1 = empty entry *)
   mutable len : int;
   mutable head : int; (* index of the most recent entry; -1 when empty *)
 }
 
 let new_ring () =
-  { slots = Array.make model_cache_limit Expr.Int_map.empty; len = 0; head = -1 }
+  {
+    slots = Array.make model_cache_limit Expr.Int_map.empty;
+    verdicts = Array.make model_cache_limit [||];
+    len = 0;
+    head = -1;
+  }
 
 let ring_push r m =
   r.head <- (r.head + 1) mod model_cache_limit;
   r.slots.(r.head) <- m;
+  if Array.length r.verdicts.(r.head) = 0 then
+    r.verdicts.(r.head) <- Array.make verdict_slots (-1)
+  else Array.fill r.verdicts.(r.head) 0 verdict_slots (-1);
   if r.len < model_cache_limit then r.len <- r.len + 1
 
 let ring_clear r =
   Array.fill r.slots 0 model_cache_limit Expr.Int_map.empty;
+  Array.iter (fun v -> Array.fill v 0 (Array.length v) (-1)) r.verdicts;
   r.len <- 0;
   r.head <- -1
 
-(* Most-recent-first scan, mirroring the old list's lookup order. *)
-let ring_find r p =
+(* Does [m] satisfy every constraint?  [verdicts] is the memo of [m]'s
+   slot.  Constraints are width-1, so [Expr.eval_int] decides them
+   without boxing an int64 per node. *)
+let rec satisfies verdicts m = function
+  | [] -> true
+  | c :: rest ->
+      let id = Expr.node_id c in
+      let k = id land (verdict_slots - 1) in
+      let v = Array.unsafe_get verdicts k in
+      (if v lsr 1 = id then v land 1 = 1
+       else begin
+         let holds = Expr.eval_int m c = 1 in
+         Array.unsafe_set verdicts k ((id lsl 1) lor Bool.to_int holds);
+         holds
+       end)
+      && satisfies verdicts m rest
+
+(* The most recent model satisfying [constraints]: a most-recent-first
+   scan, mirroring the old list's lookup order. *)
+let ring_find_model r constraints =
   let cap = model_cache_limit in
   let rec go i =
     if i >= r.len then None
     else
-      let m = r.slots.((r.head - i + cap) mod cap) in
-      if p m then Some m else go (i + 1)
+      let slot = (r.head - i + cap) mod cap in
+      let m = r.slots.(slot) in
+      if satisfies r.verdicts.(slot) m constraints then Some m else go (i + 1)
   in
   go 0
 
@@ -187,7 +226,9 @@ let default_ctx = create_ctx ()
 let max_conflicts = default_ctx.max_conflicts
 
 let models ctx = ring_to_list ctx.model_cache
-let latest_model ctx = ring_find ctx.model_cache (fun _ -> true)
+let latest_model ctx =
+  let r = ctx.model_cache in
+  if r.len = 0 then None else Some r.slots.(r.head)
 
 (* [default_ctx] predates any CLI flag parsing, so changing the default
    watchdog must also retrofit it. *)
@@ -206,9 +247,6 @@ let clear_caches ctx =
   Array.fill ctx.insts 0 inst_ring_cap None
 
 let remember_model ctx m = ring_push ctx.model_cache m
-
-let satisfies m constraints =
-  List.for_all (fun c -> Expr.eval m c = 1L) constraints
 
 (* Order-dependent mix of the interned per-node hashes: O(1) per
    constraint where the old [Hashtbl.hash] walked (a depth-limited slice
@@ -252,28 +290,42 @@ let remember_unsat ctx constraints =
    Constraints mentioning no seed variable cannot affect satisfiability of
    the query (they are satisfiable on their own by path construction).
    [Expr.vars] reads the variable set cached in each interned node, so a
-   slice costs set operations only — no tree walks. *)
+   slice costs set operations only — no tree walks.
+
+   Each round scans the constraints not yet kept, in list order, against
+   the frontier as it stood when the round began, and keeps every one
+   that shares a variable with it; the kept constraints' variables join
+   the frontier for the next round.  The result lists the kept
+   constraints newest-kept first: the last round's, last-in-list first,
+   down to the first round's.  A kept constraint's variables are unioned
+   into the frontier only when one of them is new; along a path whose
+   constraints all mention the same input, none is. *)
 let slice ~seed_vars constraints =
-  let remaining = ref (List.map (fun c -> (c, Expr.vars c)) constraints) in
+  let n = List.length constraints in
+  let kept = Bytes.make n '\000' in
   let relevant = ref [] in
   let frontier = ref seed_vars in
+  (* [Int_set.disjoint] and [Int_set.subset] split and rebuild trees;
+     membership tests of a constraint's few variables allocate nothing. *)
+  let in_frontier v = Expr.Int_set.mem v !frontier in
   let changed = ref true in
   while !changed do
     changed := false;
-    let keep, rest =
-      List.partition
-        (fun (_, vs) -> not (Expr.Int_set.disjoint vs !frontier))
-        !remaining
-    in
-    if keep <> [] then begin
-      changed := true;
-      List.iter
-        (fun (c, vs) ->
-          relevant := c :: !relevant;
-          frontier := Expr.Int_set.union !frontier vs)
-        keep;
-      remaining := rest
-    end
+    let start = !frontier in
+    let in_start v = Expr.Int_set.mem v start in
+    List.iteri
+      (fun i c ->
+        if Bytes.unsafe_get kept i = '\000' then begin
+          let vs = Expr.vars c in
+          if Expr.Int_set.exists in_start vs then begin
+            Bytes.unsafe_set kept i '\001';
+            changed := true;
+            relevant := c :: !relevant;
+            if not (Expr.Int_set.for_all in_frontier vs) then
+              frontier := Expr.Int_set.union !frontier vs
+          end
+        end)
+      constraints
   done;
   !relevant
 
@@ -501,6 +553,19 @@ let run_incremental ctx ~q_inc constraints =
       ctx.insts;
   result
 
+(* Simplify every constraint, in order, and drop the ones that became
+   [true].  Returns the input list itself when nothing changed (the
+   common case: the executor simplifies branch conditions before they
+   join a path), so such a query allocates no copy of its constraints. *)
+let rec simplify_all = function
+  | [] -> []
+  | c :: rest as l ->
+      let c' = Simplifier.simplify c in
+      let rest' = simplify_all rest in
+      if Expr.equal c' Expr.bool_t then rest'
+      else if c' == c && rest' == rest then l
+      else c' :: rest'
+
 (* [use_model_cache:false] makes the returned model a pure function of the
    constraint set (the SAT core is deterministic), independent of any
    queries the context answered before.  Value-picking paths (concretize,
@@ -527,83 +592,79 @@ let check_ctx ~use_model_cache ctx constraints =
         Obs.Trace.query ~inc:!q_inc ~dur:dt ~prefix:!q_prefix ~nodes:!q_nodes
           ~result:!q_result ~cache:!q_cache ())
     (fun () ->
-      let constraints = List.map Simplifier.simplify constraints in
+      let constraints = simplify_all constraints in
       if List.exists (fun c -> Expr.equal c Expr.bool_f) constraints then begin
         q_result := 1;
         Unsat
       end
-      else
-        let constraints =
-          List.filter (fun c -> not (Expr.equal c Expr.bool_t)) constraints
-        in
-        if constraints = [] then begin
-          q_result := 0;
-          Sat Expr.Int_map.empty
+      else if constraints = [] then begin
+        q_result := 0;
+        Sat Expr.Int_map.empty
+      end
+      else begin
+        (* The canonical list's head is the query-specific condition
+           ([check_with] conses it onto the slice); the tail is the
+           inherited assumption stack, whose hash groups the trace's
+           per-prefix attribution. *)
+        if Obs.Trace.enabled () then begin
+          (match constraints with
+          | _ :: tl -> q_prefix := constraints_key tl
+          | [] -> ());
+          q_nodes :=
+            List.fold_left (fun acc c -> acc + Expr.size c) 0 constraints
+        end;
+        (* Fault injection fires per canonical query, before any cache
+           lookup: cache-hit patterns are solver-history-dependent and
+           differ across modes, so firing deeper (per SAT-core call, as
+           before) would desynchronize the seeded fault stream between
+           incremental and fresh runs and break their differential. *)
+        if S2e_fault.Fault.(fire Solver_latency) then Unix.sleepf 0.005;
+        if S2e_fault.Fault.(fire Solver_unknown) then begin
+          Obs.Metrics.incr m_unknowns;
+          Unknown
         end
-        else begin
-          (* The canonical list's head is the query-specific condition
-             ([check_with] conses it onto the slice); the tail is the
-             inherited assumption stack, whose hash groups the trace's
-             per-prefix attribution. *)
-          if Obs.Trace.enabled () then begin
-            (match constraints with
-            | _ :: tl -> q_prefix := constraints_key tl
-            | [] -> ());
-            q_nodes :=
-              List.fold_left (fun acc c -> acc + Expr.size c) 0 constraints
-          end;
-          (* Fault injection fires per canonical query, before any cache
-             lookup: cache-hit patterns are solver-history-dependent and
-             differ across modes, so firing deeper (per SAT-core call, as
-             before) would desynchronize the seeded fault stream between
-             incremental and fresh runs and break their differential. *)
-          if S2e_fault.Fault.(fire Solver_latency) then Unix.sleepf 0.005;
-          if S2e_fault.Fault.(fire Solver_unknown) then begin
-            Obs.Metrics.incr m_unknowns;
-            Unknown
-          end
-          else
-          let cached_model =
-            if use_model_cache then
-              ring_find ctx.model_cache (fun m -> satisfies m constraints)
-            else None
-          in
-          match cached_model with
-          | Some m ->
+        else
+        let cached_model =
+          if use_model_cache then
+            ring_find_model ctx.model_cache constraints
+          else None
+        in
+        match cached_model with
+        | Some m ->
+            Obs.Metrics.incr m_cache_hits;
+            q_cache := 1;
+            q_result := 0;
+            Sat m
+        | None ->
+            if unsat_cached ctx constraints then begin
               Obs.Metrics.incr m_cache_hits;
-              q_cache := 1;
-              q_result := 0;
-              Sat m
-          | None ->
-              if unsat_cached ctx constraints then begin
-                Obs.Metrics.incr m_cache_hits;
-                q_cache := 2;
-                q_result := 1;
-                Unsat
-              end
-              else begin
-                let r =
-                  (* Pristine (value-producing) queries always solve cold;
-                     verdict queries go through the configured strategy. *)
-                  if not use_model_cache then run_sat ctx constraints
-                  else
-                    match !(ctx.mode) with
-                    | Fresh -> run_sat ctx constraints
-                    | Incremental -> run_incremental ctx ~q_inc constraints
-                in
-                (match r with
-                | Unsat ->
-                    q_result := 1;
-                    remember_unsat ctx constraints
-                | Unknown ->
-                    (* Never silently fold Unknown into Unsat: the
-                       value-picking callers below still return [None],
-                       but the miss is now visible in run stats. *)
-                    Obs.Metrics.incr m_unknowns
-                | Sat _ -> q_result := 0);
-                r
-              end
-        end)
+              q_cache := 2;
+              q_result := 1;
+              Unsat
+            end
+            else begin
+              let r =
+                (* Pristine (value-producing) queries always solve cold;
+                   verdict queries go through the configured strategy. *)
+                if not use_model_cache then run_sat ctx constraints
+                else
+                  match !(ctx.mode) with
+                  | Fresh -> run_sat ctx constraints
+                  | Incremental -> run_incremental ctx ~q_inc constraints
+              in
+              (match r with
+              | Unsat ->
+                  q_result := 1;
+                  remember_unsat ctx constraints
+              | Unknown ->
+                  (* Never silently fold Unknown into Unsat: the
+                     value-picking callers below still return [None],
+                     but the miss is now visible in run stats. *)
+                  Obs.Metrics.incr m_unknowns
+              | Sat _ -> q_result := 0);
+              r
+            end
+      end)
 
 (** Is the conjunction of [constraints] satisfiable?  Returns a model on
     success. *)
@@ -630,8 +691,8 @@ let check_model ?(ctx = default_ctx) constraints =
     — the second probe reuses the first's encoding and learned clauses. *)
 let check_branch ?(ctx = default_ctx) ~constraints cond =
   let neg = Expr.log_not cond in
-  let seed_vars = Expr.Int_set.union (Expr.vars cond) (Expr.vars neg) in
-  let sliced = slice ~seed_vars constraints in
+  (* [neg] is [cond] xor 1: it mentions no variable [cond] does not. *)
+  let sliced = slice ~seed_vars:(Expr.vars cond) constraints in
   let taken = check ~ctx (cond :: sliced) in
   let fall = check ~ctx (neg :: sliced) in
   (taken, fall)

@@ -22,4 +22,5 @@ let () =
       ("extensions", Test_extensions.tests);
       ("tools", Test_tools.tests);
       ("oracle", Test_oracle.tests);
+      ("fastpath", Test_fastpath.tests);
     ]
