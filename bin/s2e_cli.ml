@@ -369,9 +369,9 @@ let print_summary ~procs ~jobs ~wall ~(stats : S2e_core.Executor.stats) ~sched
   if n "solver.inc_hits" + n "solver.inc_partials" > 0 then
     Fmt.pr
       "incremental: %d full prefix hits, %d partial, %d clauses learned \
-       (%d kept live)@."
+       (%d kept live), %d frames pushed, %d instances created@."
       (n "solver.inc_hits") (n "solver.inc_partials") (n "solver.sat_learned")
-      (n "solver.sat_kept");
+      (n "solver.sat_kept") (n "solver.inc_frames") (n "solver.inc_instances");
   (* Printed only when something actually happened (timeouts,
      degradations, injected faults at any fault.* site), so fault-free
      runs keep their exact historical output. *)
@@ -912,16 +912,20 @@ let stats_cmd =
       Fmt.pr "solver layers: %.3f s building CNF (bitblast), %.3f s SAT search@."
         (m "solver.blast_s") (m "solver.search_s");
     (* Incremental reuse (--solver=incremental): realized prefix hits on
-       live SAT instances, shown only when the mode actually fired. *)
+       live SAT instances and the ring's occupancy (assumption frames
+       pushed, instances created), shown only when the mode actually
+       fired. *)
     if mi "solver.inc_hits" + mi "solver.inc_partials" > 0 then
       Fmt.pr
         "incremental: %d full prefix hits, %d partial (%.1f%% of SAT-core \
-         queries reused a live instance)@."
+         queries reused a live instance), %d frames pushed, %d instances \
+         created@."
         (mi "solver.inc_hits")
         (mi "solver.inc_partials")
         (pct
            (m "solver.inc_hits" +. m "solver.inc_partials")
-           (m "solver.sat_queries"));
+           (m "solver.sat_queries"))
+        (mi "solver.inc_frames") (mi "solver.inc_instances");
     (* Resilience: degraded forks, incomplete paths and injected faults
        (per-site fault.* counters), shown only when something fired. *)
     let injected =

@@ -927,14 +927,17 @@ let run_loop ~(limits : run_limits) t =
     | Some m -> t.stats.states_completed >= m
     | None -> false
   in
+  (* The fork count of the last footprint sample: the watermark is
+     sampled once per 16th fork, not on every block run at that count. *)
+  let sampled = ref (-1) in
   let rec loop () =
     if not (over_budget ()) then
       match t.searcher.select () with
       | None -> ()
       | Some s ->
           (try exec_tb t s with Path_end -> ());
-          (* Track footprint high watermark occasionally. *)
-          if t.stats.forks land 15 = 0 then begin
+          if t.stats.forks land 15 = 0 && t.stats.forks <> !sampled then begin
+            sampled := t.stats.forks;
             let fp = List.fold_left (fun acc s -> acc + State.footprint s) 0 t.live in
             if fp > t.stats.footprint_watermark then
               t.stats.footprint_watermark <- fp

@@ -279,11 +279,6 @@ let literal ctx e =
   assert (Expr.width e = 1);
   (blast ctx e).(0)
 
-(** Whether [e] has already been lowered on this context — O(1) via the
-    interned hash.  The solver's instance ring uses this to judge whether
-    recycling a live instance would actually reuse encodings. *)
-let cached ctx e = Expr_tbl.mem ctx.cache e
-
 (** Extract a model for all blasted expression variables after a
     satisfiable {!Sat.solve}. *)
 let model ctx : Expr.model =

@@ -56,6 +56,13 @@ let m_timeouts = Obs.Metrics.counter "solver.timeouts"
 let m_inc_hits = Obs.Metrics.counter "solver.inc_hits"
 let m_inc_partials = Obs.Metrics.counter "solver.inc_partials"
 
+(* Instance-ring occupancy: assumption frames pushed (one per constraint
+   asserted above a query's common ancestor) and live instances created.
+   Along a path, a child query pushes one frame on its parent's instance;
+   a count near the path length per query means prefixes are not shared. *)
+let m_inc_frames = Obs.Metrics.counter "solver.inc_frames"
+let m_inc_instances = Obs.Metrics.counter "solver.inc_instances"
+
 (* SAT-core clause learning: clauses ever learned, and the learned clauses
    live in the calling domain's instance ring after its last incremental
    query — the pool later prefix-matching queries reuse. *)
@@ -391,18 +398,27 @@ let run_sat ctx constraints =
       Unknown
 
 (* The [Incremental] strategy.  The canonical constraint list's head is
-   the query-specific condition; the tail (reversed to oldest-first, so
-   shared parent path conditions align at the bottom) is matched against
-   the ring's live assumption stacks.  The best-overlap instance pops back
-   to the common ancestor frame and asserts only the suffix; the head is
-   probed as a per-call assumption, so sibling feasibility pairs (c, ¬c)
-   are two probes on one instance and learned clauses carry across every
-   query the instance serves. *)
+   the query-specific condition; the tail is the path's constraints
+   oldest first, and is matched against the ring's live assumption
+   stacks.  The best-overlap instance pops back to the common ancestor
+   frame and asserts only the suffix; the head is probed as a per-call
+   assumption, so sibling feasibility pairs (c, ¬c) are two probes on one
+   instance and learned clauses carry across every query the instance
+   serves.
+
+   The match only pays if every stack holds its path in that one order:
+   then a child query shares its parent's whole stack and pushes only
+   its new constraints.  [check_with] and [check_branch] pass a {!slice}
+   as it comes, oldest-first (within each slicing round; a later round's
+   constraints come before an earlier one's, which costs reuse, never
+   soundness); {!check} reverses the tail of its newest-first path.
+   [slice]'s own order stays as it is: cold queries blast in it
+   (DESIGN.md §12). *)
 let run_incremental ctx ~q_inc constraints =
   Obs.Metrics.incr m_sat_queries;
   let probe, base =
     match constraints with
-    | p :: tl -> (p, Array.of_list (List.rev tl))
+    | p :: tl -> (p, Array.of_list tl)
     | [] -> assert false (* check_ctx answers [] without a SAT call *)
   in
   let nbase = Array.length base in
@@ -425,57 +441,31 @@ let run_incremental ctx ~q_inc constraints =
           in
           if better then best := Some (inst, k, inst.itick))
     ctx.insts;
-  let inst, k, created =
+  let inst, k =
     match !best with
-    | Some (inst, k, _) when k > 0 || nbase = 0 -> (inst, k, false)
-    | _ -> (
-        (* No shared prefix anywhere.  Open a new instance only while the
-           ring has a free slot; once full, recycle the least recently
-           used instance popped back to level 0 instead of evicting it —
-           its bit-blast cache still maps the workload's shared subterms
-           (no re-encoding) and its learned clauses remain sound, being
-           implied by the permanent gate clauses alone. *)
-        let free = ref (-1) and lru = ref 0 in
-        for i = inst_ring_cap - 1 downto 0 do
-          match ctx.insts.(i) with
-          | None -> free := i
-          | Some inst -> (
-              match ctx.insts.(!lru) with
-              | Some cur when inst.itick < cur.itick -> lru := i
-              | _ -> ())
+    | Some (inst, k, _) when k > 0 || nbase = 0 -> (inst, k)
+    | _ ->
+        (* No live stack shares a prefix: open a new instance in the
+           first free slot, or in place of the least recently used one. *)
+        let age = function None -> -1 | Some inst -> inst.itick in
+        let slot = ref 0 in
+        for i = 1 to inst_ring_cap - 1 do
+          if age ctx.insts.(i) < age ctx.insts.(!slot) then slot := i
         done;
-        let fresh_in slot =
-          let sat = Sat.create () in
-          let inst =
-            {
-              isat = sat;
-              ibctx = Bitblast.create sat;
-              istack = Array.make (max 8 nbase) Expr.bool_t;
-              ilen = 0;
-              itick = 0;
-              ilearned = 0;
-            }
-          in
-          ctx.insts.(slot) <- Some inst;
-          (inst, 0, true)
+        let sat = Sat.create () in
+        let inst =
+          {
+            isat = sat;
+            ibctx = Bitblast.create sat;
+            istack = Array.make (max 8 nbase) Expr.bool_t;
+            ilen = 0;
+            itick = 0;
+            ilearned = 0;
+          }
         in
-        if !free >= 0 then fresh_in !free
-        else
-          match ctx.insts.(!lru) with
-          | Some inst ->
-              (* Recycling only pays when the instance's CNF map already
-                 covers most of this query's encodings.  An instance grown
-                 on a different workload (a long-lived process crossing
-                 guest images) is pure dead weight — every solve must
-                 still assign all its variables — so replace it instead,
-                 which also bounds the ring's memory. *)
-              let known = ref 0 in
-              for i = 0 to nbase - 1 do
-                if Bitblast.cached inst.ibctx base.(i) then incr known
-              done;
-              if 2 * !known >= nbase then (inst, 0, false)
-              else fresh_in !lru
-          | None -> assert false (* full ring: every slot is Some *))
+        ctx.insts.(!slot) <- Some inst;
+        Obs.Metrics.incr m_inc_instances;
+        (inst, 0)
   in
   ctx.inst_tick <- ctx.inst_tick + 1;
   inst.itick <- ctx.inst_tick;
@@ -496,11 +486,11 @@ let run_incremental ctx ~q_inc constraints =
     Sat.assume inst.isat (Bitblast.literal inst.ibctx base.(i));
     inst.istack.(i) <- base.(i)
   done;
+  Obs.Metrics.add m_inc_frames (nbase - k);
   inst.ilen <- nbase;
   (* Realized reuse means a nonempty shared prefix survived the pop; a
-     new instance or a level-0 recycle reuses gates at best, so it stays
-     classified fresh. *)
-  if created || k = 0 then q_inc := 0
+     new instance reuses nothing, so it stays classified fresh. *)
+  if k = 0 then q_inc := 0
   else if k = nbase then begin
     q_inc := 2;
     Obs.Metrics.incr m_inc_hits
@@ -667,15 +657,20 @@ let check_ctx ~use_model_cache ctx constraints =
       end)
 
 (** Is the conjunction of [constraints] satisfiable?  Returns a model on
-    success. *)
+    success.  [constraints] is in path order, newest first, as
+    [State.constraints] holds it; the query keeps the head and lists the
+    rest oldest-first, the order {!run_incremental} matches stacks in. *)
 let check ?(ctx = default_ctx) constraints =
+  let constraints =
+    match constraints with [] -> [] | c :: rest -> c :: List.rev rest
+  in
   check_ctx ~use_model_cache:true ctx constraints
 
 (** Satisfiability of [constraints ∧ cond]: used to decide branch
     feasibility.  The constraint set is sliced around [cond]'s variables. *)
 let check_with ?(ctx = default_ctx) ~constraints cond =
   let sliced = slice ~seed_vars:(Expr.vars cond) constraints in
-  check ~ctx (cond :: sliced)
+  check_ctx ~use_model_cache:true ctx (cond :: sliced)
 
 (** A model of [constraints] that is a pure function of the constraint
     set: bypasses the model cache and solves on a cold SAT instance in
@@ -693,8 +688,8 @@ let check_branch ?(ctx = default_ctx) ~constraints cond =
   let neg = Expr.log_not cond in
   (* [neg] is [cond] xor 1: it mentions no variable [cond] does not. *)
   let sliced = slice ~seed_vars:(Expr.vars cond) constraints in
-  let taken = check ~ctx (cond :: sliced) in
-  let fall = check ~ctx (neg :: sliced) in
+  let taken = check_ctx ~use_model_cache:true ctx (cond :: sliced) in
+  let fall = check_ctx ~use_model_cache:true ctx (neg :: sliced) in
   (taken, fall)
 
 (** A concrete value for [e] consistent with [constraints], if any.  The

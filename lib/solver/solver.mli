@@ -115,7 +115,11 @@ val slice : seed_vars:Expr.Int_set.t -> Expr.t list -> Expr.t list
     [seed_vars]. *)
 
 val check : ?ctx:ctx -> Expr.t list -> result
-(** Is the conjunction satisfiable?  Returns a model on success. *)
+(** Is the conjunction satisfiable?  Returns a model on success.  The
+    list is in path order, newest constraint first, as
+    [State.constraints] holds it: in incremental mode its head is the
+    probe and its tail, reversed, is matched oldest-first against the
+    live assumption stacks. *)
 
 val check_with : ?ctx:ctx -> constraints:Expr.t list -> Expr.t -> result
 (** Satisfiability of [constraints ∧ cond], slicing [constraints] around

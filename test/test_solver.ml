@@ -360,6 +360,60 @@ let test_bitblast_literal_stable () =
   Alcotest.(check bool) "distinct nodes get distinct literals" true
     (Bitblast.literal bctx other <> l1)
 
+(* The instance ring's order contract: a live stack holds its path oldest
+   constraint first, so along a growing path each branch check lands on
+   its parent's instance and pushes only the constraint added since, and
+   a [check] handed the same path newest-first, as [State.constraints]
+   holds it, lands on that same stack.  Every [¬cond] below is
+   unsatisfiable under [x < 100], so no cached model answers it and each
+   step reaches the SAT core. *)
+let test_ring_stacks_path_order () =
+  let ctx = Solver.create_ctx ~mode:Solver.Incremental () in
+  let x = Expr.fresh_var ~width:8 "ring" in
+  let k8 v = Expr.const ~width:8 (Int64.of_int v) in
+  let counts f =
+    let before = S2e_obs.Metrics.snapshot () in
+    f ();
+    let d = S2e_obs.Metrics.(delta ~before (snapshot ())) in
+    S2e_obs.Metrics.
+      ( get_int d "solver.inc_frames",
+        get_int d "solver.inc_instances",
+        get_int d "solver.sat_queries" )
+  in
+  let path = ref [ Expr.ult x (k8 100) ] in
+  for step = 0 to 11 do
+    let cond = Expr.ne x (k8 (100 + step)) in
+    let frames, instances, sat =
+      counts (fun () ->
+          match Solver.check_branch ~ctx ~constraints:!path cond with
+          | Solver.Sat _, Solver.Unsat -> ()
+          | _ -> Alcotest.fail "expected a sat taken side, an unsat fall side")
+    in
+    Alcotest.(check bool) "the step reached the SAT core" true (sat >= 1);
+    Alcotest.(check int) "one frame pushed per branch check" 1 frames;
+    Alcotest.(check int) "instances created"
+      (if step = 0 then 1 else 0)
+      instances;
+    path := cond :: !path
+  done;
+  let frames, instances, sat =
+    counts (fun () ->
+        match Solver.check ~ctx (Expr.eq x (k8 200) :: !path) with
+        | Solver.Unsat -> ()
+        | _ -> Alcotest.fail "expected unsat")
+  in
+  Alcotest.(check int) "check reached the SAT core" 1 sat;
+  Alcotest.(check int) "check pushes only the newest constraint" 1 frames;
+  Alcotest.(check int) "check opens no instance" 0 instances;
+  let frames, instances, _ =
+    counts (fun () ->
+        match Solver.check ~ctx (Expr.eq x (k8 201) :: !path) with
+        | Solver.Unsat -> ()
+        | _ -> Alcotest.fail "expected unsat")
+  in
+  Alcotest.(check int) "same path again: nothing pushed" 0 frames;
+  Alcotest.(check int) "same path again: no instance" 0 instances
+
 (* Whole-engine differential: every solver mode must explore the same
    tree and emit byte-identical sorted case sets, serially and with
    domain-parallel workers (each worker gets a private instance ring, so
@@ -743,6 +797,8 @@ let tests =
       test_sat_incremental_vs_fresh;
     Alcotest.test_case "bitblast literals stable in a context" `Quick
       test_bitblast_literal_stable;
+    Alcotest.test_case "ring stacks paths oldest-first" `Quick
+      test_ring_stacks_path_order;
     Alcotest.test_case "solver modes explore identical case sets" `Quick
       test_mode_differential;
     Alcotest.test_case "urlparse: incremental == fresh cases" `Quick
