@@ -158,6 +158,29 @@ grep -q '^incremental: [1-9]' "$solver_out" \
 rm -f "$serial_out.cases" "$solver_out.cases"
 echo "CI: solver-mode differential passed (fresh == incremental on symloop, reuse reported)"
 
+# Deep-path solver-mode differential: symloop's paths are shallow, so the
+# instance ring's long assumption stacks and the SAT trail they keep
+# between solves (DESIGN.md §12) are exercised on the pcnet exerciser,
+# whose paths stack dozens of constraints.  Both runs must drain (every
+# state created completes) and emit identical case sets.
+deep_fresh=$tmp/deep-fresh.txt
+deep_inc=$tmp/deep-inc.txt
+dune exec bin/s2e_cli.exe -- explore --driver pcnet --workload exerciser \
+  --jobs 1 --seconds 300 --solver fresh --cases > "$deep_fresh"
+dune exec bin/s2e_cli.exe -- explore --driver pcnet --workload exerciser \
+  --jobs 1 --seconds 300 --cases > "$deep_inc"
+for f in "$deep_fresh" "$deep_inc"; do
+  done_paths=$(sed -n 's/^paths completed: \([0-9][0-9]*\)$/\1/p' "$f")
+  created=$(sed -n 's/^states created: \([0-9][0-9]*\)$/\1/p' "$f")
+  [ -n "$done_paths" ] && [ "$done_paths" = "$created" ] \
+    || { echo "CI: pcnet exerciser run did not drain ($done_paths of $created states completed)" >&2; exit 1; }
+done
+grep '|' "$deep_fresh" | sort > "$deep_fresh.cases"
+grep '|' "$deep_inc" | sort > "$deep_inc.cases"
+diff "$deep_fresh.cases" "$deep_inc.cases" > /dev/null \
+  || { echo "CI: pcnet exerciser cases differ between --solver fresh and incremental" >&2; exit 1; }
+echo "CI: deep-path solver-mode differential passed ($(wc -l < "$deep_inc.cases") pcnet exerciser cases, fresh == incremental)"
+
 # Chaos solver differential: with an injected-unknown plan armed on a
 # fixed seed, incremental must degrade exactly as fresh does — same
 # [incomplete] suffixes, same final case set (injection fires per
@@ -302,6 +325,10 @@ leaves=$(sed -n 's/^cluster: .*, \([0-9][0-9]*\) leaves.*/\1/p' "$cluster_out")
 [ -n "$leaves" ] && [ "$leaves" -ge 1 ] \
   || { echo "CI: killed worker was not counted as a leave" >&2; exit 1; }
 echo "CI: tcp cluster smoke test passed ($joins joins, $leaves leaves)"
+# The scratch directory has once vanished between this step and the next;
+# fail here, naming the step, rather than on a later missing file.
+[ -d "$tmp" ] \
+  || { echo "CI: scratch directory $tmp is gone after the tcp cluster smoke test" >&2; exit 1; }
 
 # Mixed-cluster smoke: serve spawns one owned worker (the real CLI Exec
 # path, dialing the serve listener) and one remote worker joins once the
@@ -325,6 +352,8 @@ serve_rc=0
 wait "$serve_pid" || serve_rc=$?
 kill "$w1" 2>/dev/null || true
 wait "$w1" 2>/dev/null || true
+[ -d "$tmp" ] \
+  || { echo "CI: scratch directory $tmp is gone after the mixed cluster run" >&2; exit 1; }
 [ "$serve_rc" -eq 0 ] \
   || { echo "CI: mixed serve exited $serve_rc" >&2; cat "$mixed_out" >&2; exit 1; }
 if grep -q '^abandoned item' "$mixed_out"; then

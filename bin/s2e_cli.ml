@@ -369,9 +369,11 @@ let print_summary ~procs ~jobs ~wall ~(stats : S2e_core.Executor.stats) ~sched
   if n "solver.inc_hits" + n "solver.inc_partials" > 0 then
     Fmt.pr
       "incremental: %d full prefix hits, %d partial, %d clauses learned \
-       (%d kept live), %d frames pushed, %d instances created@."
+       (%d kept live), %d frames pushed, %d instances created, %d \
+       propagations@."
       (n "solver.inc_hits") (n "solver.inc_partials") (n "solver.sat_learned")
-      (n "solver.sat_kept") (n "solver.inc_frames") (n "solver.inc_instances");
+      (n "solver.sat_kept") (n "solver.inc_frames") (n "solver.inc_instances")
+      (n "solver.inc_propagations");
   (* Printed only when something actually happened (timeouts,
      degradations, injected faults at any fault.* site), so fault-free
      runs keep their exact historical output. *)
@@ -919,13 +921,14 @@ let stats_cmd =
       Fmt.pr
         "incremental: %d full prefix hits, %d partial (%.1f%% of SAT-core \
          queries reused a live instance), %d frames pushed, %d instances \
-         created@."
+         created, %d propagations@."
         (mi "solver.inc_hits")
         (mi "solver.inc_partials")
         (pct
            (m "solver.inc_hits" +. m "solver.inc_partials")
            (m "solver.sat_queries"))
-        (mi "solver.inc_frames") (mi "solver.inc_instances");
+        (mi "solver.inc_frames") (mi "solver.inc_instances")
+        (mi "solver.inc_propagations");
     (* Resilience: degraded forks, incomplete paths and injected faults
        (per-site fault.* counters), shown only when something fired. *)
     let injected =

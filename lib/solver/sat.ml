@@ -10,13 +10,15 @@
     Incremental use: clauses added with {!add_clause} are permanent, but
     literals asserted through the assumption stack ({!push}/{!assume}/
     {!pop}) are retractable — {!solve} decides them as the first decision
-    levels of the search, MiniSat-style, so popping a frame is O(1) and
-    never deletes a clause.  Because every learned clause is derived by
-    resolution from the permanent clause set alone (assumptions enter
-    learned clauses as ordinary literals, never as resolved-away premises),
-    all learned clauses remain valid across pops: retention is level-0-safe
-    by construction.  Growth is bounded by an activity-ordered learned-
-    clause database with geometric reduction.
+    levels of the search, MiniSat-style, so popping a frame never deletes
+    a clause.  The trail outlives each solve: the next one keeps the
+    levels that decided its own leading assumptions and re-propagates
+    only from the first that changed.  Because every learned clause is
+    derived by resolution from the permanent clause set alone (assumptions
+    enter learned clauses as ordinary literals, never as resolved-away
+    premises), all learned clauses remain valid across pops: retention is
+    level-0-safe by construction.  Growth is bounded by an activity-ordered
+    learned-clause database with geometric reduction.
 
     Storage is flat: every clause's literals live in one int arena, the
     per-clause attributes in parallel arrays, and each literal's watch list
@@ -70,6 +72,11 @@ type t = {
   mutable trail_len : int;
   mutable trail_lim : int array; (* trail length at each decision level *)
   mutable trail_lim_len : int;
+  (* The trail outlives a solve (DESIGN.md §12): decision level [i+1] of
+     the last solve decided assumption [i], recorded in [lim_lit.(i)], for
+     every [i < assumed_levels]; the levels above are search decisions. *)
+  mutable lim_lit : int array;
+  mutable assumed_levels : int;
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
@@ -129,6 +136,8 @@ let create () =
     trail_len = 0;
     trail_lim = Array.make 8 0;
     trail_lim_len = 0;
+    lim_lit = Array.make 8 0;
+    assumed_levels = 0;
     qhead = 0;
     activity = Array.make 8 0.0;
     var_inc = 1.0;
@@ -163,6 +172,7 @@ let reset s =
   s.nclauses <- 0;
   s.trail_len <- 0;
   s.trail_lim_len <- 0;
+  s.assumed_levels <- 0;
   s.qhead <- 0;
   s.var_inc <- 1.0;
   s.heap_len <- 0;
@@ -404,14 +414,54 @@ let add_clause_internal s src n learned =
   watch s src.(1) idx;
   idx
 
+(* Intake of a clause of [k >= 2] literals, none assigned at level 0, while
+   the trail holds levels above 0: watch two literals that are not false
+   under the trail.  With only one, the clause is unit and its literal is
+   enqueued at the current level with the clause as reason; the false
+   literal watched beside it is the latest assigned, so backtracking frees
+   it first.  A later backtrack that undoes the literal but not that watch
+   leaves the clause unit with nothing implying it: a missed implication,
+   never a wrong answer, since once the literal turns false its watch
+   still finds the clause falsified.  A clause false under the trail
+   drops the trail. *)
+let add_clause_above s a k =
+  let swap i j =
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  in
+  let nf = ref 0 in
+  for i = 0 to k - 1 do
+    if lit_value s a.(i) <> 2 then begin
+      swap !nf i;
+      incr nf
+    end
+  done;
+  if !nf = 0 then begin
+    backtrack s 0;
+    ignore (add_clause_internal s a k false)
+  end
+  else begin
+    if !nf = 1 then begin
+      let latest = ref 1 in
+      for i = 2 to k - 1 do
+        if s.level.(lit_var a.(i)) > s.level.(lit_var a.(!latest)) then
+          latest := i
+      done;
+      swap 1 !latest
+    end;
+    let ci = add_clause_internal s a k false in
+    if !nf = 1 && lit_value s a.(0) = 0 then enqueue s a.(0) ci
+  end
+
 (** Add a problem clause.  Performs top-level simplification: satisfied
-    clauses are dropped, false literals removed.  The solver backtracks to
-    decision level 0 first, so clauses can be added between incremental
-    solves (any model from the previous solve must be read before).  The
-    stored clause keeps its literals in ascending order. *)
+    clauses are dropped, false literals removed, both judged on level-0
+    assignments only.  Clauses can be added between incremental solves,
+    while the trail the last solve left is still in place (any model from
+    that solve must be read before).  At level 0 the stored clause keeps
+    its literals in ascending order. *)
 let add_clause s lits =
   if not s.unsat then begin
-    backtrack s 0;
     let n = Array.length lits in
     if n > Array.length s.cbuf then s.cbuf <- grow_array s.cbuf n 0;
     let a = s.cbuf in
@@ -428,7 +478,9 @@ let add_clause s lits =
     done;
     (* Compact in place.  Sorting puts duplicates side by side, and a
        literal next to its negation (2v, 2v+1), so both are checks on the
-       previous literal. *)
+       previous literal.  Above level 0 an assigned literal counts only if
+       its level is 0; a cold instance never looks a level up. *)
+    let above = decision_level s > 0 in
     let k = ref 0 in
     let prev = ref (-1) in
     let tautology = ref false in
@@ -439,8 +491,8 @@ let add_clause s lits =
         if l = lit_neg !prev then tautology := true
         else begin
           match lit_value s l with
-          | 1 -> tautology := true
-          | 2 -> ()
+          | 1 when not above || s.level.(lit_var l) = 0 -> tautology := true
+          | 2 when not above || s.level.(lit_var l) = 0 -> ()
           | _ ->
               a.(!k) <- l;
               incr k
@@ -452,7 +504,10 @@ let add_clause s lits =
     if not !tautology then
       match !k with
       | 0 -> s.unsat <- true
-      | 1 -> enqueue s a.(0) (-1)
+      | 1 ->
+          backtrack s 0;
+          enqueue s a.(0) (-1)
+      | k when above -> add_clause_above s a k
       | k -> ignore (add_clause_internal s a k false)
   end
 
@@ -473,15 +528,16 @@ let assume s l =
   s.assumptions.(s.n_assumptions) <- l;
   s.n_assumptions <- s.n_assumptions + 1
 
-(** Retract the top assumption frame.  O(1): assumptions are search-time
+(** Retract the top assumption frame.  Assumptions are search-time
     decisions, not clauses, so nothing is deleted — and every learned
     clause remains valid (it is implied by the permanent clause set). *)
 let pop s =
   if s.n_frames = 0 then invalid_arg "Sat.pop: empty frame stack";
   s.n_frames <- s.n_frames - 1;
   s.n_assumptions <- s.frame_lim.(s.n_frames);
-  (* Assumption-level assignments are stale now. *)
-  backtrack s 0
+  (* The levels of the retracted assumptions, and any search above them,
+     are stale now; the remaining assumptions' levels stay. *)
+  backtrack s s.n_assumptions
 
 let frames s = s.n_frames
 
@@ -749,22 +805,30 @@ type result = Sat | Unsat | Unknown
 
 (* The search loop, parameterized by the literals assumed for this call:
    the persistent assumption stack followed by the caller's extra probes.
-   Assumptions are decided in order as the first decision levels; a
-   falsified assumption means Unsat under the current assumptions without
-   poisoning the instance (s.unsat stays false).  With no assumptions this
-   is the classic restart loop, bit-for-bit. *)
+   Assumption [i] is decided as decision level [i+1]; a falsified
+   assumption means Unsat under the current assumptions without poisoning
+   the instance (s.unsat stays false).  The call starts from the trail the
+   last one left, backtracked to the longest prefix of levels that decided
+   this call's assumptions, so a query re-propagates only the frames that
+   changed.  With no assumptions the call starts at level 0 and is the
+   classic restart loop, bit-for-bit. *)
 let solve_gen ?max_conflicts ?deadline s extra =
   if s.unsat then Unsat
   else if
     match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
   then Unknown
   else begin
-    backtrack s 0;
     let n_assumed = s.n_assumptions + List.length extra in
     let assumed i =
       if i < s.n_assumptions then s.assumptions.(i)
       else List.nth extra (i - s.n_assumptions)
     in
+    let keep = ref 0 in
+    let bound = min (min s.assumed_levels s.trail_lim_len) n_assumed in
+    while !keep < bound && s.lim_lit.(!keep) = assumed !keep do
+      incr keep
+    done;
+    backtrack s !keep;
     let result = ref None in
     let restart_limit = ref 100 in
     let conflicts_here = ref 0 in
@@ -813,7 +877,9 @@ let solve_gen ?max_conflicts ?deadline s extra =
             result := Some Unsat
         | v ->
             s.trail_lim <- grow_array s.trail_lim (s.trail_lim_len + 1) 0;
+            s.lim_lit <- grow_array s.lim_lit (s.trail_lim_len + 1) 0;
             s.trail_lim.(s.trail_lim_len) <- s.trail_len;
+            s.lim_lit.(s.trail_lim_len) <- l;
             s.trail_lim_len <- s.trail_lim_len + 1;
             if v = 0 then enqueue s l (-1)
       end
@@ -837,11 +903,17 @@ let solve_gen ?max_conflicts ?deadline s extra =
       end
     done;
     match !result with
-    | Some Unsat when decision_level s > 0 || s.n_assumptions > 0 ->
-        (* Unsat under assumptions: leave the instance reusable. *)
+    | Some Unknown ->
+        (* A spent conflict budget can leave a conflict unanalyzed on the
+           trail: the next call starts from level 0. *)
         backtrack s 0;
-        Unsat
-    | Some r -> r
+        Unknown
+    | Some r ->
+        (* Sat leaves its model on the trail, Unsat under assumptions the
+           levels below the falsified one; both keep their assumption
+           levels for the next call. *)
+        s.assumed_levels <- min s.trail_lim_len n_assumed;
+        r
     | None -> assert false
   end
 

@@ -34,9 +34,11 @@ val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
 
 val add_clause : t -> lit array -> unit
-(** Add a permanent problem clause (at decision level 0).  Tautologies are
-    dropped; an empty clause makes the instance unsatisfiable.  Safe to
-    call between incremental solves.  The array is copied, not kept. *)
+(** Add a permanent problem clause.  Tautologies and clauses satisfied at
+    decision level 0 are dropped; an empty clause makes the instance
+    unsatisfiable.  Safe to call between incremental solves: the trail
+    the last solve left stays in place unless the clause is false under
+    it.  The array is copied, not kept. *)
 
 val push : t -> unit
 (** Open a retractable assumption frame — a decision-level checkpoint. *)
@@ -48,7 +50,8 @@ val assume : t -> lit -> unit
     clause, so it can be retracted in O(1). *)
 
 val pop : t -> unit
-(** Retract the top assumption frame.  Learned clauses are retained: every
+(** Retract the top assumption frame, backtracking the trail to the
+    remaining assumptions' levels.  Learned clauses are retained: every
     clause learned under assumptions is implied by the permanent clause set
     alone (assumption literals enter learned clauses as ordinary literals,
     never as resolved-away premises), so retention is sound at level 0.
@@ -62,7 +65,10 @@ type result = Sat | Unsat | Unknown
 val solve : ?max_conflicts:int -> ?deadline:float -> t -> result
 (** Solve the permanent clause set under the stacked assumptions.
     [Unsat] under a non-empty assumption stack does not poison the
-    instance — popping back and solving again works.  [Unknown] is
+    instance — popping back and solving again works.  Each call starts
+    from the trail the last one left, kept up to the first decision level
+    whose assumption differs from this call's, so a query under a mostly
+    unchanged stack re-propagates only what changed.  [Unknown] is
     returned when the conflict budget is exhausted or the wall-clock
     [deadline] (an absolute [Unix.gettimeofday] value) passes — the
     solver watchdog. *)

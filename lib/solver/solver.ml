@@ -69,6 +69,11 @@ let m_inc_instances = Obs.Metrics.counter "solver.inc_instances"
 let m_sat_learned = Obs.Metrics.counter "solver.sat_learned"
 let m_sat_kept = Obs.Metrics.gauge ~merge:Obs.Metrics.Sum "solver.sat_kept"
 
+(* Literals the ring's instances propagated: the per-query cost of
+   incremental search, which keeps each instance's trail between solves
+   and so re-propagates only the frames that changed (DESIGN.md §12). *)
+let m_inc_propagations = Obs.Metrics.counter "solver.inc_propagations"
+
 (* Where SAT-core time goes, over every cold and incremental call:
    building the CNF (bit-blasting, clause intake, assumption frames) and
    searching it.  Plain accumulators, not {!Obs.Span} phases, so the
@@ -169,7 +174,7 @@ let ring_to_list r =
 (* One live SAT instance of the incremental ring.  [istack] is the
    constraint stack currently asserted, oldest-first; entry [i] is one
    {!Sat.push}ed frame holding one {!Sat.assume}d literal, so popping back
-   to a common ancestor is [ilen - k] O(1) pops.  The {!Bitblast.ctx} is
+   to a common ancestor is [ilen - k] pops.  The {!Bitblast.ctx} is
    the per-instance persistent CNF map: every interned expression node
    bitblasts once per instance, not once per query. *)
 type instance = {
@@ -179,6 +184,7 @@ type instance = {
   mutable ilen : int;
   mutable itick : int; (* LRU clock *)
   mutable ilearned : int; (* Sat learned-total last added to the registry *)
+  mutable ipropagated : int; (* Sat propagations last added to the registry *)
 }
 
 (* Ring capacity: sibling probes and parent/child chains need very few
@@ -352,12 +358,15 @@ let note_unknown deadline =
   | Some d when Unix.gettimeofday () >= d -> Obs.Metrics.incr m_timeouts
   | _ -> ()
 
-(* Report an instance's SAT-core learning: [learned] as a delta (monotone
-   per instance), [kept] as the current live pool summed over the ring. *)
+(* Report an instance's SAT-core learning and propagations: [learned] and
+   [propagations] as deltas (monotone per instance), [kept] as the current
+   live pool summed over the ring. *)
 let note_sat_stats ctx inst =
   let sst = Sat.stats inst.isat in
   Obs.Metrics.add m_sat_learned (sst.Sat.learned - inst.ilearned);
   inst.ilearned <- sst.Sat.learned;
+  Obs.Metrics.add m_inc_propagations (sst.Sat.propagations - inst.ipropagated);
+  inst.ipropagated <- sst.Sat.propagations;
   Obs.Metrics.set m_sat_kept
     (Array.fold_left
        (fun acc -> function
@@ -461,6 +470,7 @@ let run_incremental ctx ~q_inc constraints =
             ilen = 0;
             itick = 0;
             ilearned = 0;
+            ipropagated = 0;
           }
         in
         ctx.insts.(!slot) <- Some inst;

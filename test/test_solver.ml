@@ -334,6 +334,192 @@ let test_sat_incremental_vs_fresh () =
       (Sat.frames inc)
   done
 
+(* --- retained trail -------------------------------------------------- *)
+
+(* A growing gate-structured instance: the clauses it was given, kept so a
+   throwaway instance can be handed the same problem. *)
+type gates = { g_sat : Sat.t; mutable g_clauses : Sat.lit list list }
+
+let gate_clause g c =
+  g.g_clauses <- c :: g.g_clauses;
+  Sat.add_clause g.g_sat (Array.of_list c)
+
+(* A fresh output [o] with the Tseitin clauses of [o = a AND b],
+   [o = a XOR b] or [o = (a ? b : c)]. *)
+let add_gate rng g lit =
+  let o = Sat.pos (Sat.new_var g.g_sat) in
+  let a = lit () and b = lit () and n = Sat.lit_neg in
+  (match Random.State.int rng 3 with
+  | 0 ->
+      gate_clause g [ n o; a ];
+      gate_clause g [ n o; b ];
+      gate_clause g [ o; n a; n b ]
+  | 1 ->
+      gate_clause g [ n o; a; b ];
+      gate_clause g [ n o; n a; n b ];
+      gate_clause g [ o; n a; b ];
+      gate_clause g [ o; a; n b ]
+  | _ ->
+      let c = lit () in
+      gate_clause g [ n o; n a; b ];
+      gate_clause g [ n o; a; c ];
+      gate_clause g [ o; n a; n b ];
+      gate_clause g [ o; a; n c ]);
+  o
+
+(* Property: one instance driven through random push / assume / pop,
+   clause intake and [solve_assuming] probes, so that later solves start
+   from the trail earlier ones left, answers every probe like a fresh
+   instance handed the same clauses with the assumptions as unit clauses,
+   and every model it returns satisfies every clause and assumption.  The
+   intake between solves adds gates (whose fresh output is unit under the
+   kept trail), clauses the last model satisfies, clauses unit under it
+   on a fresh variable, and now and then a clause it falsifies. *)
+let prop_retained_trail =
+  QCheck2.Test.make ~count:150 ~name:"retained trail answers like a fresh instance"
+    QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| 0x7A11; seed |] in
+      let g = { g_sat = Sat.create (); g_clauses = [] } in
+      let s = g.g_sat in
+      let vars = ref 0 in
+      let new_var () =
+        incr vars;
+        Sat.new_var s
+      in
+      let lit () =
+        let v = Random.State.int rng !vars in
+        if Random.State.bool rng then Sat.pos v else Sat.neg v
+      in
+      let gate () =
+        ignore (add_gate rng g lit);
+        incr vars
+      in
+      for _ = 1 to 3 + Random.State.int rng 4 do
+        ignore (new_var ())
+      done;
+      for _ = 1 to 5 + Random.State.int rng 15 do
+        gate ()
+      done;
+      let model = ref None in
+      let stack = ref [] in
+      let lit_true m l = m.(Sat.lit_var l) = Sat.lit_sign l in
+      (* A literal of a variable the last model gave [value]. *)
+      let model_lit m value =
+        let v = Random.State.int rng (Array.length m) in
+        if m.(v) = value then Sat.pos v else Sat.neg v
+      in
+      for _step = 1 to 40 do
+        match Random.State.int rng 8 with
+        | 0 | 1 ->
+            let l = lit () in
+            Sat.push s;
+            Sat.assume s l;
+            stack := l :: !stack
+        | 2 when !stack <> [] ->
+            Sat.pop s;
+            stack := List.tl !stack
+        | 3 -> gate ()
+        | 4 -> (
+            match !model with
+            | Some m -> (
+                match Random.State.int rng 8 with
+                | 0 -> gate_clause g [ model_lit m false; model_lit m false ]
+                | 1 | 2 | 3 ->
+                    gate_clause g [ model_lit m true; lit (); lit () ]
+                | _ ->
+                    let f = Sat.pos (new_var ()) in
+                    gate_clause g
+                      [ model_lit m false; model_lit m false;
+                        (if Random.State.bool rng then f else Sat.lit_neg f) ])
+            | None -> gate ())
+        | _ ->
+            let extra = List.init (Random.State.int rng 3) (fun _ -> lit ()) in
+            let r = Sat.solve_assuming s extra in
+            let fresh = Sat.create () in
+            for _ = 1 to !vars do
+              ignore (Sat.new_var fresh)
+            done;
+            List.iter (fun c -> Sat.add_clause fresh (Array.of_list c)) g.g_clauses;
+            List.iter (fun l -> Sat.add_clause fresh [| l |]) (!stack @ extra);
+            let rf = Sat.solve fresh in
+            if result_tag r <> result_tag rf then
+              QCheck2.Test.fail_reportf "step verdict %s, fresh instance %s"
+                (result_tag r) (result_tag rf);
+            (match r with
+            | Sat.Sat ->
+                let m = Array.init !vars (Sat.model_value s) in
+                List.iter
+                  (fun c ->
+                    if not (List.exists (lit_true m) c) then
+                      QCheck2.Test.fail_reportf "model falsifies a clause")
+                  (g.g_clauses @ List.map (fun l -> [ l ]) (!stack @ extra));
+                model := Some m
+            | _ -> model := None)
+      done;
+      Sat.frames s = List.length !stack)
+
+(* The trail survives between solves: probing the two sides of a branch
+   on a 40-frame stack, the second probe re-decides only its own level.
+   Every gate is a function of the 40 assumed inputs, so the first probe
+   propagates the whole instance; restarting the second from level 0
+   would propagate it all again. *)
+let test_retained_trail_probe_pair () =
+  let rng = Random.State.make [| 0xC0; 40 |] in
+  let g = { g_sat = Sat.create (); g_clauses = [] } in
+  let s = g.g_sat in
+  let outs = ref [] in
+  let inputs = Array.init 40 (fun _ -> Sat.pos (Sat.new_var s)) in
+  let pick () =
+    let l = List.nth !outs (Random.State.int rng (List.length !outs)) in
+    if Random.State.bool rng then l else Sat.lit_neg l
+  in
+  Array.iteri
+    (fun i x ->
+      outs := x :: !outs;
+      for _ = 1 to 10 do
+        let first = ref true in
+        let lit () =
+          if !first then begin
+            first := false;
+            inputs.(i)
+          end
+          else pick ()
+        in
+        outs := add_gate rng g lit :: !outs
+      done)
+    inputs;
+  Array.iter
+    (fun x ->
+      Sat.push s;
+      Sat.assume s (if Random.State.bool rng then x else Sat.lit_neg x))
+    inputs;
+  (* The branch condition: a free variable with gates hanging off it. *)
+  let c = Sat.pos (Sat.new_var s) in
+  for _ = 1 to 4 do
+    let first = ref true in
+    let lit () =
+      if !first then begin
+        first := false;
+        c
+      end
+      else pick ()
+    in
+    ignore (add_gate rng g lit)
+  done;
+  (* The inputs and their gates, [c] and its four gates. *)
+  let nvars = List.length !outs + 5 in
+  Alcotest.(check string) "first probe" "sat"
+    (result_tag (Sat.solve_assuming s [ c ]));
+  let before = (Sat.stats s).Sat.propagations in
+  Alcotest.(check string) "second probe" "sat"
+    (result_tag (Sat.solve_assuming s [ Sat.lit_neg c ]));
+  let props = (Sat.stats s).Sat.propagations - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "second probe propagated %d of %d variables" props nvars)
+    true
+    (props * 10 < nvars)
+
 (* A persistent bit-blast context must map structurally equal expression
    nodes to the identical SAT literal — across separate calls and across
    a push/solve/pop cycle — or prefix matching on a live instance would
@@ -795,6 +981,8 @@ let tests =
       test_get_value_warm_vs_cold;
     Alcotest.test_case "incremental push/pop answers like fresh" `Quick
       test_sat_incremental_vs_fresh;
+    Alcotest.test_case "retained trail: probe pair re-decides one level"
+      `Quick test_retained_trail_probe_pair;
     Alcotest.test_case "bitblast literals stable in a context" `Quick
       test_bitblast_literal_stable;
     Alcotest.test_case "ring stacks paths oldest-first" `Quick
@@ -810,4 +998,5 @@ let tests =
       `Quick test_check_model_after_larger_query;
     QCheck_alcotest.to_alcotest prop_models_satisfy;
     QCheck_alcotest.to_alcotest prop_solver_vs_brute;
+    QCheck_alcotest.to_alcotest prop_retained_trail;
   ]
