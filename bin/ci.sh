@@ -181,6 +181,21 @@ diff "$deep_fresh.cases" "$deep_inc.cases" > /dev/null \
   || { echo "CI: pcnet exerciser cases differ between --solver fresh and incremental" >&2; exit 1; }
 echo "CI: deep-path solver-mode differential passed ($(wc -l < "$deep_inc.cases") pcnet exerciser cases, fresh == incremental)"
 
+# Search-trajectory pin: the same two drained runs' SAT decisions and
+# conflicts (the `sat search:` line) must equal these committed values.
+# Case bytes can survive a moved decision; these counts cannot, so a
+# change to branching, propagation or learning order fails here even
+# when every case matches.  The fresh leg is all cold solves.
+for pin in "$deep_fresh:400723 decisions, 4195 conflicts" \
+  "$deep_inc:407187 decisions, 46 conflicts"; do
+  f=${pin%%:*}
+  want=${pin#*:}
+  got=$(sed -n 's/^sat search: //p' "$f")
+  [ "$got" = "$want" ] \
+    || { echo "CI: pcnet exerciser $(basename "$f" .txt) run: sat search '$got', expected '$want'" >&2; exit 1; }
+done
+echo "CI: search-trajectory pin passed (pcnet exerciser fresh and incremental decisions and conflicts exact)"
+
 # Chaos solver differential: with an injected-unknown plan armed on a
 # fixed seed, incremental must degrade exactly as fresh does — same
 # [incomplete] suffixes, same final case set (injection fires per

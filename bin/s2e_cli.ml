@@ -366,6 +366,9 @@ let print_summary ~procs ~jobs ~wall ~(stats : S2e_core.Executor.stats) ~sched
     (n "solver.queries") (n "solver.sat_queries") (n "solver.cache_hits")
     (n "solver.unknowns")
     (Obs.Metrics.get_float obs "solver.query_s");
+  if n "solver.sat_queries" > 0 then
+    Fmt.pr "sat search: %d decisions, %d conflicts@." (n "solver.decisions")
+      (n "solver.conflicts");
   if n "solver.inc_hits" + n "solver.inc_partials" > 0 then
     Fmt.pr
       "incremental: %d full prefix hits, %d partial, %d clauses learned \
@@ -913,6 +916,10 @@ let stats_cmd =
     if m "solver.blast_s" +. m "solver.search_s" > 0. then
       Fmt.pr "solver layers: %.3f s building CNF (bitblast), %.3f s SAT search@."
         (m "solver.blast_s") (m "solver.search_s");
+    (* Search effort over the same calls. *)
+    if mi "solver.sat_queries" > 0 then
+      Fmt.pr "sat search: %d decisions, %d conflicts@." (mi "solver.decisions")
+        (mi "solver.conflicts");
     (* Incremental reuse (--solver=incremental): realized prefix hits on
        live SAT instances and the ring's occupancy (assumption frames
        pushed, instances created), shown only when the mode actually

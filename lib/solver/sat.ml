@@ -80,13 +80,19 @@ type t = {
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
-  (* Branching order: a binary max-heap of variables on (activity desc,
-     index asc).  Every unassigned variable is in it; assigned ones may
-     linger and are discarded when popped.  [heap_pos.(v)] is [v]'s slot,
-     or -1. *)
+  (* Branching order, (activity desc, index asc), in two tiers.  The
+     binary max-heap holds the variables whose activity is above 0: every
+     unassigned one is in it, and assigned ones may linger and are
+     discarded when popped.  [heap_pos.(v)] is [v]'s slot, or -1.  Every
+     unassigned variable of activity 0 has an index of at least [cursor],
+     so when the heap runs dry the branch is the first unassigned variable
+     from [cursor] up. *)
   mutable heap : int array;
   mutable heap_len : int;
   mutable heap_pos : int array;
+  mutable cursor : int;
+  (* Test-only observer of every branching pick (DESIGN.md §12). *)
+  mutable on_pick : (int -> unit) option;
   mutable polarity : Bytes.t; (* saved phase: 1 = last true *)
   (* Conflict-analysis scratch: [seen] marks the variables met in the
      current analysis (all 0 between analyses); [learnt] receives the
@@ -144,6 +150,8 @@ let create () =
     heap = Array.make 8 0;
     heap_len = 0;
     heap_pos = Array.make 8 (-1);
+    cursor = 0;
+    on_pick = None;
     polarity = Bytes.make 8 '\000';
     seen = Bytes.make 8 '\000';
     learnt = Array.make 8 0;
@@ -165,7 +173,8 @@ let create () =
 
 (* Every scalar back to [create]'s value.  The arrays keep their contents:
    slots past [nvars] / [nclauses] / a vector's length are never read
-   before [new_var] / [add_clause_internal] / a push writes them. *)
+   before [new_var] / [add_clause_internal] / a push writes them.  The
+   test observer stays: it watches the instance, it is not its state. *)
 let reset s =
   s.nvars <- 0;
   s.arena_len <- 0;
@@ -176,6 +185,7 @@ let reset s =
   s.qhead <- 0;
   s.var_inc <- 1.0;
   s.heap_len <- 0;
+  s.cursor <- 0;
   s.n_assumptions <- 0;
   s.n_frames <- 0;
   s.cla_inc <- 1.0;
@@ -221,13 +231,16 @@ let watch s l ci =
   s.wlen.(l) <- n + 1
 
 (* ------------------------------------------------------------------ *)
-(* Branching heap                                                      *)
+(* Branching order                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The heap order breaks activity ties on the lower index, so its top is
    exactly the variable a linear scan keeping the first strict maximum
-   would pick: the cold-solve trajectory, and with it every emitted case
-   byte, does not depend on which of the two picks the branch. *)
+   would pick among the heap's variables.  Activities are never negative,
+   so any of them beats every variable of activity 0, and among those the
+   scan keeps the lowest index, the cursor's pick: the two tiers branch
+   exactly as one heap of every variable would, and the cold-solve
+   trajectory, with it every emitted case byte, does not move. *)
 let before s a b =
   let aa = s.activity.(a) and ab = s.activity.(b) in
   aa > ab || (aa = ab && a < b)
@@ -284,10 +297,22 @@ let heap_pop s =
   end;
   v
 
-let heap_rebuild s =
+(* Rebuild both tiers from the activities: after a rescale, rounding can
+   tie activities that differed and underflow some to 0.0, which moves
+   those variables to the cursor tier. *)
+let retier s =
+  s.heap_len <- 0;
+  for v = 0 to s.nvars - 1 do
+    if s.activity.(v) > 0.0 then begin
+      heap_set s s.heap_len v;
+      s.heap_len <- s.heap_len + 1
+    end
+    else s.heap_pos.(v) <- -1
+  done;
   for i = (s.heap_len / 2) - 1 downto 0 do
     sift_down s i
-  done
+  done;
+  s.cursor <- 0
 
 (* Per-variable arrays share one capacity (twice it for the per-literal
    ones), so [new_var] checks a single bound. *)
@@ -319,7 +344,8 @@ let new_var s =
   s.heap_pos.(v) <- -1;
   s.wlen.(pos v) <- 0;
   s.wlen.(neg v) <- 0;
-  heap_insert s v;
+  (* Activity 0, and [v] is at least [cursor]: already in the cursor
+     tier. *)
   v
 
 (* Value of a literal: 0 unassigned, 1 true, 2 false. *)
@@ -344,11 +370,10 @@ let bump s v =
       s.activity.(i) <- s.activity.(i) *. 1e-100
     done;
     s.var_inc <- s.var_inc *. 1e-100;
-    (* Rounding can tie activities that differed, and ties order on the
-       index: re-heapify rather than trust the old shape. *)
-    heap_rebuild s
+    retier s
   end
   else if s.heap_pos.(v) >= 0 then sift_up s s.heap_pos.(v)
+  else heap_insert s v
 
 let decay s = s.var_inc <- s.var_inc /. 0.95
 
@@ -376,7 +401,8 @@ let backtrack s target_level =
       Bytes.set s.polarity v (if lit_sign l then '\001' else '\000');
       Bytes.set s.assign v '\000';
       s.reason.(v) <- -1;
-      heap_insert s v
+      if s.activity.(v) > 0.0 then heap_insert s v
+      else if v < s.cursor then s.cursor <- v
     done;
     s.trail_len <- bound;
     s.qhead <- bound;
@@ -794,12 +820,22 @@ let reduce_db s =
 (* ------------------------------------------------------------------ *)
 
 (* Pick the unassigned variable with the highest activity (lowest index
-   on ties), or -1 when every variable is assigned. *)
+   on ties), or -1 when every variable is assigned.  The heap holds every
+   unassigned variable of activity above 0; once it is empty, the branch
+   is the lowest unassigned index.  Until an instance's first conflict
+   every activity is 0 and the heap stays empty. *)
 let rec pick_branch s =
-  if s.heap_len = 0 then -1
-  else
+  if s.heap_len > 0 then
     let v = heap_pop s in
     if Bytes.get s.assign v = '\000' then v else pick_branch s
+  else begin
+    let c = ref s.cursor in
+    while !c < s.nvars && Bytes.get s.assign !c <> '\000' do
+      incr c
+    done;
+    s.cursor <- !c;
+    if !c < s.nvars then !c else -1
+  end
 
 type result = Sat | Unsat | Unknown
 
@@ -891,6 +927,7 @@ let solve_gen ?max_conflicts ?deadline s extra =
       end
       else begin
         let v = pick_branch s in
+        (match s.on_pick with Some f -> f v | None -> ());
         if v < 0 then result := Some Sat
         else begin
           s.decisions <- s.decisions + 1;
@@ -939,6 +976,12 @@ let model_value s v =
 (* Rough memory footprint proxy: callers retire instances that grow past
    their budget. *)
 let size s = s.nclauses
+
+(* Test-only entry points (sat.mli). *)
+let on_pick s f = s.on_pick <- f
+let activity s v = s.activity.(v)
+let assigned s v = Bytes.get s.assign v <> '\000'
+let set_var_inc s x = s.var_inc <- x
 
 let stats s =
   {

@@ -98,3 +98,24 @@ type stats = {
 }
 
 val stats : t -> stats
+
+(** {2 Test-only entry points}
+
+    For checking the branching order from outside; the engine uses none
+    of them. *)
+
+val on_pick : t -> (int -> unit) option -> unit
+(** Install (or, with [None], remove) an observer called with every
+    branching pick of {!solve}, before the variable is assigned: the
+    picked variable, or -1 when every variable is assigned.  It survives
+    {!reset}. *)
+
+val activity : t -> int -> float
+(** A variable's branching activity. *)
+
+val assigned : t -> int -> bool
+(** Whether a variable is assigned on the current trail. *)
+
+val set_var_inc : t -> float -> unit
+(** Set the activity increment the next conflict's bumps add, e.g. to
+    force an activity rescale. *)

@@ -74,6 +74,13 @@ let m_sat_kept = Obs.Metrics.gauge ~merge:Obs.Metrics.Sum "solver.sat_kept"
    and so re-propagates only the frames that changed (DESIGN.md §12). *)
 let m_inc_propagations = Obs.Metrics.counter "solver.inc_propagations"
 
+(* Search effort over every cold and incremental call: branching
+   decisions and conflicts.  A solve that never conflicts leaves every
+   activity at 0 and branches on the lowest unassigned index alone
+   (DESIGN.md §12). *)
+let m_decisions = Obs.Metrics.counter "solver.decisions"
+let m_conflicts = Obs.Metrics.counter "solver.conflicts"
+
 (* Where SAT-core time goes, over every cold and incremental call:
    building the CNF (bit-blasting, clause intake, assumption frames) and
    searching it.  Plain accumulators, not {!Obs.Span} phases, so the
@@ -185,6 +192,8 @@ type instance = {
   mutable itick : int; (* LRU clock *)
   mutable ilearned : int; (* Sat learned-total last added to the registry *)
   mutable ipropagated : int; (* Sat propagations last added to the registry *)
+  mutable idecisions : int; (* Sat decisions last added to the registry *)
+  mutable iconflicts : int; (* Sat conflicts last added to the registry *)
 }
 
 (* Ring capacity: sibling probes and parent/child chains need very few
@@ -358,15 +367,19 @@ let note_unknown deadline =
   | Some d when Unix.gettimeofday () >= d -> Obs.Metrics.incr m_timeouts
   | _ -> ()
 
-(* Report an instance's SAT-core learning and propagations: [learned] and
-   [propagations] as deltas (monotone per instance), [kept] as the current
-   live pool summed over the ring. *)
+(* Report an instance's SAT-core learning, propagations, decisions and
+   conflicts as deltas (monotone per instance), [kept] as the current live
+   pool summed over the ring. *)
 let note_sat_stats ctx inst =
   let sst = Sat.stats inst.isat in
   Obs.Metrics.add m_sat_learned (sst.Sat.learned - inst.ilearned);
   inst.ilearned <- sst.Sat.learned;
   Obs.Metrics.add m_inc_propagations (sst.Sat.propagations - inst.ipropagated);
   inst.ipropagated <- sst.Sat.propagations;
+  Obs.Metrics.add m_decisions (sst.Sat.decisions - inst.idecisions);
+  inst.idecisions <- sst.Sat.decisions;
+  Obs.Metrics.add m_conflicts (sst.Sat.conflicts - inst.iconflicts);
+  inst.iconflicts <- sst.Sat.conflicts;
   Obs.Metrics.set m_sat_kept
     (Array.fold_left
        (fun acc -> function
@@ -395,7 +408,11 @@ let run_sat ctx constraints =
   let t2 = Unix.gettimeofday () in
   Obs.Metrics.fadd m_blast_s (t1 -. t0);
   Obs.Metrics.fadd m_search_s (t2 -. t1);
-  Obs.Metrics.add m_sat_learned (Sat.stats sat).Sat.learned;
+  (* [reset] zeroed the counters: the instance's totals are this call's. *)
+  let sst = Sat.stats sat in
+  Obs.Metrics.add m_sat_learned sst.Sat.learned;
+  Obs.Metrics.add m_decisions sst.Sat.decisions;
+  Obs.Metrics.add m_conflicts sst.Sat.conflicts;
   match r with
   | Sat.Sat ->
       let m = Bitblast.model bctx in
@@ -471,6 +488,8 @@ let run_incremental ctx ~q_inc constraints =
             itick = 0;
             ilearned = 0;
             ipropagated = 0;
+            idecisions = 0;
+            iconflicts = 0;
           }
         in
         ctx.insts.(!slot) <- Some inst;
@@ -575,8 +594,10 @@ let rec simplify_all = function
    Each query runs inside a "solver" phase span: the span feeds the
    registry's exclusive-time breakdown, and its single pair of clock
    readings also feeds the latency histogram (whose sum is the total
-   solver time) and the per-query trace event through [on_elapsed]. *)
-let check_ctx ~use_model_cache ctx constraints =
+   solver time) and the per-query trace event through [on_elapsed].
+   [query] builds the constraint list inside the span, so the slicing
+   and reordering callers do is booked as solver time. *)
+let check_ctx ~use_model_cache ctx query =
   Obs.Metrics.incr m_queries;
   (* Attribution facts for this query, filled in by the canonicalization
      below and consumed once the span closes. *)
@@ -592,7 +613,7 @@ let check_ctx ~use_model_cache ctx constraints =
         Obs.Trace.query ~inc:!q_inc ~dur:dt ~prefix:!q_prefix ~nodes:!q_nodes
           ~result:!q_result ~cache:!q_cache ())
     (fun () ->
-      let constraints = simplify_all constraints in
+      let constraints = simplify_all (query ()) in
       if List.exists (fun c -> Expr.equal c Expr.bool_f) constraints then begin
         q_result := 1;
         Unsat
@@ -671,23 +692,21 @@ let check_ctx ~use_model_cache ctx constraints =
     [State.constraints] holds it; the query keeps the head and lists the
     rest oldest-first, the order {!run_incremental} matches stacks in. *)
 let check ?(ctx = default_ctx) constraints =
-  let constraints =
-    match constraints with [] -> [] | c :: rest -> c :: List.rev rest
-  in
-  check_ctx ~use_model_cache:true ctx constraints
+  check_ctx ~use_model_cache:true ctx (fun () ->
+      match constraints with [] -> [] | c :: rest -> c :: List.rev rest)
 
 (** Satisfiability of [constraints ∧ cond]: used to decide branch
     feasibility.  The constraint set is sliced around [cond]'s variables. *)
 let check_with ?(ctx = default_ctx) ~constraints cond =
-  let sliced = slice ~seed_vars:(Expr.vars cond) constraints in
-  check_ctx ~use_model_cache:true ctx (cond :: sliced)
+  check_ctx ~use_model_cache:true ctx (fun () ->
+      cond :: slice ~seed_vars:(Expr.vars cond) constraints)
 
 (** A model of [constraints] that is a pure function of the constraint
     set: bypasses the model cache and solves on a cold SAT instance in
     every mode.  Test-case extraction uses this so that case bytes are
     identical across serial / parallel / incremental / fresh runs. *)
 let check_model ?(ctx = default_ctx) constraints =
-  check_ctx ~use_model_cache:false ctx constraints
+  check_ctx ~use_model_cache:false ctx (fun () -> constraints)
 
 (** Feasibility of both sides of a fork in one shared-prefix query pair:
     [cond] and [¬cond] are sliced once (their variable sets coincide up to
@@ -696,10 +715,15 @@ let check_model ?(ctx = default_ctx) constraints =
     — the second probe reuses the first's encoding and learned clauses. *)
 let check_branch ?(ctx = default_ctx) ~constraints cond =
   let neg = Expr.log_not cond in
-  (* [neg] is [cond] xor 1: it mentions no variable [cond] does not. *)
-  let sliced = slice ~seed_vars:(Expr.vars cond) constraints in
-  let taken = check_ctx ~use_model_cache:true ctx (cond :: sliced) in
-  let fall = check_ctx ~use_model_cache:true ctx (neg :: sliced) in
+  (* [neg] is [cond] xor 1: it mentions no variable [cond] does not.  The
+     slice is taken inside the first query's span. *)
+  let sliced = lazy (slice ~seed_vars:(Expr.vars cond) constraints) in
+  let taken =
+    check_ctx ~use_model_cache:true ctx (fun () -> cond :: Lazy.force sliced)
+  in
+  let fall =
+    check_ctx ~use_model_cache:true ctx (fun () -> neg :: Lazy.force sliced)
+  in
   (taken, fall)
 
 (** A concrete value for [e] consistent with [constraints], if any.  The
@@ -709,8 +733,10 @@ let get_value ?(ctx = default_ctx) ~constraints e =
   match Expr.to_const e with
   | Some v -> Some v
   | None -> (
-      let sliced = slice ~seed_vars:(Expr.vars e) constraints in
-      match check_ctx ~use_model_cache:false ctx sliced with
+      match
+        check_ctx ~use_model_cache:false ctx (fun () ->
+            slice ~seed_vars:(Expr.vars e) constraints)
+      with
       | Sat m -> Some (Expr.eval m e)
       | Unsat | Unknown -> None)
 
@@ -733,12 +759,16 @@ let get_unique_value ?(ctx = default_ctx) ~constraints e =
 let get_values ?(ctx = default_ctx) ~constraints ~limit e =
   (* The slice depends only on [e]'s variables and the constraint set,
      both loop-invariant: blocking constraints added during enumeration
-     mention only variables of [e], which are in the seed already. *)
-  let sliced = slice ~seed_vars:(Expr.vars e) constraints in
+     mention only variables of [e], which are in the seed already.  It is
+     taken inside the first query's span. *)
+  let sliced = lazy (slice ~seed_vars:(Expr.vars e) constraints) in
   let rec go acc extra n =
     if n = 0 then List.rev acc
     else
-      match check_ctx ~use_model_cache:false ctx (extra @ sliced) with
+      match
+        check_ctx ~use_model_cache:false ctx (fun () ->
+            extra @ Lazy.force sliced)
+      with
       | Sat m ->
           let v = Expr.eval m e in
           let block = Expr.ne e (Expr.const ~width:(Expr.width e) v) in

@@ -851,6 +851,92 @@ let test_trajectory_lock () =
     "9cee5f02dc2bc7fe027997494c089eda"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* --- branching order ----------------------------------------------- *)
+
+(* The variable a linear scan over the [nvars] unassigned variables
+   keeps: the first strict maximum of activity, so the lowest index among
+   ties; -1 when every variable is assigned. *)
+let scan_pick s nvars =
+  let best = ref (-1) in
+  for v = 0 to nvars - 1 do
+    if
+      (not (Sat.assigned s v))
+      && (!best < 0 || Sat.activity s v > Sat.activity s !best)
+    then best := v
+  done;
+  !best
+
+(* Property: at every decision, [Sat]'s two-tier branching order (a heap
+   of the bumped variables, an index cursor for the rest) picks the
+   variable the linear scan picks.  One instance is driven through random
+   3-CNFs near the satisfiability threshold (so solves conflict),
+   assumption frames and probes, clause and variable intake between
+   solves, and [Sat.reset] reuse.  The activity increment is set now and
+   then to 1e-300, so the next bumps leave tiny activities, and to 1e101,
+   so the next bump rescales every activity by 1e-100 and the tiny ones
+   underflow to 0.0, back among the never-bumped variables. *)
+let prop_branch_order =
+  QCheck2.Test.make ~count:120
+    ~name:"every branch is a linear scan's first strict maximum" QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| 0xB4A; seed |] in
+      let s = Sat.create () in
+      let nvars = ref 0 in
+      let new_vars k =
+        for _ = 1 to k do
+          ignore (Sat.new_var s)
+        done;
+        nvars := !nvars + k
+      in
+      let picks = ref 0 in
+      let bad = ref None in
+      Sat.on_pick s
+        (Some
+           (fun v ->
+             incr picks;
+             let w = scan_pick s !nvars in
+             if v <> w && !bad = None then bad := Some (!picks, v, w)));
+      for round = 1 to 3 do
+        if round > 1 then begin
+          Sat.reset s;
+          nvars := 0
+        end;
+        new_vars (20 + Random.State.int rng 30);
+        if Random.State.bool rng then Sat.set_var_inc s 1e-300;
+        random_cnf rng s !nvars (!nvars * 4);
+        let frames = ref 0 in
+        for _step = 1 to 24 do
+          match Random.State.int rng 10 with
+          | 0 | 1 ->
+              Sat.push s;
+              Sat.assume s (rand_lit rng !nvars);
+              incr frames
+          | 2 when !frames > 0 ->
+              Sat.pop s;
+              decr frames
+          | 3 -> random_cnf rng s !nvars (1 + Random.State.int rng 4)
+          | 4 ->
+              new_vars (1 + Random.State.int rng 5);
+              random_cnf rng s !nvars 6
+          | 5 ->
+              Sat.set_var_inc s
+                (match Random.State.int rng 3 with
+                | 0 -> 1e-300
+                | 1 -> 1e101
+                | _ -> 1.0)
+          | _ ->
+              let extra =
+                List.init (Random.State.int rng 3) (fun _ -> rand_lit rng !nvars)
+              in
+              ignore (Sat.solve_assuming s extra)
+        done
+      done;
+      match !bad with
+      | Some (i, v, w) ->
+          QCheck2.Test.fail_reportf "pick %d: branched on %d, the scan keeps %d"
+            i v w
+      | None -> !picks > 0)
+
 (* --- cold-instance reuse ------------------------------------------------ *)
 
 (* One seeded problem, replayed identically on whatever instance it is
@@ -999,4 +1085,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_models_satisfy;
     QCheck_alcotest.to_alcotest prop_solver_vs_brute;
     QCheck_alcotest.to_alcotest prop_retained_trail;
+    QCheck_alcotest.to_alcotest prop_branch_order;
   ]
