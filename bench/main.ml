@@ -852,7 +852,12 @@ let chaos () =
   in
   Printf.printf "per-run budget: %.1f s, plan: %s\n" seconds plan;
   let base, _ = run () in
+  let before = Obs.Metrics.snapshot () in
   let faulted, recoveries = run ~plan () in
+  (* The faulted run's counts: every process's registry, less what this
+     one had counted before it. *)
+  let counts = Obs.Metrics.delta ~before faulted.Coordinator.obs in
+  let degradations = Obs.Metrics.get_int counts "engine.degradations" in
   let injected =
     List.fold_left
       (fun acc (name, v) ->
@@ -861,7 +866,7 @@ let chaos () =
           when String.length name > 6 && String.sub name 0 6 = "fault." ->
             acc + n
         | _ -> acc)
-      0 faulted.Coordinator.obs
+      0 counts
   in
   let mean_recovery_ms =
     match recoveries with
@@ -877,7 +882,7 @@ let chaos () =
     faulted.stats.Executor.states_completed faulted.Coordinator.requeues
     faulted.Coordinator.restarts injected;
   Printf.printf "transport: %d reconnects; degradations: %d; abandoned: %d\n"
-    faulted.Coordinator.reconnects faulted.stats.Executor.degradations
+    faulted.Coordinator.reconnects degradations
     (List.length faulted.Coordinator.abandoned);
   if recoveries <> [] then
     Printf.printf "crash recovery: %d respawns, mean %.0f ms\n"
@@ -891,7 +896,7 @@ let chaos () =
           ((if rate base > 0. then rate faulted /. rate base else 0.), 3) );
       ("injected", Bench_json.Int injected);
       ("reconnects", Bench_json.Int faulted.Coordinator.reconnects);
-      ("degradations", Bench_json.Int faulted.stats.Executor.degradations);
+      ("degradations", Bench_json.Int degradations);
       ("requeues", Bench_json.Int faulted.Coordinator.requeues);
       ("restarts", Bench_json.Int faulted.Coordinator.restarts);
       ("abandoned", Bench_json.Int (List.length faulted.Coordinator.abandoned));

@@ -31,19 +31,28 @@ echo "CI: help smoke test passed (s2e_cli and $(echo $subcommands | wc -w) subco
 
 # Telemetry smoke test: a short parallel exploration must stream parsable
 # run-stats JSONL (>= 2 periodic snapshots + a final line), and the stats
-# renderer must accept the file.
+# renderer must accept the file.  Both surfaces render the engine and
+# solver lines from one registry snapshot through one renderer, so the
+# run's summary and `stats` of its final line must print them alike.
 stats_file=$tmp/stats.jsonl
 dune exec bin/s2e_cli.exe -- explore --driver nulldrv --workload urlparse \
   --jobs 2 --seconds 2 --stats-out "$stats_file" --stats-interval 0.05 \
-  > /dev/null
+  > "$tmp/summary.txt"
 test -s "$stats_file" || { echo "CI: stats file empty" >&2; exit 1; }
 lines=$(wc -l < "$stats_file")
 [ "$lines" -ge 3 ] || { echo "CI: expected >=3 snapshots, got $lines" >&2; exit 1; }
 grep -q '"kind":"final"' "$stats_file" \
   || { echo "CI: no final snapshot line" >&2; exit 1; }
-dune exec bin/s2e_cli.exe -- stats "$stats_file" > /dev/null \
+dune exec bin/s2e_cli.exe -- stats "$stats_file" > "$tmp/stats.txt" \
   || { echo "CI: stats renderer rejected the JSONL" >&2; exit 1; }
-echo "CI: telemetry smoke test passed ($lines snapshot lines)"
+shared='^(paths completed|states created|forks|instructions|solver|sat search|incremental|resilience): '
+grep -E "$shared" "$tmp/summary.txt" > "$tmp/summary.shared"
+grep -E "$shared" "$tmp/stats.txt" > "$tmp/stats.shared"
+[ "$(wc -l < "$tmp/summary.shared")" -ge 5 ] \
+  || { echo "CI: summary printed too few engine/solver lines" >&2; exit 1; }
+diff "$tmp/summary.shared" "$tmp/stats.shared" \
+  || { echo "CI: stats of the run's JSONL differs from its summary" >&2; exit 1; }
+echo "CI: telemetry smoke test passed ($lines snapshot lines, summary == stats on $(wc -l < "$tmp/stats.shared") lines)"
 
 # Distributed-exploration smoke test: a two-process run on a small
 # workload must succeed, report its process count, and emit exactly the
@@ -68,6 +77,19 @@ diff "$serial_out.cases" "$dist_out.cases" > /dev/null \
   || { echo "CI: dist test cases differ from serial" >&2; exit 1; }
 rm -f "$serial_out.cases" "$dist_out.cases"
 echo "CI: dist smoke test passed ($dist_cases cases, procs=2 == jobs=1)"
+
+# procs x jobs: worker processes that each fan their slices out over
+# domains must emit the serial run's cases, completed paths and forks.
+dune exec bin/s2e_cli.exe -- explore --driver nulldrv --workload symloop \
+  --procs 2 --jobs 2 --seconds 30 --cases > "$dist_out"
+for key in '|' '^paths completed: ' '^forks: '; do
+  grep -- "$key" "$serial_out" > "$serial_out.key"
+  grep -- "$key" "$dist_out" > "$dist_out.key"
+  diff "$serial_out.key" "$dist_out.key" > /dev/null \
+    || { echo "CI: procs=2 jobs=2 '$key' lines differ from serial" >&2; exit 1; }
+done
+rm -f "$serial_out.key" "$dist_out.key"
+echo "CI: procs x jobs smoke test passed (procs=2 jobs=2 == jobs=1: cases, paths, forks)"
 
 # Merge smoke test: --merge=auto must emit exactly the enumerated
 # (--merge=off, the default) run's test cases after case-tree expansion,

@@ -344,23 +344,19 @@ let parse_hostport ~cmd s =
       Fmt.epr "s2e %s: expected HOST:PORT, got %S@." cmd s;
       exit 2
 
-(* The run summary of `explore` (any --procs) and `serve`.  The solver,
-   incremental and resilience lines read [obs], a registry snapshot of
-   exactly this run: a delta around it in-process, the merged registries
-   of every process in a distributed run.  [sched] are the execution
-   mode's scheduling lines; [cases] the case lines, printed sorted. *)
-let print_summary ~procs ~jobs ~wall ~(stats : S2e_core.Executor.stats) ~sched
-    ~cases obs =
+(* The engine and solver lines of every run surface, read from one
+   registry snapshot: the `explore`/`serve` summary and `stats FILE`
+   print them through these two functions, and bin/ci.sh parses them. *)
+let print_engine_lines obs =
   let n = Obs.Metrics.get_int obs in
-  Fmt.pr "procs: %d@." procs;
-  Fmt.pr "jobs: %d@." jobs;
-  Fmt.pr "wall seconds: %.2f@." wall;
-  Fmt.pr "paths completed: %d@." stats.states_completed;
-  Fmt.pr "states created: %d@." stats.states_created;
-  Fmt.pr "forks: %d@." stats.forks;
-  Fmt.pr "instructions: %d (%d symbolic)@." stats.concrete_instret
-    stats.sym_instret;
-  List.iter (Fmt.pr "%s@.") sched;
+  Fmt.pr "paths completed: %d@." (n "engine.states_completed");
+  Fmt.pr "states created: %d@." (n "engine.states_created");
+  Fmt.pr "forks: %d@." (n "engine.forks");
+  Fmt.pr "instructions: %d (%d symbolic)@." (n "engine.instructions")
+    (n "engine.sym_instructions")
+
+let print_solver_lines obs =
+  let n = Obs.Metrics.get_int obs in
   Fmt.pr
     "solver: %d queries, %d to SAT core, %d cache hits, %d unknowns, %.2fs@."
     (n "solver.queries") (n "solver.sat_queries") (n "solver.cache_hits")
@@ -397,7 +393,20 @@ let print_summary ~procs ~jobs ~wall ~(stats : S2e_core.Executor.stats) ~sched
     Fmt.pr
       "resilience: %d degradations, %d incomplete paths, %d solver unknowns \
        (%d timeouts), %d injected faults@."
-      degradations incomplete unknowns timeouts injected;
+      degradations incomplete unknowns timeouts injected
+
+(* The run summary of `explore` (any --procs) and `serve`, every count
+   read from [obs], a registry snapshot of exactly this run: a delta
+   around it in-process, the merged registries of every process in a
+   distributed run.  [sched] are the execution mode's scheduling lines;
+   [cases] the case lines, printed sorted. *)
+let print_summary ~procs ~jobs ~wall ~sched ~cases obs =
+  Fmt.pr "procs: %d@." procs;
+  Fmt.pr "jobs: %d@." jobs;
+  Fmt.pr "wall seconds: %.2f@." wall;
+  print_engine_lines obs;
+  List.iter (Fmt.pr "%s@.") sched;
+  print_solver_lines obs;
   List.iter (Fmt.pr "%s@.") (List.sort compare cases)
 
 (* A distributed run's summary, shared by `explore --procs` and `serve`.
@@ -431,8 +440,7 @@ let print_dist_result ~jobs ~cases (r : S2e_dist.Coordinator.result) =
         r.paths
     else []
   in
-  print_summary ~procs:r.procs ~jobs ~wall:r.wall_seconds ~stats:r.stats
-    ~sched ~cases r.obs
+  print_summary ~procs:r.procs ~jobs ~wall:r.wall_seconds ~sched ~cases r.obs
 
 (* The argv an exec'd worker process is spawned with: rebuilds the same
    engine spec and resilience plan from scratch (exec'd workers don't
@@ -616,7 +624,7 @@ let explore_cmd =
             r.completed
         else []
       in
-      print_summary ~procs:1 ~jobs:r.jobs ~wall:r.wall_seconds ~stats:r.stats
+      print_summary ~procs:1 ~jobs:r.jobs ~wall:r.wall_seconds
         ~sched:[ Printf.sprintf "steals: %d" r.steals ]
         ~cases
         (Obs.Metrics.delta ~before (Obs.Metrics.snapshot ()))
@@ -876,12 +884,18 @@ let stats_cmd =
       | Some j -> j
       | None -> List.nth parsed (List.length parsed - 1)
     in
-    let metrics =
-      Option.value ~default:(Obs.Jsonl.Obj [])
-        (Obs.Jsonl.member "metrics" final)
+    let obs = Obs.Reporter.snapshot_of_fields final in
+    let f = Obs.Metrics.get_float obs and n = Obs.Metrics.get_int obs in
+    (* Metrics whose names extend [prefix], with the prefix cut off. *)
+    let under prefix =
+      List.filter_map
+        (fun (name, _) ->
+          if String.starts_with ~prefix name && name <> prefix then
+            Some (String.sub name (String.length prefix)
+                    (String.length name - String.length prefix))
+          else None)
+        obs
     in
-    let m name = Option.value ~default:0. (Obs.Jsonl.num_member name metrics) in
-    let mi name = int_of_float (m name) in
     let elapsed =
       Option.value ~default:0. (Obs.Jsonl.num_member "elapsed_s" final)
     in
@@ -892,136 +906,64 @@ let stats_cmd =
            parsed)
     in
     let pct part whole = if whole <= 0. then 0. else 100. *. part /. whole in
-    Fmt.pr "run: %.2f s, %d periodic snapshot(s)%s, %d worker(s)@." elapsed
-      periodic
+    Fmt.pr "run: %.2f s, %d periodic snapshot(s)%s, %d worker(s), %.0f instr/s@."
+      elapsed periodic
       (if Obs.Jsonl.str_member "kind" final = Some "final" then " + final"
        else " (no final line: run was cut short)")
-      (max 1 (mi "parallel.workers"));
-    Fmt.pr "paths: %d completed (%d aborted), %d live, %d forks, max %d live@."
-      (mi "engine.states_completed")
-      (mi "engine.aborts") (mi "engine.live_states") (mi "engine.forks")
-      (mi "engine.max_live_states");
-    let instr = m "engine.instructions" in
-    Fmt.pr "instructions: %d (%d symbolic), %.0f instr/s@." (mi "engine.instructions")
-      (mi "engine.sym_instructions")
-      (if elapsed > 0. then instr /. elapsed else 0.);
-    let queries = m "solver.queries" in
-    Fmt.pr
-      "solver: %d queries (%d reached SAT core), %.1f%% query-cache hits, \
-       %d unknowns (%d timeouts)@."
-      (mi "solver.queries") (mi "solver.sat_queries")
-      (pct (m "solver.cache_hits") queries)
-      (mi "solver.unknowns") (mi "solver.timeouts");
+      (max 1 (n "parallel.workers"))
+      (if elapsed > 0. then f "engine.instructions" /. elapsed else 0.);
+    print_engine_lines obs;
+    print_solver_lines obs;
     (* SAT-core time by layer, over every cold and incremental call. *)
-    if m "solver.blast_s" +. m "solver.search_s" > 0. then
+    if f "solver.blast_s" +. f "solver.search_s" > 0. then
       Fmt.pr "solver layers: %.3f s building CNF (bitblast), %.3f s SAT search@."
-        (m "solver.blast_s") (m "solver.search_s");
-    (* Search effort over the same calls. *)
-    if mi "solver.sat_queries" > 0 then
-      Fmt.pr "sat search: %d decisions, %d conflicts@." (mi "solver.decisions")
-        (mi "solver.conflicts");
-    (* Incremental reuse (--solver=incremental): realized prefix hits on
-       live SAT instances and the ring's occupancy (assumption frames
-       pushed, instances created), shown only when the mode actually
-       fired. *)
-    if mi "solver.inc_hits" + mi "solver.inc_partials" > 0 then
-      Fmt.pr
-        "incremental: %d full prefix hits, %d partial (%.1f%% of SAT-core \
-         queries reused a live instance), %d frames pushed, %d instances \
-         created, %d propagations@."
-        (mi "solver.inc_hits")
-        (mi "solver.inc_partials")
-        (pct
-           (m "solver.inc_hits" +. m "solver.inc_partials")
-           (m "solver.sat_queries"))
-        (mi "solver.inc_frames") (mi "solver.inc_instances")
-        (mi "solver.inc_propagations");
-    (* Resilience: degraded forks, incomplete paths and injected faults
-       (per-site fault.* counters), shown only when something fired. *)
-    let injected =
-      List.fold_left
-        (fun acc (name, v) ->
-          match Obs.Jsonl.to_num v with
-          | Some n when String.length name > 6 && String.sub name 0 6 = "fault."
-            ->
-              acc + int_of_float n
-          | _ -> acc)
-        0
-        (Option.value ~default:[] (Obs.Jsonl.to_obj metrics))
-    in
-    if mi "engine.degradations" + mi "engine.incomplete_paths" + injected > 0
-    then
-      Fmt.pr
-        "resilience: %d degraded forks, %d incomplete paths, %d injected \
-         faults@."
-        (mi "engine.degradations")
-        (mi "engine.incomplete_paths")
-        injected;
-    let tb_hits = m "dbt.tb_hits" and tb_misses = m "dbt.tb_misses" in
+        (f "solver.blast_s") (f "solver.search_s");
     Fmt.pr "tb cache: %.1f%% hits (%d hits, %d misses), %d invalidations@."
-      (pct tb_hits (tb_hits +. tb_misses))
-      (mi "dbt.tb_hits") (mi "dbt.tb_misses")
-      (mi "dbt.tb_invalidations");
+      (pct (f "dbt.tb_hits") (f "dbt.tb_hits" +. f "dbt.tb_misses"))
+      (n "dbt.tb_hits") (n "dbt.tb_misses") (n "dbt.tb_invalidations");
     Fmt.pr
-      "engine: %d concretizations, max constraint set %d, %d steals, %d \
-       donations@."
-      (mi "engine.concretizations")
-      (mi "engine.max_constraint_set")
-      (mi "parallel.steals") (mi "parallel.donations");
+      "engine: %d aborted, %d live (max %d), %d concretizations, max \
+       constraint set %d, %d steals, %d donations@."
+      (n "engine.aborts") (n "engine.live_states") (n "engine.max_live_states")
+      (n "engine.concretizations") (n "engine.max_constraint_set")
+      (n "parallel.steals") (n "parallel.donations");
     (* State merging (--merge): join/reject totals plus the unmergeable
        taxonomy, whose counters are registered dynamically per reason. *)
-    if mi "merge.merges" + mi "merge.rejected_cost" + mi "merge.parked" > 0
-    then begin
+    if n "merge.merges" + n "merge.rejected_cost" + n "merge.parked" > 0 then begin
       Fmt.pr
         "merge: %d merges, %d cost-rejected, %d parked, %d released (%d \
          forced), %d without merge point@."
-        (mi "merge.merges")
-        (mi "merge.rejected_cost")
-        (mi "merge.parked") (mi "merge.released")
-        (mi "merge.released_forced")
-        (mi "merge.no_point");
-      let pre = "merge.unmergeable." in
-      let plen = String.length pre in
+        (n "merge.merges") (n "merge.rejected_cost") (n "merge.parked")
+        (n "merge.released") (n "merge.released_forced") (n "merge.no_point");
       let unmergeable =
         List.filter_map
-          (fun (name, v) ->
-            match Obs.Jsonl.to_num v with
-            | Some n
-              when String.length name > plen && String.sub name 0 plen = pre
-                   && n > 0. ->
-                Some (String.sub name plen (String.length name - plen), n)
-            | _ -> None)
-          (Option.value ~default:[] (Obs.Jsonl.to_obj metrics))
+          (fun reason ->
+            let k = n ("merge.unmergeable." ^ reason) in
+            if k > 0 then Some (reason, k) else None)
+          (under "merge.unmergeable.")
       in
       if unmergeable <> [] then
         Fmt.pr "  unmergeable: %s@."
           (String.concat ", "
              (List.map
-                (fun (reason, n) -> Printf.sprintf "%s %d" reason
-                    (int_of_float n))
+                (fun (reason, k) -> Printf.sprintf "%s %d" reason k)
                 (List.sort (fun (_, a) (_, b) -> compare b a) unmergeable)));
-      if mi "merge.carrier_aborts" > 0 then
+      if n "merge.carrier_aborts" > 0 then
         Fmt.pr
           "  carrier aborts: %d (each drops its carried paths' cases; see \
            DESIGN.md on LC environment hazards)@."
-          (mi "merge.carrier_aborts")
+          (n "merge.carrier_aborts")
     end;
     (* Phase breakdown: every "phase.<name>_s" fcounter holds that phase's
        exclusive (self) time, so fractions of their sum add up to ~100%. *)
     let phases =
       List.filter_map
-        (fun (name, v) ->
-          let n = String.length name in
-          if
-            n > 8
-            && String.sub name 0 6 = "phase."
-            && String.sub name (n - 2) 2 = "_s"
-          then
-            match Obs.Jsonl.to_num v with
-            | Some secs -> Some (String.sub name 6 (n - 8), secs)
-            | None -> None
+        (fun name ->
+          if String.ends_with ~suffix:"_s" name then
+            let phase = String.sub name 0 (String.length name - 2) in
+            Some (phase, f ("phase." ^ name))
           else None)
-        (Option.value ~default:[] (Obs.Jsonl.to_obj metrics))
+        (under "phase.")
     in
     let total_phase = List.fold_left (fun a (_, s) -> a +. s) 0. phases in
     if phases <> [] then begin
@@ -1030,38 +972,25 @@ let stats_cmd =
         (fun (name, secs) ->
           Fmt.pr "  %-12s %5.1f%%  %8.3f s  (%d enters)@." name
             (pct secs total_phase) secs
-            (mi (Printf.sprintf "phase.%s_count" name)))
+            (n (Printf.sprintf "phase.%s_count" name)))
         (List.sort (fun (_, a) (_, b) -> compare b a) phases)
     end;
     (* Solver query latency histogram. *)
-    (match
-       Obs.Jsonl.member "hist" final
-       |> Option.map (fun h -> Obs.Jsonl.member "solver.query_s" h)
-     with
-    | Some (Some h) ->
-        let bounds =
-          Option.value ~default: []
-            (Option.bind (Obs.Jsonl.member "bounds" h) Obs.Jsonl.to_arr)
-          |> List.filter_map Obs.Jsonl.to_num
-        in
-        let counts =
-          Option.value ~default: []
-            (Option.bind (Obs.Jsonl.member "counts" h) Obs.Jsonl.to_arr)
-          |> List.filter_map Obs.Jsonl.to_num
-        in
-        let total = List.fold_left ( +. ) 0. counts in
-        if total > 0. then begin
-          Fmt.pr "solver query latency (%.0f queries, %.3f s total):@." total
-            (Option.value ~default:0. (Obs.Jsonl.num_member "sum" h));
-          List.iteri
+    (match Obs.Metrics.find obs "solver.query_s" with
+    | Some (Obs.Metrics.Hist { bounds; counts; sum }) ->
+        let total = Array.fold_left ( + ) 0 counts in
+        if total > 0 then begin
+          Fmt.pr "solver query latency (%d queries, %.3f s total):@." total sum;
+          Array.iteri
             (fun i c ->
-              if c > 0. then
+              if c > 0 then
                 let label =
-                  if i < List.length bounds then
-                    Printf.sprintf "<= %gs" (List.nth bounds i)
+                  if i < Array.length bounds then
+                    Printf.sprintf "<= %gs" bounds.(i)
                   else "overflow"
                 in
-                Fmt.pr "  %-10s %6.0f  (%.1f%%)@." label c (pct c total))
+                Fmt.pr "  %-10s %6d  (%.1f%%)@." label c
+                  (pct (float_of_int c) (float_of_int total)))
             counts
         end
     | _ -> ());
@@ -1071,20 +1000,11 @@ let stats_cmd =
         Fmt.pr "per-worker (registry shard):@.";
         List.iter
           (fun sh ->
+            let g = Obs.Metrics.get_int (Obs.Reporter.snapshot_of_fields sh) in
             let id =
-              int_of_float
-                (Option.value ~default:(-1.)
-                   (Obs.Jsonl.num_member "shard" sh))
+              Option.value ~default:(-1.) (Obs.Jsonl.num_member "shard" sh)
             in
-            let sm =
-              Option.value ~default:(Obs.Jsonl.Obj [])
-                (Obs.Jsonl.member "metrics" sh)
-            in
-            let g name =
-              int_of_float
-                (Option.value ~default:0. (Obs.Jsonl.num_member name sm))
-            in
-            Fmt.pr "  shard %d: %d instr, %d paths, %d forks, %d steals@." id
+            Fmt.pr "  shard %.0f: %d instr, %d paths, %d forks, %d steals@." id
               (g "engine.instructions")
               (g "engine.states_completed")
               (g "engine.forks") (g "parallel.steals"))

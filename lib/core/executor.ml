@@ -19,10 +19,10 @@ module Dbt = S2e_dbt.Dbt
 module Solver = S2e_solver.Solver
 module Obs = S2e_obs
 
-(* Telemetry (lib/obs).  The per-engine [stats] record below stays the
-   per-worker view {!Parallel} aggregates; these registry metrics are the
-   domain-sharded process-wide view the run-stats reporter streams.  Both
-   are incremented at the same sites so totals cannot drift. *)
+(* Telemetry (lib/obs): the engine's counter store across domains,
+   processes and every CLI surface.  The per-engine [stats] record below
+   keeps only the few counts one engine's readers need, set at the same
+   sites as their registry twins. *)
 let m_instructions = Obs.Metrics.counter "engine.instructions"
 let m_sym_instructions = Obs.Metrics.counter "engine.sym_instructions"
 let m_forks = Obs.Metrics.counter "engine.forks"
@@ -34,6 +34,7 @@ let m_degradations = Obs.Metrics.counter "engine.degradations"
 let m_incomplete = Obs.Metrics.counter "engine.incomplete_paths"
 let m_live = Obs.Metrics.gauge ~merge:Obs.Metrics.Sum "engine.live_states"
 let m_max_live = Obs.Metrics.gauge ~merge:Obs.Metrics.Max "engine.max_live_states"
+let m_footprint = Obs.Metrics.gauge ~merge:Obs.Metrics.Max "engine.footprint_words"
 
 let m_max_constraints =
   Obs.Metrics.gauge ~merge:Obs.Metrics.Max "engine.max_constraint_set"
@@ -65,45 +66,45 @@ let default_config () =
     max_states = 8192;
   }
 
+(* What one engine's readers need of its own counts: the run limits, the
+   {!Parallel} merge, tools and benchmarks.  Every other engine count
+   lives only in the registry above. *)
 type stats = {
-  mutable states_created : int;
   mutable states_completed : int;
-  mutable max_live_states : int;
   mutable forks : int;
   mutable concrete_instret : int;
-  mutable sym_instret : int;
+  mutable max_live_states : int;
   mutable footprint_watermark : int; (* sum of live state footprints, max *)
-  mutable concretizations : int;
-  mutable aborts : int;
-  mutable degradations : int; (* forks degraded to one path on solver Unknown *)
 }
 
 let new_stats () =
   {
-    states_created = 0;
     states_completed = 0;
-    max_live_states = 0;
     forks = 0;
     concrete_instret = 0;
-    sym_instret = 0;
+    max_live_states = 0;
     footprint_watermark = 0;
-    concretizations = 0;
-    aborts = 0;
-    degradations = 0;
+  }
+
+(** The record of a registry snapshot: what a run summed over processes
+    (a distributed run's merged registries) reports in place of a merge
+    of per-engine records. *)
+let stats_of_obs obs =
+  let n = Obs.Metrics.get_int obs in
+  {
+    states_completed = n "engine.states_completed";
+    forks = n "engine.forks";
+    concrete_instret = n "engine.instructions";
+    max_live_states = n "engine.max_live_states";
+    footprint_watermark = n "engine.footprint_words";
   }
 
 (** Fold [src] into [into]: counters add, high watermarks take the max.
-    The single aggregation used by {!Parallel} (across domain workers) and
-    [Dist] (across worker processes), so the two schedulers cannot drift. *)
+    {!Parallel}'s aggregation across its domain workers. *)
 let merge_stats ~(into : stats) (src : stats) =
-  into.states_created <- into.states_created + src.states_created;
   into.states_completed <- into.states_completed + src.states_completed;
   into.forks <- into.forks + src.forks;
   into.concrete_instret <- into.concrete_instret + src.concrete_instret;
-  into.sym_instret <- into.sym_instret + src.sym_instret;
-  into.concretizations <- into.concretizations + src.concretizations;
-  into.aborts <- into.aborts + src.aborts;
-  into.degradations <- into.degradations + src.degradations;
   if src.max_live_states > into.max_live_states then
     into.max_live_states <- src.max_live_states;
   if src.footprint_watermark > into.footprint_watermark then
@@ -191,7 +192,6 @@ let boot t ?card_id ~entry () =
   let mem = Symmem.create ~base:(Bytes.copy t.base_mem) in
   let devices = Vm.Devices.create ?card_id () in
   let s = State.create ~mem ~devices ~pc:entry in
-  t.stats.states_created <- t.stats.states_created + 1;
   Obs.Metrics.incr m_states_created;
   if Obs.Trace.enabled () then Obs.Trace.path_start ~path:s.id ~parent:(-1) ();
   s
@@ -231,9 +231,7 @@ let end_state t (s : State.t) status =
   Obs.Metrics.incr m_states_completed;
   if s.incomplete then Obs.Metrics.incr m_incomplete;
   (match status with
-  | State.Aborted _ ->
-      t.stats.aborts <- t.stats.aborts + 1;
-      Obs.Metrics.incr m_aborts
+  | State.Aborted _ -> Obs.Metrics.incr m_aborts
   | _ -> ());
   Events.state_end t.events s;
   t.searcher.remove s;
@@ -252,7 +250,6 @@ let concretize t (s : State.t) e =
   match e with
   | Expr.Const { value; _ } -> value
   | _ ->
-      t.stats.concretizations <- t.stats.concretizations + 1;
       Obs.Metrics.incr m_concretizations;
       Obs.Span.timed concretize_phase (fun () ->
           match Solver.get_value ~ctx:t.solver ~constraints:s.constraints e with
@@ -362,7 +359,6 @@ let do_fork t (s : State.t) cond ~taken_pc ~fall_pc =
   Obs.Span.timed fork_phase (fun () ->
       (* Parent takes the branch; child takes the fall-through. *)
       let child = State.fork s in
-      t.stats.states_created <- t.stats.states_created + 1;
       t.stats.forks <- t.stats.forks + 1;
       Obs.Metrics.incr m_states_created;
       Obs.Metrics.incr m_forks;
@@ -388,8 +384,7 @@ let do_fork t (s : State.t) cond ~taken_pc ~fall_pc =
    get hard — commit to one side, mark the path incomplete, and account
    for the degradation.  [add]/[pc] are the chosen side's constraint and
    target. *)
-let degrade_to t (s : State.t) ~add ~pc =
-  t.stats.degradations <- t.stats.degradations + 1;
+let degrade_to (s : State.t) ~add ~pc =
   Obs.Metrics.incr m_degradations;
   s.incomplete <- true;
   State.add_constraint s add;
@@ -403,10 +398,10 @@ let degrade_to t (s : State.t) ~add ~pc =
    fresh and incremental runs could degrade down different sides and the
    chaos differential (same case set under an injected fault plan) would
    not hold. *)
-let degrade_concrete t (s : State.t) cond ~taken_pc ~fall_pc =
+let degrade_concrete (s : State.t) cond ~taken_pc ~fall_pc =
   if Expr.eval Expr.Int_map.empty cond = 1L then
-    degrade_to t s ~add:cond ~pc:taken_pc
-  else degrade_to t s ~add:(Expr.log_not cond) ~pc:fall_pc
+    degrade_to s ~add:cond ~pc:taken_pc
+  else degrade_to s ~add:(Expr.log_not cond) ~pc:fall_pc
 
 (* Decide a branch with a symbolic condition. *)
 let symbolic_branch t (s : State.t) cond ~taken_pc ~fall_pc =
@@ -419,7 +414,6 @@ let symbolic_branch t (s : State.t) cond ~taken_pc ~fall_pc =
       if s.depth < t.config.max_fork_depth && List.length t.live < t.config.max_states
       then begin
         let child = State.fork s in
-        t.stats.states_created <- t.stats.states_created + 1;
         t.stats.forks <- t.stats.forks + 1;
         Obs.Metrics.incr m_states_created;
         Obs.Metrics.incr m_forks;
@@ -452,11 +446,11 @@ let symbolic_branch t (s : State.t) cond ~taken_pc ~fall_pc =
       | Solver.Unknown, Solver.Unsat ->
           (* Only one side can possibly be feasible; follow it, but its
              feasibility was never proven. *)
-          degrade_to t s ~add:cond ~pc:taken_pc
+          degrade_to s ~add:cond ~pc:taken_pc
       | Solver.Unsat, Solver.Unknown ->
-          degrade_to t s ~add:(Expr.log_not cond) ~pc:fall_pc
+          degrade_to s ~add:(Expr.log_not cond) ~pc:fall_pc
       | (Solver.Unknown, _ | _, Solver.Unknown) ->
-          degrade_concrete t s cond ~taken_pc ~fall_pc
+          degrade_concrete s cond ~taken_pc ~fall_pc
       | Solver.Sat _, Solver.Sat _ ->
           if s.depth < t.config.max_fork_depth
              && List.length t.live < t.config.max_states
@@ -480,14 +474,14 @@ let symbolic_branch t (s : State.t) cond ~taken_pc ~fall_pc =
             State.add_constraint s cond;
             s.pc <- taken_pc
         | Solver.Unknown, Solver.Unsat ->
-            degrade_to t s ~add:cond ~pc:taken_pc
+            degrade_to s ~add:cond ~pc:taken_pc
         | Solver.Unsat, Solver.Unknown ->
-            degrade_to t s ~add:(Expr.log_not cond) ~pc:fall_pc
+            degrade_to s ~add:(Expr.log_not cond) ~pc:fall_pc
         | Solver.Unsat, _ ->
             State.add_constraint s (Expr.log_not cond);
             s.pc <- fall_pc
         | (Solver.Unknown, _ | _, Solver.Unknown) ->
-            degrade_concrete t s cond ~taken_pc ~fall_pc
+            degrade_concrete s cond ~taken_pc ~fall_pc
         | Solver.Sat _, Solver.Sat _ ->
             if s.depth < t.config.max_fork_depth
                && List.length t.live < t.config.max_states
@@ -870,7 +864,6 @@ let exec_tb_body t (s : State.t) =
     if s.sym_instret > sym_before then max 1 (n / t.config.timer_divisor) else n
   in
   t.stats.concrete_instret <- t.stats.concrete_instret + n;
-  t.stats.sym_instret <- t.stats.sym_instret + (s.sym_instret - sym_before);
   Obs.Metrics.add m_instructions n;
   Obs.Metrics.add m_sym_instructions (s.sym_instret - sym_before);
   Obs.Metrics.set m_max_constraints (State.constraint_count s);
@@ -940,7 +933,8 @@ let run_loop ~(limits : run_limits) t =
             sampled := t.stats.forks;
             let fp = List.fold_left (fun acc s -> acc + State.footprint s) 0 t.live in
             if fp > t.stats.footprint_watermark then
-              t.stats.footprint_watermark <- fp
+              t.stats.footprint_watermark <- fp;
+            Obs.Metrics.set m_footprint fp
           end;
           loop ()
   in
@@ -968,7 +962,6 @@ let run_frontier ?(limits = no_limits) t states =
     Fork events fire with a [true] condition. *)
 let plugin_fork t (s : State.t) =
   let child = State.fork s in
-  t.stats.states_created <- t.stats.states_created + 1;
   t.stats.forks <- t.stats.forks + 1;
   Obs.Metrics.incr m_states_created;
   Obs.Metrics.incr m_forks;

@@ -34,7 +34,6 @@ type t = {
      address, so a cut address always starts its own block.  Merge
      points are cut so states stop there between blocks. *)
   cuts : (int, unit) Hashtbl.t;
-  mutable translations : int;
   mutable max_block : int;
   (* One bit per code page of guest RAM, set when a translated block
      covers part of the page.  A clear bit proves no cached block covers
@@ -52,7 +51,6 @@ let create ?(max_block = 32) () =
     cache = Hashtbl.create 512;
     marks = Hashtbl.create 64;
     cuts = Hashtbl.create 64;
-    translations = 0;
     max_block;
     code_pages = Bytes.make ((num_pages + 7) / 8) '\000';
   }
@@ -84,7 +82,6 @@ let translate t ~fetch ~on_translate pc =
       Obs.Metrics.incr m_tb_hits;
       tb
   | None ->
-      t.translations <- t.translations + 1;
       Obs.Metrics.incr m_tb_misses;
       Obs.Span.timed translate_phase (fun () ->
           let rec go addr acc n =
@@ -125,9 +122,8 @@ let invalidate t addr =
     end
   end
 
-(** Drop every cached block.  The cumulative translation count is kept
-    (it is monotone by contract); only the cache and its code-page bitmap
-    are cleared.  Used by the differential oracle, which reuses one
+(** Drop every cached block and clear the code-page bitmap; the
+    [dbt.tb_misses] counter is monotone across it.  Used by the differential oracle, which reuses one
     translator across runs that place different code at the same pc. *)
 let flush t =
   Hashtbl.reset t.cache;
@@ -142,4 +138,4 @@ let cut t addr =
     invalidate t addr
   end
 
-let stats t = (t.translations, Hashtbl.length t.cache)
+let cached_blocks t = Hashtbl.length t.cache

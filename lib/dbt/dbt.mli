@@ -44,8 +44,8 @@ val cut : t -> int -> unit
 
 val flush : t -> unit
 (** Drop every cached block and clear the code-page bitmap.  The
-    cumulative translation count is preserved; [stats] stays monotone
-    across a flush. *)
+    translation count, the registry counter [dbt.tb_misses], stays
+    monotone across a flush. *)
 
-val stats : t -> int * int
-(** (total translations, blocks currently cached). *)
+val cached_blocks : t -> int
+(** Blocks currently cached. *)

@@ -38,9 +38,14 @@
     rather than aborting — the bottom rung of the degradation ladder.
     SIGINT (when [handle_sigint]) and wall-clock/path budgets drain
     gracefully: busy workers checkpoint their frontiers, every worker
-    reports its telemetry snapshot in [Bye], and the merged report
+    reports the rest of its counters in [Bye], and the merged report
     accounts for every path explored plus every state left
-    unexplored. *)
+    unexplored.
+
+    Counters follow the same discipline as paths: a worker's registry
+    delta rides in the message that retires its item, so the counts of
+    a worker that dies are those of the work it handed back, and work
+    that is requeued is counted once, by the worker that finishes it. *)
 
 module Executor = S2e_core.Executor
 module Events = S2e_core.Events
@@ -76,8 +81,9 @@ type result = {
   procs : int;
   paths : Proto.path list;
       (** every terminated path, with its test case when [cases] was set *)
-  stats : Executor.stats;  (** merged over workers + the local boot *)
-  obs : Obs.Metrics.snapshot;  (** merged worker registries + local *)
+  stats : Executor.stats;  (** {!Executor.stats_of_obs} of this run *)
+  obs : Obs.Metrics.snapshot;
+      (** the local registry plus every worker delta received *)
   steals : int;  (** checkpoints triggered by steal requests *)
   requeues : int;  (** in-flight items recovered from dead workers *)
   restarts : int;  (** owned worker processes respawned *)
@@ -201,14 +207,21 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     | Unix.ADDR_UNIX _ ->
         invalid_arg "Coordinator.explore: listener is not a TCP socket"
   in
-  (* Boot locally: path/fork accounting then matches {!Parallel.explore}
-     (boot counts one created state on the coordinator side). *)
+  (* This run's counts are the local registry's since here plus every
+     worker delta.  Boot locally: path/fork accounting then matches
+     {!Parallel.explore} (boot counts one created state on the
+     coordinator side). *)
+  let obs0 = Obs.Metrics.snapshot () in
   let eng = make_engine () in
   let s0 = boot eng in
-  let stats = Executor.new_stats () in
-  Executor.merge_stats ~into:stats eng.Executor.stats;
   let paths = ref [] in
-  let obs_snaps = ref [] in
+  (* Running sum of the registry deltas workers have reported. *)
+  let remote = ref [] in
+  let absorb obs = remote := Obs.Metrics.merge_snapshots [ !remote; obs ] in
+  let run_obs () =
+    Obs.Metrics.merge_snapshots
+      [ Obs.Metrics.delta ~before:obs0 (Obs.Metrics.snapshot ()); !remote ]
+  in
   let trace_events = ref [] in
   let trace_dropped = ref 0 in
   (* A worker's chunk carries its own clock readings; the offset between
@@ -398,28 +411,28 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     | Proto.Nak _ ->
         w.w_steal <- 0.;
         w.w_nak <- Unix.gettimeofday ()
-    | Proto.Result { item; paths = ps; stats = st } ->
+    | Proto.Result { item; paths = ps; obs } ->
         w.w_steal <- 0.;
         w.w_frontier <- 0;
         w.w_status <- Idle;
         update_rate w (List.length ps);
         paths := List.rev_append ps !paths;
-        Executor.merge_stats ~into:stats st;
+        absorb obs;
         on_event (Completed { pid = w.w_pid; item; paths = List.length ps })
-    | Proto.Checkpoint { item; paths = ps; stats = st; states } ->
+    | Proto.Checkpoint { item; paths = ps; obs; states } ->
         let was_steal = w.w_steal > 0. in
         w.w_steal <- 0.;
         w.w_frontier <- 0;
         w.w_status <- Idle;
         update_rate w (List.length ps + List.length states);
         paths := List.rev_append ps !paths;
-        Executor.merge_stats ~into:stats st;
+        absorb obs;
         List.iter enqueue_blob states;
         if was_steal then incr steals;
         on_event
           (Checkpointed { pid = w.w_pid; item; states = List.length states })
     | Proto.Bye { obs; now; trace } ->
-        obs_snaps := obs :: !obs_snaps;
+        absorb obs;
         collect_trace w ~now_w:now trace;
         w.w_alive <- false;
         (match w.w_kind with Owned -> reap w | Remote _ -> close_conn w)
@@ -580,12 +593,6 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
           (Worker.paths_of_state ~cases s))
       (sl.sl_drain ())
   in
-  (* Retire the solo item the way a worker's [Result]/[Checkpoint] does:
-     its stats join the run's once. *)
-  let solo_retire (sl : Worker.slicer) =
-    Executor.merge_stats ~into:stats (sl.sl_stats ());
-    solo_item := None
-  in
   let solo_start () =
     let it = Queue.pop queue in
     let sl = Lazy.force solo in
@@ -603,7 +610,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     sl.sl_run ~deadline;
     solo_drain sl;
     if sl.sl_frontier () = [] then begin
-      solo_retire sl;
+      solo_item := None;
       on_event (Completed { pid = 0; item = it.it_id; paths = 0 })
     end
   in
@@ -618,7 +625,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         (fun s -> enqueue_blob (Codec.encode_state s))
         (sl.sl_frontier ());
       sl.sl_drop ();
-      solo_retire sl
+      solo_item := None
     end
   in
   (* ---------------- scheduling ---------------- *)
@@ -648,13 +655,17 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   in
   List.iter do_spawn !workers;
   let completed_enough () =
-    (match limits.Executor.max_completed with
-    | Some m -> stats.Executor.states_completed >= m
-    | None -> false)
-    ||
-    match limits.Executor.max_instructions with
-    | Some m -> stats.Executor.concrete_instret > m
-    | None -> false
+    match limits.Executor.max_completed, limits.Executor.max_instructions with
+    | None, None -> false
+    | max_completed, max_instructions -> (
+        let st = Executor.stats_of_obs (run_obs ()) in
+        (match max_completed with
+        | Some m -> st.Executor.states_completed >= m
+        | None -> false)
+        ||
+        match max_instructions with
+        | Some m -> st.Executor.concrete_instret > m
+        | None -> false)
   in
   let have_busy () =
     List.exists
@@ -872,9 +883,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   (match old_sigint with
   | Some h -> Sys.set_signal Sys.sigint h
   | None -> ());
-  let obs =
-    Obs.Metrics.merge_snapshots (Obs.Metrics.snapshot () :: !obs_snaps)
-  in
+  let obs = Obs.Metrics.merge_snapshots [ Obs.Metrics.snapshot (); !remote ] in
   (* The coordinator's own events (boot, transport frames) join the
      worker chunks on the merged timeline. *)
   let local_events, local_dropped = Obs.Trace.drain () in
@@ -886,7 +895,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   {
     procs;
     paths = List.rev !paths;
-    stats;
+    stats = Executor.stats_of_obs (run_obs ());
     obs;
     steals = !steals;
     requeues = !requeues;
@@ -894,7 +903,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     abandoned = List.rev !abandoned;
     retransmits = 0;
     (* Both directions: the coordinator's own counter is in its local
-       snapshot; each worker's arrived with its [Bye] snapshot. *)
+       snapshot; each worker's arrived with its reports. *)
     injected = Obs.Metrics.get_int obs "fault.proto.corrupt";
     unexplored = Queue.length queue + List.length !abandoned;
     wall_seconds = Unix.gettimeofday () -. t0;

@@ -44,8 +44,14 @@ type result = {
   procs : int;
   paths : Proto.path list;
       (** every terminated path, with its test case when [cases] was set *)
-  stats : Executor.stats;  (** merged over workers + the local boot *)
-  obs : Obs.Metrics.snapshot;  (** merged worker registries + local *)
+  stats : Executor.stats;
+      (** {!Executor.stats_of_obs} of exactly this run: the local
+          registry's counts since [explore] began plus every worker
+          delta received.  The two watermarks are maxima over the
+          workers and this process's registry, which is not reset. *)
+  obs : Obs.Metrics.snapshot;
+      (** the local registry (cumulative over the process) merged with
+          every worker delta received *)
   steals : int;  (** checkpoints triggered by steal requests *)
   requeues : int;  (** in-flight items recovered from dead workers *)
   restarts : int;  (** owned worker processes respawned *)
@@ -154,7 +160,9 @@ val explore :
     remote worker joins.  The run only abandons work for items that
     repeatedly kill owned workers, or when its own budget expires.
 
-    The result merges every worker's paths, executor stats and
-    metrics-registry snapshot (which carries the solver counters) with
-    the coordinator's own.  The
-    caller owns [listener] and closes it after [explore] returns. *)
+    The result merges every worker's paths and counters with the
+    coordinator's own.  Counters arrive as registry deltas in the
+    messages that retire items ([Result], [Checkpoint]) and in the
+    final [Bye]; a requeued item's discarded work is counted by no one
+    but the worker that finishes it.  The caller owns [listener] and
+    closes it after [explore] returns. *)

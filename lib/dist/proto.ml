@@ -11,14 +11,14 @@
 
     Work accounting is crash-consistent by construction: a worker holds
     at most one in-flight {e item} (a serialized frontier), reports
-    terminated paths only in the single [Result] or [Checkpoint] message
-    that retires the item, and answers a [Steal] by checkpointing its
+    terminated paths and the registry counts of the work behind them
+    only in the single [Result] or [Checkpoint] message that retires
+    the item, and answers a [Steal] by checkpointing its
     {e entire} remaining frontier in one atomic message.  If the process
     dies at any point before that message, the coordinator requeues the
     original item blob and no path can be double-counted or lost. *)
 
 module Obs = S2e_obs
-module Executor = S2e_core.Executor
 module Fault = S2e_fault.Fault
 open Codec.Wire
 
@@ -26,9 +26,10 @@ exception Closed
 (** Peer hung up (EOF/EPIPE/reset), sent a damaged frame, or stopped
     mid-frame — on a worker fd this means the session is lost. *)
 
-(* v7: Result/Checkpoint carry no solver record; solver counters travel
-   in the Bye registry snapshot with every other metric. *)
-let version = 7
+(* v8: Result/Checkpoint carry the worker registry's delta since its
+   last report in place of the engine record; Bye carries the remainder;
+   Hello/Rejoin lost their unread [jobs]. *)
+let version = 8
 
 (** A terminated path, reduced to what the coordinator reports: the
     status string and the canonical test case. *)
@@ -38,7 +39,7 @@ type path = {
 }
 
 type msg =
-  | Hello of { version : int; pid : int; jobs : int }
+  | Hello of { version : int; pid : int }
       (** worker → coordinator, once, immediately after spawn *)
   | Work of { item : int; budget : float; cases : bool; blob : string }
       (** coordinator → worker: explore this serialized state;
@@ -55,23 +56,23 @@ type msg =
           {!Obs.Trace} chunk — [""] when tracing is off. *)
   | Nak of { item : int }
       (** worker → coordinator: steal declined (frontier too small) *)
-  | Result of {
-      item : int;
-      paths : path list;
-      stats : Executor.stats;
-    }  (** worker → coordinator: item fully drained *)
+  | Result of { item : int; paths : path list; obs : Obs.Metrics.snapshot }
+      (** worker → coordinator: item fully drained.  [obs] is the
+          worker registry's {!Obs.Metrics.delta} since its last report,
+          so a worker's counters reach the coordinator with the work
+          that produced them. *)
   | Checkpoint of {
       item : int;
       paths : path list;
-      stats : Executor.stats;
+      obs : Obs.Metrics.snapshot;
       states : string list;  (** serialized unexplored frontier *)
     }
       (** worker → coordinator: item retired early (steal, shutdown or
-          budget); paths/stats cover work done so far, [states] is the
+          budget); paths/obs cover work done so far, [states] is the
           whole remaining frontier *)
   | Bye of { obs : Obs.Metrics.snapshot; now : float; trace : string }
-      (** worker → coordinator: final telemetry plus the last trace
-          chunk, sent just before exit *)
+      (** worker → coordinator: the registry delta since the last
+          report plus the last trace chunk, sent just before exit *)
   | Welcome of { wid : int; token : string; lease : float; resume : bool }
       (** coordinator → worker: admission over TCP.  [wid]/[token]
           identify the session for later {!Rejoin}; [lease] is the
@@ -83,7 +84,6 @@ type msg =
       wid : int;
       token : string;
       pid : int;
-      jobs : int;
       held : int option;
     }
       (** worker → coordinator: a returning worker re-authenticates its
@@ -99,43 +99,6 @@ type msg =
 (* ------------------------------------------------------------------ *)
 (* Payload encoding                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let encode_exec_stats b (s : Executor.stats) =
-  i64 b (Int64.of_int s.states_created);
-  i64 b (Int64.of_int s.states_completed);
-  i64 b (Int64.of_int s.max_live_states);
-  i64 b (Int64.of_int s.forks);
-  i64 b (Int64.of_int s.concrete_instret);
-  i64 b (Int64.of_int s.sym_instret);
-  i64 b (Int64.of_int s.footprint_watermark);
-  i64 b (Int64.of_int s.concretizations);
-  i64 b (Int64.of_int s.aborts);
-  i64 b (Int64.of_int s.degradations)
-
-let decode_exec_stats r : Executor.stats =
-  let n () = Int64.to_int (ri64 r) in
-  let states_created = n () in
-  let states_completed = n () in
-  let max_live_states = n () in
-  let forks = n () in
-  let concrete_instret = n () in
-  let sym_instret = n () in
-  let footprint_watermark = n () in
-  let concretizations = n () in
-  let aborts = n () in
-  let degradations = n () in
-  {
-    Executor.states_created;
-    states_completed;
-    max_live_states;
-    forks;
-    concrete_instret;
-    sym_instret;
-    footprint_watermark;
-    concretizations;
-    aborts;
-    degradations;
-  }
 
 let encode_path b p =
   str b p.p_status;
@@ -204,11 +167,10 @@ let decode_obs r : Obs.Metrics.snapshot =
 let encode_msg m =
   let b = create () in
   (match m with
-  | Hello { version; pid; jobs } ->
+  | Hello { version; pid } ->
       u8 b 0;
       u32 b version;
-      u32 b pid;
-      u32 b jobs
+      u32 b pid
   | Work { item; budget; cases; blob } ->
       u8 b 1;
       u32 b item;
@@ -227,16 +189,16 @@ let encode_msg m =
   | Nak { item } ->
       u8 b 6;
       u32 b item
-  | Result { item; paths; stats } ->
+  | Result { item; paths; obs } ->
       u8 b 7;
       u32 b item;
       list b (encode_path b) paths;
-      encode_exec_stats b stats
-  | Checkpoint { item; paths; stats; states } ->
+      encode_obs b obs
+  | Checkpoint { item; paths; obs; states } ->
       u8 b 8;
       u32 b item;
       list b (encode_path b) paths;
-      encode_exec_stats b stats;
+      encode_obs b obs;
       list b (str b) states
   | Bye { obs; now; trace } ->
       u8 b 9;
@@ -249,12 +211,11 @@ let encode_msg m =
       str b token;
       f64 b lease;
       u8 b (if resume then 1 else 0)
-  | Rejoin { wid; token; pid; jobs; held } ->
+  | Rejoin { wid; token; pid; held } ->
       u8 b 11;
       u32 b wid;
       str b token;
       u32 b pid;
-      u32 b jobs;
       (match held with
       | None -> u8 b 0
       | Some item ->
@@ -273,8 +234,7 @@ let decode_msg r ~stop =
     | 0 ->
         let version = ru32 r in
         let pid = ru32 r in
-        let jobs = ru32 r in
-        Hello { version; pid; jobs }
+        Hello { version; pid }
     | 1 ->
         let item = ru32 r in
         let budget = rf64 r in
@@ -294,14 +254,14 @@ let decode_msg r ~stop =
     | 7 ->
         let item = ru32 r in
         let paths = rlist r decode_path in
-        let stats = decode_exec_stats r in
-        Result { item; paths; stats }
+        let obs = decode_obs r in
+        Result { item; paths; obs }
     | 8 ->
         let item = ru32 r in
         let paths = rlist r decode_path in
-        let stats = decode_exec_stats r in
+        let obs = decode_obs r in
         let states = rlist r rstr in
-        Checkpoint { item; paths; stats; states }
+        Checkpoint { item; paths; obs; states }
     | 9 ->
         let obs = decode_obs r in
         let now = rf64 r in
@@ -317,9 +277,8 @@ let decode_msg r ~stop =
         let wid = ru32 r in
         let token = rstr r in
         let pid = ru32 r in
-        let jobs = ru32 r in
         let held = if ru8 r = 0 then None else Some (ru32 r) in
-        Rejoin { wid; token; pid; jobs; held }
+        Rejoin { wid; token; pid; held }
     | 12 -> Deny { reason = rstr r }
     | t -> raise (Codec.Error (Printf.sprintf "unknown message tag %d" t))
   in

@@ -10,14 +10,14 @@
     The work-accounting state machine is crash-consistent: a worker
     holds at most one in-flight item, retires it with exactly one
     [Result] (frontier drained) or [Checkpoint] (steal / shutdown /
-    budget: remaining frontier returned whole, in one atomic message).
+    budget: remaining frontier returned whole, in one atomic message),
+    and ships its counters, as a registry delta, in that same message.
     A session lost before that message either resumes the item on
     rejoin, if the coordinator still holds it for that worker, or
     requeues the original item blob — no path is lost or
     double-counted. *)
 
 module Obs = S2e_obs
-module Executor = S2e_core.Executor
 
 exception Closed
 (** The connection is lost: EOF, EPIPE, connection reset, a frame that
@@ -38,7 +38,7 @@ type path = {
 }
 
 type msg =
-  | Hello of { version : int; pid : int; jobs : int }
+  | Hello of { version : int; pid : int }
   | Work of { item : int; budget : float; cases : bool; blob : string }
   | Steal
   | Ping
@@ -48,18 +48,17 @@ type msg =
           clock-offset normalization) and [trace] a drained
           {!Obs.Trace} chunk — [""] when tracing is off *)
   | Nak of { item : int }
-  | Result of {
-      item : int;
-      paths : path list;
-      stats : Executor.stats;
-    }
+  | Result of { item : int; paths : path list; obs : Obs.Metrics.snapshot }
+      (** [obs]: the worker registry's delta since its last report *)
   | Checkpoint of {
       item : int;
       paths : path list;
-      stats : Executor.stats;
+      obs : Obs.Metrics.snapshot;
       states : string list;
     }
   | Bye of { obs : Obs.Metrics.snapshot; now : float; trace : string }
+      (** [obs]: the registry delta since the last [Result] or
+          [Checkpoint] *)
   | Welcome of { wid : int; token : string; lease : float; resume : bool }
       (** coordinator → worker: TCP admission.  [wid]/[token] name the
           session for {!Rejoin}; [lease] the liveness window in seconds;
@@ -69,7 +68,6 @@ type msg =
       wid : int;
       token : string;
       pid : int;
-      jobs : int;
       held : int option;
     }
       (** worker → coordinator: re-authenticate an existing session

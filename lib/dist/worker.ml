@@ -16,11 +16,12 @@
     domains via {!S2e_core.Parallel.explore_frontier}.
 
     Protocol discipline (the crash-consistency contract of {!Proto}):
-    terminated paths and stats deltas for an item leave this process
-    only in the single [Result] or [Checkpoint] that retires the item,
-    and a [Checkpoint] carries the {e entire} remaining frontier.  If
-    the process dies before that message, the coordinator still holds
-    the original item blob and loses nothing. *)
+    terminated paths and the registry delta since the last report leave
+    this process only in the single [Result] or [Checkpoint] that
+    retires the item, and a [Checkpoint] carries the {e entire}
+    remaining frontier.  If the process dies before that message, the
+    coordinator still holds the original item blob and loses nothing:
+    neither paths nor counts of unretired work were ever sent. *)
 
 module Parallel = S2e_core.Parallel
 module Executor = S2e_core.Executor
@@ -51,29 +52,6 @@ let paths_of_state ~cases (s : State.t) =
     | [] -> [ { Proto.p_status = status; p_case = [] } ]
     | tcs -> List.map (fun tc -> { Proto.p_status = status; p_case = tc }) tcs
 
-let copy_exec_stats s =
-  let c = Executor.new_stats () in
-  Executor.merge_stats ~into:c s;
-  c
-
-(* Since-mark deltas against a persistent engine's cumulative stats.
-   Counters subtract; high-watermark fields report the current watermark
-   (the coordinator merges them with max, so this stays an upper bound
-   contributed by this worker). *)
-let exec_delta ~prev (cur : Executor.stats) : Executor.stats =
-  {
-    Executor.states_created = cur.Executor.states_created - prev.Executor.states_created;
-    states_completed = cur.states_completed - prev.states_completed;
-    max_live_states = cur.max_live_states;
-    forks = cur.forks - prev.forks;
-    concrete_instret = cur.concrete_instret - prev.concrete_instret;
-    sym_instret = cur.sym_instret - prev.sym_instret;
-    footprint_watermark = cur.footprint_watermark;
-    concretizations = cur.concretizations - prev.concretizations;
-    aborts = cur.aborts - prev.aborts;
-    degradations = cur.degradations - prev.degradations;
-  }
-
 (* One item's exploration, sliced.  The control loop below is written
    once against this interface (and the coordinator's solo mode drives
    the serial one); the two implementations differ in how a slice
@@ -86,7 +64,6 @@ type slicer = {
   sl_drop : unit -> unit;  (* discard the frontier (after a checkpoint) *)
   sl_drain : unit -> State.t list;
       (* states terminated since the last drain, oldest first *)
-  sl_stats : unit -> Executor.stats;  (* deltas this item *)
   sl_quiesce : unit -> unit;
       (* release merge-parked states and strip engine-local rendezvous
          ids before the frontier leaves this process *)
@@ -102,13 +79,11 @@ let serial_slicer ~slice ~make_engine () =
   let terminated = ref [] in
   Events.reg_state_end eng.Executor.events (fun s ->
       terminated := s :: !terminated);
-  let prev_e = ref (copy_exec_stats eng.Executor.stats) in
   {
     sl_base = eng.Executor.base_mem;
     sl_start =
       (fun s0 ->
         terminated := [];
-        prev_e := copy_exec_stats eng.Executor.stats;
         Executor.adopt eng s0);
     sl_run =
       (fun ~deadline ->
@@ -129,7 +104,6 @@ let serial_slicer ~slice ~make_engine () =
         let pending = List.rev !terminated in
         terminated := [];
         pending);
-    sl_stats = (fun () -> exec_delta ~prev:!prev_e eng.Executor.stats);
     sl_quiesce = (fun () -> eng.Executor.quiesce ());
   }
 
@@ -139,14 +113,12 @@ let parallel_slicer ~jobs ~slice ~make_engine () =
   let base = (make_engine ()).Executor.base_mem in
   let frontier = ref [] in
   let terminated = ref [] in
-  let stats = ref (Executor.new_stats ()) in
   {
     sl_base = base;
     sl_start =
       (fun s0 ->
         frontier := [ s0 ];
-        terminated := [];
-        stats := Executor.new_stats ());
+        terminated := []);
     sl_run =
       (fun ~deadline ->
         let now = Unix.gettimeofday () in
@@ -159,7 +131,6 @@ let parallel_slicer ~jobs ~slice ~make_engine () =
         in
         let r = Parallel.explore_frontier ~jobs ~limits ~make_engine !frontier in
         terminated := List.rev_append r.Parallel.completed !terminated;
-        Executor.merge_stats ~into:!stats r.Parallel.stats;
         frontier := r.Parallel.frontier;
         (* The slice's engines die here; any rendezvous ids the frontier
            carries are theirs and must not leak into the next slice's
@@ -172,7 +143,6 @@ let parallel_slicer ~jobs ~slice ~make_engine () =
         let pending = List.rev !terminated in
         terminated := [];
         pending);
-    sl_stats = (fun () -> !stats);
     sl_quiesce =
       (fun () ->
         List.iter (fun (s : State.t) -> s.State.rendezvous <- []) !frontier);
@@ -190,10 +160,12 @@ type held = {
 
 (* One admitted session against the coordinator: the idle/item control
    loop, entered with the [held] item first if there is one.  [lease] is
-   the liveness window granted in [Welcome].  Returns [`Shutdown] on an
-   orderly drain and [`Lost] when the connection died (the caller
-   reconnects, still holding an unretired item). *)
-let run_session ~sl ~heartbeat ~lease ~held c =
+   the liveness window granted in [Welcome]; [reported] is the registry
+   as of the last report, which every retire message and the [Bye]
+   subtract.  Returns [`Shutdown] on an orderly drain and [`Lost] when
+   the connection died (the caller reconnects, still holding an
+   unretired item). *)
+let run_session ~sl ~heartbeat ~lease ~held ~reported c =
   let pid = Unix.getpid () in
   (* A worker heartbeating exactly at the lease boundary flaps; keep at
      least four beats per lease. *)
@@ -245,11 +217,19 @@ let run_session ~sl ~heartbeat ~lease ~held c =
   let maybe_hb frontier =
     if Unix.gettimeofday () -. !last_hb >= heartbeat then hb_probe frontier
   in
+  (* The counts since the last report go out with the message, and
+     count as reported once it is sent.  Cells the window left at zero
+     stay home. *)
+  let report mk =
+    let snap = Obs.Metrics.snapshot () in
+    Obs.Metrics.delta ~before:!reported snap
+    |> List.filter (fun (_, v) -> v <> Obs.Metrics.Int 0 && v <> Float 0.)
+    |> mk |> Proto.send c;
+    reported := snap
+  in
   let bye () =
-    Proto.send c
-      (Proto.Bye
-         { obs = Obs.Metrics.snapshot (); now = Unix.gettimeofday ();
-           trace = trace_chunk () })
+    report (fun obs ->
+        Proto.Bye { obs; now = Unix.gettimeofday (); trace = trace_chunk () })
   in
   let work h =
     (* Convert newly terminated states to reportable paths.  With
@@ -275,22 +255,18 @@ let run_session ~sl ~heartbeat ~lease ~held c =
           if !lost then raise Proto.Closed
     in
     (* The item is retired once its last message is sent; a send that
-       fails leaves it held, frontier intact. *)
-    let retire m =
-      Proto.send c m;
+       fails leaves it held, frontier and unreported counts intact. *)
+    let retire mk =
+      report mk;
       held := None
     in
     let checkpoint () =
       sl.sl_quiesce ();
       drain ();
-      retire
-        (Proto.Checkpoint
-           {
-             item = h.h_item;
-             paths = List.rev h.h_paths;
-             stats = sl.sl_stats ();
-             states = List.map Codec.encode_state (sl.sl_frontier ());
-           });
+      let states = List.map Codec.encode_state (sl.sl_frontier ()) in
+      retire (fun obs ->
+          Proto.Checkpoint
+            { item = h.h_item; paths = List.rev h.h_paths; obs; states });
       sl.sl_drop ()
     in
     let finished = ref false in
@@ -312,10 +288,8 @@ let run_session ~sl ~heartbeat ~lease ~held c =
       if not !finished then begin
         if sl.sl_frontier () = [] then begin
           drain ();
-          retire
-            (Proto.Result
-               { item = h.h_item; paths = List.rev h.h_paths;
-                 stats = sl.sl_stats () });
+          retire (fun obs ->
+              Proto.Result { item = h.h_item; paths = List.rev h.h_paths; obs });
           finished := true
         end
         else if Unix.gettimeofday () >= h.h_deadline then begin
@@ -413,13 +387,13 @@ let backoff attempt =
 
 (* Send Hello (fresh) or Rejoin (returning, naming the item still
    held) and wait for the verdict. *)
-let handshake c ~session ~held ~jobs =
+let handshake c ~session ~held =
   let pid = Unix.getpid () in
   (match !session with
-  | None -> Proto.send c (Proto.Hello { version = Proto.version; pid; jobs })
+  | None -> Proto.send c (Proto.Hello { version = Proto.version; pid })
   | Some (wid, token) ->
       let held = Option.map (fun h -> h.h_item) held in
-      Proto.send c (Proto.Rejoin { wid; token; pid; jobs; held }));
+      Proto.send c (Proto.Rejoin { wid; token; pid; held }));
   let give_up = Unix.gettimeofday () +. 10. in
   let rec wait () =
     if Unix.gettimeofday () > give_up then `Lost
@@ -441,6 +415,9 @@ let serve_tcp ?(jobs = 1) ?(slice = 0.05) ?(heartbeat = 0.25)
   let sl = make_slicer ~jobs ~slice ~make_engine () in
   let session = ref None in
   let held = ref None in
+  (* Nothing reported yet: the first report carries everything since the
+     reset in [init_process], engine construction included. *)
+  let reported = ref [] in
   let attempt = ref 0 in
   let stop = ref false in
   let retry () =
@@ -455,7 +432,7 @@ let serve_tcp ?(jobs = 1) ?(slice = 0.05) ?(heartbeat = 0.25)
     | exception _ -> retry ()
     | fd -> (
         let close () = try Unix.close fd with Unix.Unix_error _ -> () in
-        match handshake fd ~session ~held:!held ~jobs with
+        match handshake fd ~session ~held:!held with
         | `Denied _reason ->
             (* Not transient (bad token, capacity, draining): exit. *)
             close ();
@@ -472,13 +449,15 @@ let serve_tcp ?(jobs = 1) ?(slice = 0.05) ?(heartbeat = 0.25)
             attempt := 0;
             if (not resume) && Option.is_some !held then begin
               (* The coordinator requeued the held item: discard its
-                 half-explored frontier so no path is double-counted. *)
+                 half-explored frontier, and the counts of that work,
+                 so no path or count is double-counted. *)
               sl.sl_quiesce ();
               ignore (sl.sl_drain ());
               sl.sl_drop ();
-              held := None
+              held := None;
+              reported := Obs.Metrics.snapshot ()
             end;
-            match run_session ~sl ~heartbeat ~lease ~held fd with
+            match run_session ~sl ~heartbeat ~lease ~held ~reported fd with
             | `Shutdown ->
                 close ();
                 stop := true

@@ -43,11 +43,16 @@ val serve_tcp :
     that item — the engine and its warm caches survive the reconnect.
     If the coordinator still holds the item for this session (an owned
     worker), its [Welcome] resumes it; otherwise the item was requeued
-    and the worker discards the half-explored frontier so no path is
+    and the worker discards the half-explored frontier, and the
+    registry counts it has not reported, so no path or count is
     double-counted.  Owned and remote workers rejoin the same way.  A [Deny] (bad token, capacity, draining coordinator) or
-    an orderly [Shutdown] ends the worker.  Resets the default metrics registry and trace rings on
-    entry so the final [Bye] snapshot covers exactly this worker's work;
-    ignores SIGINT/SIGPIPE (the coordinator owns shutdown). *)
+    an orderly [Shutdown] ends the worker.
+
+    Counters travel with work: each [Result] or [Checkpoint] carries the
+    default registry's delta since the previous report, and the final
+    [Bye] the remainder.  Resets the registry and trace rings on entry
+    so those deltas cover exactly this worker's work; ignores
+    SIGINT/SIGPIPE (the coordinator owns shutdown). *)
 
 (** {2 Shared with the coordinator}
 
@@ -69,8 +74,6 @@ type slicer = {
   sl_drop : unit -> unit;  (** discard the frontier (after a checkpoint) *)
   sl_drain : unit -> State.t list;
       (** states terminated since the last drain, oldest first *)
-  sl_stats : unit -> Executor.stats;
-      (** stats accumulated since the item's [sl_start] *)
   sl_quiesce : unit -> unit;
       (** release merge-parked states and strip engine-local rendezvous
           ids before the frontier leaves this engine *)

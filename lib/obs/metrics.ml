@@ -282,14 +282,16 @@ let kind_of reg name =
   Mutex.unlock reg.mutex;
   Option.map (fun e -> e.e_kind) e
 
-(* A window's share of every metric: monotone cells subtract, gauges are
-   point-in-time and keep the later reading. *)
+(* A window's share of every metric: everything that merges by sum
+   subtracts (a Sum gauge too, so [merge_snapshots [before; delta]] gives
+   [after] back); a Max gauge is a watermark and keeps the later
+   reading. *)
 let delta ?(reg = default) ~before after =
   List.map
     (fun (name, v) ->
       let v =
         match (kind_of reg name, v, find before name) with
-        | Some (K_gauge _), _, _ | _, _, None -> v
+        | Some (K_gauge Max), _, _ | _, _, None -> v
         | _, Int a, Some (Int b) -> Int (a - b)
         | _, Float a, Some (Float b) -> Float (a -. b)
         | _, Hist h, Some (Hist h0) when h.bounds = h0.bounds ->

@@ -74,9 +74,12 @@ val get_float : snapshot -> string -> float
 
 val delta : ?reg:t -> before:snapshot -> snapshot -> snapshot
 (** [delta ~before after]: what one window of a run added, from two
-    snapshots of the same registry.  Counters, float accumulators and
-    histograms subtract [before]; gauges keep [after]'s value.  Kinds come
-    from [reg] as in {!merge_snapshots}. *)
+    snapshots of the same registry.  Counters, float accumulators,
+    histograms and [Sum] gauges subtract [before]; [Max] gauges keep
+    [after]'s value.  So [merge_snapshots [before; delta ~before after]]
+    reads as [after], and a process can ship its registry as a sequence
+    of deltas that sum to its totals.  Kinds come from [reg] as in
+    {!merge_snapshots}. *)
 
 val merge_snapshots : ?reg:t -> snapshot list -> snapshot
 (** Combine snapshots taken in {e different processes} (distributed

@@ -52,6 +52,43 @@ let snapshot_fields snap =
   in
   [ ("metrics", Jsonl.Obj (List.rev metrics)); ("hist", Jsonl.Obj (List.rev hists)) ]
 
+(* The inverse of [snapshot_fields], on any object with a "metrics" and
+   optionally a "hist" member (a line, or one of its shards).  JSON has
+   one number type: an integral value reads back as [Int], any other as
+   [Float], so [get_int] of a counter and [get_float] of an accumulator
+   read what they read on the live snapshot. *)
+let snapshot_of_fields j =
+  let members key =
+    Option.value ~default:[] (Option.bind (Jsonl.member key j) Jsonl.to_obj)
+  in
+  let nums key o =
+    Option.value ~default:[] (Option.bind (Jsonl.member key o) Jsonl.to_arr)
+    |> List.filter_map Jsonl.to_num
+  in
+  let metrics =
+    List.filter_map
+      (fun (name, v) ->
+        Jsonl.to_num v
+        |> Option.map (fun f ->
+               ( name,
+                 if Float.is_integer f then Metrics.Int (int_of_float f)
+                 else Metrics.Float f )))
+      (members "metrics")
+  in
+  let hists =
+    List.map
+      (fun (name, h) ->
+        ( name,
+          Metrics.Hist
+            {
+              bounds = Array.of_list (nums "bounds" h);
+              counts = Array.of_list (List.map int_of_float (nums "counts" h));
+              sum = Option.value ~default:0. (Jsonl.num_member "sum" h);
+            } ))
+      (members "hist")
+  in
+  metrics @ hists
+
 let snapshot_line t ~kind =
   let fields = snapshot_fields (Metrics.snapshot ~reg:t.reg ()) in
   let shards =

@@ -18,6 +18,13 @@ val snapshot_fields : Metrics.snapshot -> (string * Jsonl.t) list
     a line from a snapshot this process did not take itself (the merged
     registries of a distributed run). *)
 
+val snapshot_of_fields : Jsonl.t -> Metrics.snapshot
+(** The inverse of {!snapshot_fields}: the snapshot a line's (or one of
+    its shards') ["metrics"] and ["hist"] members encode.  An integral
+    number decodes as [Int] and any other as [Float], so
+    {!Metrics.get_int} and {!Metrics.get_float} read the decoded snapshot
+    as they read the one that was written. *)
+
 val emit : t -> kind:string -> unit
 (** Write one snapshot line immediately (used for the final line; exposed
     for tests). *)

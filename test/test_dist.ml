@@ -230,9 +230,14 @@ let dist_case_set (r : Coordinator.result) =
 
 let test_procs2_matches_serial () =
   let make_engine = make_engine_for workload_32 in
+  let before = S2e_obs.Metrics.snapshot () in
   let serial_cases, serial = serial_case_set workload_32 in
+  let serial_created =
+    S2e_obs.Metrics.(
+      get_int (delta ~before (snapshot ())) "engine.states_created")
+  in
   (* The coordinator only boots: solver counts in the merged registry come
-     from the workers' Bye snapshots. *)
+     from the workers' reports. *)
   S2e_obs.Metrics.reset ();
   let r =
     Coordinator.explore ~procs:2 ~cases:true
@@ -251,9 +256,8 @@ let test_procs2_matches_serial () =
     r.Coordinator.stats.Executor.states_completed;
   Alcotest.(check int) "same fork count" serial.Parallel.stats.Executor.forks
     r.Coordinator.stats.Executor.forks;
-  Alcotest.(check int) "same creation count"
-    serial.Parallel.stats.Executor.states_created
-    r.Coordinator.stats.Executor.states_created;
+  Alcotest.(check int) "same creation count" serial_created
+    (S2e_obs.Metrics.get_int r.Coordinator.obs "engine.states_created");
   Alcotest.(check bool) "worker solver contexts did the solving" true
     (S2e_obs.Metrics.get_int r.Coordinator.obs "solver.queries" > 0)
 
@@ -285,6 +289,43 @@ let test_kill_worker_mid_run () =
   Alcotest.(check (list string))
     "path set unchanged by the crash" serial_cases (dist_case_set r)
 
+(* Counters retire with items: SIGKILL a worker the moment one of its
+   items is retired.  It never sends [Bye], yet the counts of the work it
+   handed back have already arrived with that item, and the work it held
+   unretired is counted once, by the worker that redoes it. *)
+let test_killed_worker_counts_arrive () =
+  let make_engine = make_engine_for workload_64 in
+  let _, serial = serial_case_set workload_64 in
+  let killed = ref false in
+  let kill pid =
+    (* pid 0 is the coordinator itself, exploring solo *)
+    if (not !killed) && pid > 0 then begin
+      killed := true;
+      Unix.kill pid Sys.sigkill
+    end
+  in
+  let on_event = function
+    | Coordinator.Completed { pid; _ } | Coordinator.Checkpointed { pid; _ } ->
+        kill pid
+    | _ -> ()
+  in
+  S2e_obs.Metrics.reset ();
+  let r =
+    Coordinator.explore ~procs:2 ~on_event
+      ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
+      ~make_engine
+      ~boot:(fun eng -> Executor.boot eng ~entry:0x1000 ())
+      ()
+  in
+  Alcotest.(check bool) "a worker was killed" true !killed;
+  Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
+  Alcotest.(check int) "the registry counts every completion"
+    r.Coordinator.stats.Executor.states_completed
+    (S2e_obs.Metrics.get_int r.Coordinator.obs "engine.states_completed");
+  Alcotest.(check int) "as many completions as serial"
+    serial.Parallel.stats.Executor.states_completed
+    r.Coordinator.stats.Executor.states_completed
+
 (* ------------------------------------------------------------------ *)
 (* Chaos: transport fault injection                                    *)
 (* ------------------------------------------------------------------ *)
@@ -313,26 +354,25 @@ let test_corrupt_frame_is_disconnect () =
           | (_ : Proto.msg) -> Alcotest.fail "a damaged frame was delivered"
           | exception Proto.Closed -> ());
       let path = { Proto.p_status = "halted"; p_case = [ ("x", 5L) ] } in
-      let stats = Executor.new_stats () in
+      let obs = [ ("engine.forks", S2e_obs.Metrics.Int 3) ] in
       let every_kind =
         [
-          Proto.Hello { version = Proto.version; pid = 41; jobs = 2 };
+          Proto.Hello { version = Proto.version; pid = 41 };
           Proto.Work { item = 3; budget = 1.5; cases = true; blob = "snap" };
           Proto.Steal;
           Proto.Ping;
           Proto.Shutdown;
           Proto.Heartbeat { pid = 7; frontier = 3; now = 12.5; trace = "t" };
           Proto.Nak { item = 3 };
-          Proto.Result { item = 3; paths = [ path ]; stats };
+          Proto.Result { item = 3; paths = [ path ]; obs };
           Proto.Checkpoint
-            { item = 4; paths = [ path ]; stats; states = [ "a"; "b" ] };
+            { item = 4; paths = [ path ]; obs; states = [ "a"; "b" ] };
           Proto.Bye
             { obs = [ ("dist.steals", S2e_obs.Metrics.Int 2) ]; now = 3.25;
               trace = "" };
           Proto.Welcome { wid = 5; token = "tok"; lease = 10.; resume = true };
-          Proto.Rejoin
-            { wid = 5; token = "tok"; pid = 41; jobs = 2; held = Some 3 };
-          Proto.Rejoin { wid = 5; token = "tok"; pid = 41; jobs = 2; held = None };
+          Proto.Rejoin { wid = 5; token = "tok"; pid = 41; held = Some 3 };
+          Proto.Rejoin { wid = 5; token = "tok"; pid = 41; held = None };
           Proto.Deny { reason = "draining" };
         ]
       in
@@ -484,6 +524,9 @@ let test_tcp_disconnect_chaos ~owned () =
   Alcotest.(check (list (pair int int)))
     "transport chaos never abandons items" [] r.Coordinator.abandoned;
   Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
+  Alcotest.(check int) "one completion counted per reported path"
+    (List.length r.Coordinator.paths)
+    r.Coordinator.stats.Executor.states_completed;
   Alcotest.(check (list string))
     "case set identical to serial under chaos" serial_cases (dist_case_set r)
 
@@ -508,6 +551,9 @@ let test_owned_resume () =
     r.Coordinator.requeues;
   Alcotest.(check int) "no restarts" 0 r.Coordinator.restarts;
   Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
+  Alcotest.(check int) "one completion counted per reported path"
+    (List.length r.Coordinator.paths)
+    r.Coordinator.stats.Executor.states_completed;
   Alcotest.(check (list string))
     "case set identical to serial" serial_cases (dist_case_set r)
 
@@ -668,8 +714,8 @@ let test_owned_and_remote_share_listener () =
    frames before it reaps the process, so neither worker is reported
    crashed and each one's telemetry arrives.  Every engine bumps
    [worker_engines] once in the process that built it, so the merged
-   snapshot exceeds the coordinator's own reading by the number of [Bye]
-   snapshots received. *)
+   snapshot exceeds the coordinator's own reading by one per worker
+   whose reports arrived. *)
 let worker_engines = S2e_obs.Metrics.counter "test.worker_engines"
 
 (* 2^18 paths: far more than the run below explores before its drain. *)
@@ -750,7 +796,7 @@ let fork_impostor ~port ~pid =
          Unix.bind fd
            (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.2", 0));
          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         Proto.send fd (Proto.Hello { version = Proto.version; pid; jobs = 1 });
+         Proto.send fd (Proto.Hello { version = Proto.version; pid });
          ignore (Proto.recv fd);
          Unix.close fd
        with _ -> ());
@@ -800,6 +846,8 @@ let tests =
       test_procs2_matches_serial;
     Alcotest.test_case "killed worker's states are requeued" `Quick
       test_kill_worker_mid_run;
+    Alcotest.test_case "a killed worker's retired counts arrive" `Quick
+      test_killed_worker_counts_arrive;
     Alcotest.test_case "corrupted frame reads as a disconnect" `Quick
       test_corrupt_frame_is_disconnect;
     Alcotest.test_case "corrupt transport: zero lost work, same paths" `Quick

@@ -433,15 +433,15 @@ let test_dbt_code_pages () =
     (Dbt.may_hold_code dbt (origin + Bytes.length code - 1));
   Alcotest.(check bool) "other page clear" false (Dbt.may_hold_code dbt far);
   Dbt.invalidate dbt far;
-  Alcotest.(check int) "store to an untranslated page drops nothing" 1 (snd (Dbt.stats dbt));
+  Alcotest.(check int) "store to an untranslated page drops nothing" 1 (Dbt.cached_blocks dbt);
   (* Same page, outside the block: the bit is set, the exact search
      still keeps the block. *)
   Dbt.invalidate dbt (origin + Bytes.length code);
-  Alcotest.(check int) "store beside the block keeps it" 1 (snd (Dbt.stats dbt));
+  Alcotest.(check int) "store beside the block keeps it" 1 (Dbt.cached_blocks dbt);
   Dbt.invalidate dbt (origin + 9);
-  Alcotest.(check int) "store into the block drops it" 0 (snd (Dbt.stats dbt));
+  Alcotest.(check int) "store into the block drops it" 0 (Dbt.cached_blocks dbt);
   ignore (translate dbt code origin origin);
-  Alcotest.(check int) "retranslated" 1 (snd (Dbt.stats dbt));
+  Alcotest.(check int) "retranslated" 1 (Dbt.cached_blocks dbt);
   Dbt.flush dbt;
   Alcotest.(check bool) "flush clears the bitmap" false (Dbt.may_hold_code dbt origin);
   (* A block crossing a page boundary marks both pages. *)
@@ -450,7 +450,7 @@ let test_dbt_code_pages () =
   Alcotest.(check bool) "first page" true (Dbt.may_hold_code dbt cross);
   Alcotest.(check bool) "second page" true (Dbt.may_hold_code dbt (origin + 0x100));
   Dbt.invalidate dbt (origin + 0x100 + 4);
-  Alcotest.(check int) "store in the second page drops the block" 0 (snd (Dbt.stats dbt));
+  Alcotest.(check int) "store in the second page drops the block" 0 (Dbt.cached_blocks dbt);
   Alcotest.(check bool) "addresses outside RAM take the exact search" true
     (Dbt.may_hold_code dbt (-8) && Dbt.may_hold_code dbt S2e_vm.Layout.ram_size)
 

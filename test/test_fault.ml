@@ -238,6 +238,7 @@ let test_tiny_timeout_degrades () =
   (* A watchdog so tight every SAT call expires: the engine must not
      crash or wedge — it follows the concrete branch, marks paths
      incomplete, and terminates. *)
+  let before = S2e_obs.Metrics.snapshot () in
   let eng, completed = explore_with ~timeout_ms:0.0001 () in
   Alcotest.(check bool) "run terminated with completed paths" true
     (completed <> []);
@@ -245,7 +246,9 @@ let test_tiny_timeout_degrades () =
   Alcotest.(check bool) "at least one path marked incomplete" true
     (List.exists (fun (s : State.t) -> s.State.incomplete) completed);
   Alcotest.(check bool) "degradations counted" true
-    (eng.Executor.stats.Executor.degradations >= 1);
+    (S2e_obs.Metrics.(
+       get_int (delta ~before (snapshot ())) "engine.degradations")
+    >= 1);
   Alcotest.(check bool) "incomplete visible in the report string" true
     (List.exists
        (fun (s : State.t) ->

@@ -39,15 +39,15 @@ let test_dbt_invalidate_any_addr () =
     let dbt = Dbt.create () in
     let tb = translate dbt bytes 0 in
     Alcotest.(check int) "block covers whole program" 4 (Array.length tb.Dbt.insns);
-    Alcotest.(check int) "one cached block" 1 (snd (Dbt.stats dbt));
+    Alcotest.(check int) "one cached block" 1 (Dbt.cached_blocks dbt);
     (* Any address inside the block's byte range must drop it... *)
     Dbt.invalidate dbt (Sm64.int rng span);
-    Alcotest.(check int) "invalidate dropped the block" 0 (snd (Dbt.stats dbt));
+    Alcotest.(check int) "invalidate dropped the block" 0 (Dbt.cached_blocks dbt);
     (* ...and any address outside must not. *)
     let tb2 = translate dbt bytes 0 in
     ignore tb2;
     Dbt.invalidate dbt (span + Sm64.int rng 10_000);
-    Alcotest.(check int) "outside write kept the block" 1 (snd (Dbt.stats dbt))
+    Alcotest.(check int) "outside write kept the block" 1 (Dbt.cached_blocks dbt)
   done
 
 let test_dbt_translate_notifications_exact () =
@@ -83,12 +83,15 @@ let test_dbt_stats_monotone () =
   let dbt = Dbt.create () in
   let rng = Sm64.create 3 in
   let last = ref 0 in
+  let before = S2e_obs.Metrics.snapshot () in
   for _ = 1 to 500 do
     (match Sm64.int rng 3 with
     | 0 -> ignore (translate dbt bytes 0)
     | 1 -> Dbt.invalidate dbt (Sm64.int rng 64)
     | _ -> Dbt.flush dbt);
-    let total, cached = Dbt.stats dbt in
+    let total =
+      S2e_obs.Metrics.(get_int (delta ~before (snapshot ())) "dbt.tb_misses")
+    and cached = Dbt.cached_blocks dbt in
     Alcotest.(check bool) "translation count monotone" true (total >= !last);
     Alcotest.(check bool) "cached count sane" true (cached >= 0 && cached <= total);
     last := total

@@ -184,14 +184,13 @@ let test_lifecycle_matches_stats () =
   with_trace (fun () ->
       let before = Obs.Metrics.snapshot () in
       let r, events = traced_explore 1 in
-      let queries =
-        Obs.Metrics.(get_int (delta ~before (snapshot ())) "solver.queries")
-      in
+      let d = Obs.Metrics.(delta ~before (snapshot ())) in
+      let queries = Obs.Metrics.get_int d "solver.queries" in
       let count code =
         List.length (List.filter (fun e -> e.Trace.ev_code = code) events)
       in
       Alcotest.(check int) "one path_start per created state"
-        r.Parallel.stats.Executor.states_created
+        (Obs.Metrics.get_int d "engine.states_created")
         (count Trace.Path_start);
       Alcotest.(check int) "one path_end per completed state"
         r.Parallel.stats.Executor.states_completed
