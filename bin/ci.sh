@@ -91,6 +91,29 @@ done
 rm -f "$serial_out.key" "$dist_out.key"
 echo "CI: procs x jobs smoke test passed (procs=2 jobs=2 == jobs=1: cases, paths, forks)"
 
+# rtl8029 procs differential: the rtl8029 exerciser mints symbolic
+# hardware-port inputs on every path, after its first fork, so its
+# worker processes mint ids mid-run and adopt each other's states.  Each
+# worker mints in its own id space; a drained --procs 2 run must emit
+# exactly the serial run's case lines.
+rtl_serial=$tmp/rtl-serial.txt
+rtl_dist=$tmp/rtl-dist.txt
+dune exec bin/s2e_cli.exe -- explore --driver rtl8029 --workload exerciser \
+  --jobs 1 --seconds 300 --cases > "$rtl_serial"
+dune exec bin/s2e_cli.exe -- explore --driver rtl8029 --workload exerciser \
+  --procs 2 --seconds 300 --cases > "$rtl_dist"
+for f in "$rtl_serial" "$rtl_dist"; do
+  done_paths=$(sed -n 's/^paths completed: \([0-9][0-9]*\)$/\1/p' "$f")
+  created=$(sed -n 's/^states created: \([0-9][0-9]*\)$/\1/p' "$f")
+  [ -n "$done_paths" ] && [ "$done_paths" = "$created" ] \
+    || { echo "CI: rtl8029 exerciser run did not drain ($done_paths of $created states completed)" >&2; exit 1; }
+done
+grep '|' "$rtl_serial" | sort > "$rtl_serial.cases"
+grep '|' "$rtl_dist" | sort > "$rtl_dist.cases"
+diff "$rtl_serial.cases" "$rtl_dist.cases" > /dev/null \
+  || { echo "CI: rtl8029 exerciser procs=2 cases differ from serial" >&2; exit 1; }
+echo "CI: rtl8029 procs differential passed ($(wc -l < "$rtl_dist.cases") cases, procs=2 == jobs=1)"
+
 # Merge smoke test: --merge=auto must emit exactly the enumerated
 # (--merge=off, the default) run's test cases after case-tree expansion,
 # while completing strictly fewer paths.

@@ -948,14 +948,6 @@ let run ?(limits = no_limits) t initial =
   run_loop ~limits t;
   t.stats.states_completed
 
-(** {!run} generalized to a whole frontier of already-created (forked,
-    or decoded from another process) states.  States left in [t.live]
-    afterwards are the unexplored remainder when a limit fired. *)
-let run_frontier ?(limits = no_limits) t states =
-  List.iter (adopt t) states;
-  run_loop ~limits t;
-  t.stats.states_completed
-
 (** Fork [s] on behalf of a plugin (e.g. to inject alternative concrete
     values at an interface, DDT-style).  The child starts at the same pc;
     the caller is expected to modify its registers or memory afterwards.

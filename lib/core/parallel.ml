@@ -3,11 +3,16 @@
     execution-tree subtrees; section 6: "runs as fast as the hardware
     allows").
 
-    Each worker owns a private {!Executor.t} — and therefore a private
-    {!Searcher.t}, translation-block cache, event bus and
-    {!S2e_solver.Solver.ctx} — so the hot path (decode, expression
-    construction, SAT solving) runs with zero shared-state contention.
-    The only synchronization is a mutex-protected steal pool of states:
+    A {!pool} holds [jobs] engines for its whole life.  Each owns a
+    private {!Executor.t} — and therefore a private {!Searcher.t},
+    translation-block cache, event bus and {!S2e_solver.Solver.ctx} — so
+    the hot path (decode, expression construction, SAT solving) runs with
+    zero shared-state contention, and caches stay warm from one run to
+    the next.  {!explore} is a pool, a boot and one run; a distributed
+    worker keeps one pool and runs it in short slices between control
+    polls.  With [jobs = 1] a run is exactly {!Executor.run_loop}.  With
+    [jobs > 1] each run spawns one domain per engine, and the only
+    synchronization is a mutex-protected steal pool of states:
 
     - A worker whose frontier grows donates states at fork points while
       any peer is starving (the pool holds fewer states than there are
@@ -54,6 +59,8 @@ type result = {
 (* Shared scheduler state                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The steal pool and its bookkeeping outlive a run; [stop], [idle],
+   [outstanding], [completed] and [instret] are reset when one starts. *)
 type shared = {
   m : Mutex.t;
   cv : Condition.t;
@@ -63,8 +70,8 @@ type shared = {
   stop : bool Atomic.t;         (* a budget limit fired *)
   mutable steals : int;
   mutable max_live : int;       (* high watermark of [outstanding] *)
-  completed : int Atomic.t;     (* global completed-path count *)
-  instret : int Atomic.t;       (* global executed-instruction count *)
+  completed : int Atomic.t;     (* run's completed-path count *)
+  instret : int Atomic.t;       (* run's executed-instruction count *)
 }
 
 let make_shared () =
@@ -97,39 +104,42 @@ let over_budget (limits : Executor.run_limits) shared ~started =
 (* Worker                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Fork/termination events are buffered during a translation block and
+(* Fork/termination events are counted during a translation block and
    folded into the shared scheduler state between blocks: the event fires
    before the child is registered with the victim's searcher, so donating
    in the handler itself would race with the executor's own bookkeeping. *)
 type worker = {
   eng : Executor.t;
-  mutable forked : State.t list;       (* children born this block *)
-  mutable ended : State.t list;        (* states terminated this block *)
-  mutable merges : int;                (* states absorbed by an ite-join *)
-  mutable terminated : State.t list;   (* all terminations, for the result *)
+  mutable forks : int;            (* children born this block *)
+  mutable ends : int;             (* states terminated this block *)
+  mutable merges : int;           (* states absorbed by an ite-join *)
+  mutable ended : State.t list;   (* terminations since the last drain *)
 }
 
-let make_worker eng =
-  let w = { eng; forked = []; ended = []; merges = 0; terminated = [] } in
-  Events.reg_fork eng.Executor.events (fun _parent child _cond ->
-      w.forked <- child :: w.forked);
-  Events.reg_state_end eng.Executor.events (fun s -> w.ended <- s :: w.ended);
-  (* A merged-away state leaves the system without terminating: it is no
-     longer outstanding, but it is not a completed path either. *)
-  Events.reg_state_merge eng.Executor.events (fun _absorbed _survivor ->
-      w.merges <- w.merges + 1);
+(* The hooks are registered once per engine.  A lone engine needs only
+   the termination collector: its runs are plain {!Executor.run_loop}s. *)
+let make_worker ~jobs eng =
+  let w = { eng; forks = 0; ends = 0; merges = 0; ended = [] } in
+  Events.reg_state_end eng.Executor.events (fun s ->
+      w.ends <- w.ends + 1;
+      w.ended <- s :: w.ended);
+  if jobs > 1 then begin
+    Events.reg_fork eng.Executor.events (fun _parent _child _cond ->
+        w.forks <- w.forks + 1);
+    (* A merged-away state leaves the system without terminating: it is
+       no longer outstanding, but it is not a completed path either. *)
+    Events.reg_state_merge eng.Executor.events (fun _absorbed _survivor ->
+        w.merges <- w.merges + 1)
+  end;
   w
 
 (* Fold the block's fork/termination deltas into the scheduler and donate
    frontier states while peers are starving.  Returns with [shared.m]
    unlocked. *)
 let sync_after_block shared w =
-  let forks = List.length w.forked in
-  let ends = List.length w.ended in
-  let merges = w.merges in
-  w.forked <- [];
-  w.terminated <- List.rev_append w.ended w.terminated;
-  w.ended <- [];
+  let forks = w.forks and ends = w.ends and merges = w.merges in
+  w.forks <- 0;
+  w.ends <- 0;
   w.merges <- 0;
   if ends > 0 then ignore (Atomic.fetch_and_add shared.completed ends);
   Mutex.lock shared.m;
@@ -227,91 +237,95 @@ let worker_loop shared (limits : Executor.run_limits) ~started w =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
+(* Engine pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let make_engines ~jobs make_engine =
-  List.init jobs (fun _ ->
-      let eng = make_engine () in
-      eng.Executor.solver <- Solver.create_ctx ();
-      eng)
+type pool = {
+  workers : worker array;
+  shared : shared;
+  mutable next : int;  (* engine the next adopted state joins *)
+}
 
-(* Explore all of [states] on [engines], returning completed paths plus
-   whatever was still live when a limit fired. *)
-let explore_states ~jobs ~limits engines states =
+let pool ~jobs ~(make_engine : unit -> Executor.t) =
+  if jobs < 1 then invalid_arg "Parallel.pool: jobs must be >= 1";
   Obs.Metrics.set m_workers jobs;
-  let started = Unix.gettimeofday () in
-  let finish ~completed ~frontier ~steals ~max_live =
-    let stats = Executor.new_stats () in
-    List.iter
-      (fun eng -> Executor.merge_stats ~into:stats eng.Executor.stats)
-      engines;
-    if max_live > stats.max_live_states then stats.max_live_states <- max_live;
-    {
-      jobs;
-      completed;
-      frontier;
-      stats;
-      steals;
-      wall_seconds = Unix.gettimeofday () -. started;
-    }
+  let workers =
+    Array.init jobs (fun _ ->
+        let eng = make_engine () in
+        eng.Executor.solver <- Solver.create_ctx ();
+        make_worker ~jobs eng)
   in
-  match engines with
-  | [ eng ] ->
-      (* Single worker: exactly the serial engine loop. *)
-      let terminated = ref [] in
-      Events.reg_state_end eng.Executor.events (fun s ->
-          terminated := s :: !terminated);
-      ignore (Executor.run_frontier ~limits eng states);
-      finish ~completed:(List.rev !terminated) ~frontier:eng.Executor.live
-        ~steals:0 ~max_live:eng.Executor.stats.max_live_states
-  | _ :: _ ->
-      let shared = make_shared () in
-      let workers = List.map make_worker engines in
-      let engine_arr = Array.of_list engines in
-      List.iteri
-        (fun i s -> Executor.adopt engine_arr.(i mod jobs) s)
-        states;
-      let n = List.length states in
-      shared.outstanding <- n;
-      shared.max_live <- n;
+  { workers; shared = make_shared (); next = 0 }
+
+let engine p = p.workers.(0).eng
+
+let adopt p s =
+  Executor.adopt p.workers.(p.next).eng s;
+  p.next <- (p.next + 1) mod Array.length p.workers
+
+let frontier p =
+  Array.fold_right (fun w acc -> w.eng.Executor.live @ acc) p.workers []
+
+let run ?(limits = Executor.no_limits) p =
+  match p.workers with
+  | [| w |] -> Executor.run_loop ~limits w.eng
+  | workers ->
+      let shared = p.shared in
+      let started = Unix.gettimeofday () in
+      Atomic.set shared.stop false;
+      Atomic.set shared.completed 0;
+      Atomic.set shared.instret 0;
+      shared.outstanding <- List.length (frontier p);
+      if shared.outstanding > shared.max_live then
+        shared.max_live <- shared.outstanding;
       let domains =
-        List.map
-          (fun w -> Domain.spawn (fun () -> worker_loop shared limits ~started w))
+        Array.map
+          (fun w ->
+            Domain.spawn (fun () -> worker_loop shared limits ~started w))
           workers
       in
-      List.iter Domain.join domains;
-      let completed =
-        List.concat_map (fun w -> List.rev w.terminated) workers
-      in
-      let frontier =
-        List.concat_map (fun eng -> eng.Executor.live) engines
-        @ Queue.fold (fun acc s -> s :: acc) [] shared.pool
-      in
-      finish ~completed ~frontier ~steals:shared.steals
-        ~max_live:shared.max_live
-  | [] -> assert false
+      Array.iter Domain.join domains;
+      (* Donations nobody stole before the limit fired rejoin an engine. *)
+      Queue.iter (adopt p) shared.pool;
+      Queue.clear shared.pool
 
-(** Explore the execution tree rooted at [boot worker0_engine] with [jobs]
-    workers.  [make_engine] is called once per worker and must return a
-    fully configured engine (image loaded, unit set, plugins attached);
-    each engine is given a private solver context.  [boot] produces the
-    initial state from the first worker's engine. *)
+let drain p =
+  Array.fold_right
+    (fun w acc ->
+      let ended = List.rev w.ended in
+      w.ended <- [];
+      ended @ acc)
+    p.workers []
+
+let drop p =
+  Array.iter
+    (fun w -> List.iter (Executor.disown w.eng) w.eng.Executor.live)
+    p.workers
+
+let quiesce p = Array.iter (fun w -> w.eng.Executor.quiesce ()) p.workers
+
+(** Explore the execution tree rooted at [boot (engine pool)] with [jobs]
+    workers: a pool, one boot, one run. *)
 let explore ?(jobs = 1) ?(limits = Executor.no_limits)
     ~(make_engine : unit -> Executor.t) ~(boot : Executor.t -> State.t) () =
-  if jobs < 1 then invalid_arg "Parallel.explore: jobs must be >= 1";
-  let engines = make_engines ~jobs make_engine in
-  let s0 = boot (List.hd engines) in
-  explore_states ~jobs ~limits engines [ s0 ]
-
-(** Explore a frontier of already-created states — the distributed
-    workers' entry point: states decoded from a coordinator snapshot are
-    resumed exactly where the fork point left them. *)
-let explore_frontier ?(jobs = 1) ?(limits = Executor.no_limits)
-    ~(make_engine : unit -> Executor.t) states =
-  if jobs < 1 then invalid_arg "Parallel.explore_frontier: jobs must be >= 1";
-  let engines = make_engines ~jobs make_engine in
-  explore_states ~jobs ~limits engines states
+  let p = pool ~jobs ~make_engine in
+  adopt p (boot (engine p));
+  let started = Unix.gettimeofday () in
+  run ~limits p;
+  let stats = Executor.new_stats () in
+  Array.iter
+    (fun w -> Executor.merge_stats ~into:stats w.eng.Executor.stats)
+    p.workers;
+  if p.shared.max_live > stats.max_live_states then
+    stats.max_live_states <- p.shared.max_live;
+  {
+    jobs;
+    completed = drain p;
+    frontier = frontier p;
+    stats;
+    steals = p.shared.steals;
+    wall_seconds = Unix.gettimeofday () -. started;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Canonical test cases                                                *)

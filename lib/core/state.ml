@@ -92,12 +92,10 @@ type t = {
    workers without id collisions. *)
 let counter = Atomic.make 0
 
-(* Raise the counter to at least [n] so states decoded from another
-   process never collide with locally forked ones. *)
-let rec bump_id_counter n =
-  let cur = Atomic.get counter in
-  if cur < n && not (Atomic.compare_and_set counter cur n) then
-    bump_id_counter n
+(* State ids and variable ids share one space number per process. *)
+let enter_id_space k =
+  Atomic.set counter (k lsl Expr.id_space_bits);
+  Expr.enter_id_space k
 
 let create ~mem ~devices ~pc =
   {

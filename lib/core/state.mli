@@ -83,10 +83,11 @@ type t = {
 
 val create : mem:Symmem.t -> devices:S2e_vm.Devices.t -> pc:int -> t
 
-val bump_id_counter : int -> unit
-(** Raise the state-id counter to at least the given value.  Used when
-    adopting states serialized by another process so locally forked ids
-    never collide with decoded ones. *)
+val enter_id_space : int -> unit
+(** Mint the following state ids, and variable ids
+    ({!S2e_expr.Expr.enter_id_space}), from the start of id space [k].
+    Serial runs stay in space 0; a distributed worker enters the space
+    its coordinator granted before it decodes any state. *)
 
 val fork : t -> t
 (** Copy for the other side of a branch: registers copied, devices cloned,

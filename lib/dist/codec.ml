@@ -13,9 +13,10 @@
     could change expression identity, and the determinism argument for
     distributed = serial path sets requires every per-path solver
     decision to see exactly the constraint set the fork point had.
-    Variable and state ids are preserved verbatim; the decoder bumps the
-    local fresh-id counters past every id it saw, so ids minted later in
-    the worker can never collide with shipped ones.
+    Variable and state ids are preserved verbatim and travel as 64-bit
+    words: every process mints them in its own id space (the coordinator
+    grants a worker's at admission), so decoding touches no counter and
+    a decoded id can never meet a locally minted one.
 
     The format is dependency-free and strict: a 4-byte magic, a version
     byte, the payload, and a trailing FNV-1a checksum of the payload.
@@ -31,7 +32,9 @@ exception Error of string
 
 let error fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 
-let version = 5
+(* v6: variable and state ids travel as i64 (id spaces start at bit
+   32); decoding no longer bumps the fresh-id counters. *)
+let version = 6
 let magic = "S2EC"
 
 (* ------------------------------------------------------------------ *)
@@ -195,7 +198,7 @@ let rec encode_expr_into b (e : Expr.t) =
       i64 b value
   | Var { id; name; width; _ } ->
       u8 b 1;
-      u32 b id;
+      i64 b (Int64.of_int id);
       u8 b width;
       str b name
   | Unop { op; arg; _ } ->
@@ -242,9 +245,9 @@ let rec encode_expr_into b (e : Expr.t) =
    Widths not stored on the wire are derived from subexpressions, and
    structural invariants (operand width agreement, extract ranges,
    extension monotonicity) are checked strictly before the constructors'
-   own assertions can trip.  [max_var] accumulates the largest variable
-   id. *)
-let rec decode_expr_from r max_var : Expr.t =
+   own assertions can trip.  A variable id already interned here under
+   another name or width is an error, never an alias. *)
+let rec decode_expr_from r : Expr.t =
   let rwidth () =
     let w = ru8 r in
     if w < 1 || w > 64 then error "bad expression width %d" w;
@@ -256,54 +259,54 @@ let rec decode_expr_from r max_var : Expr.t =
       let value = ri64 r in
       Expr.Raw.const ~width value
   | 1 ->
-      let id = ru32 r in
+      let id = Int64.to_int (ri64 r) in
       let width = rwidth () in
       let name = rstr r in
-      if id > !max_var then max_var := id;
-      Expr.Raw.var ~id ~name ~width
+      (try Expr.Raw.var ~id ~name ~width
+       with Invalid_argument m -> error "%s" m)
   | 2 ->
       let op = unop_of (ru8 r) in
-      let arg = decode_expr_from r max_var in
+      let arg = decode_expr_from r in
       Expr.Raw.unop op arg
   | 3 ->
       let op = binop_of (ru8 r) in
-      let lhs = decode_expr_from r max_var in
-      let rhs = decode_expr_from r max_var in
+      let lhs = decode_expr_from r in
+      let rhs = decode_expr_from r in
       if Expr.width lhs <> Expr.width rhs then error "binop width mismatch";
       Expr.Raw.binop op lhs rhs
   | 4 ->
       let op = cmp_of (ru8 r) in
-      let lhs = decode_expr_from r max_var in
-      let rhs = decode_expr_from r max_var in
+      let lhs = decode_expr_from r in
+      let rhs = decode_expr_from r in
       if Expr.width lhs <> Expr.width rhs then error "cmp width mismatch";
       Expr.Raw.cmp op lhs rhs
   | 5 ->
-      let cond = decode_expr_from r max_var in
-      let then_ = decode_expr_from r max_var in
-      let else_ = decode_expr_from r max_var in
+      let cond = decode_expr_from r in
+      let then_ = decode_expr_from r in
+      let else_ = decode_expr_from r in
       if Expr.width cond <> 1 then error "ite condition width %d" (Expr.width cond);
       if Expr.width then_ <> Expr.width else_ then error "ite arm width mismatch";
       Expr.Raw.ite cond then_ else_
   | 6 ->
       let hi = ru8 r in
       let lo = ru8 r in
-      let arg = decode_expr_from r max_var in
+      let arg = decode_expr_from r in
       if hi < lo || hi >= Expr.width arg then
         error "bad extract [%d:%d] of width %d" hi lo (Expr.width arg);
       Expr.Raw.extract ~hi ~lo arg
   | 7 ->
-      let high = decode_expr_from r max_var in
-      let low = decode_expr_from r max_var in
+      let high = decode_expr_from r in
+      let low = decode_expr_from r in
       if Expr.width high + Expr.width low > 64 then error "concat too wide";
       Expr.Raw.concat ~high ~low
   | 8 ->
       let width = rwidth () in
-      let arg = decode_expr_from r max_var in
+      let arg = decode_expr_from r in
       if width < Expr.width arg then error "zext narrows";
       Expr.Raw.zext ~width arg
   | 9 ->
       let width = rwidth () in
-      let arg = decode_expr_from r max_var in
+      let arg = decode_expr_from r in
       if width < Expr.width arg then error "sext narrows";
       Expr.Raw.sext ~width arg
   | t -> error "unknown expression tag %d" t
@@ -315,10 +318,8 @@ let encode_expr e =
 
 let decode_expr s =
   let r = reader s in
-  let max_var = ref 0 in
-  let e = decode_expr_from r max_var in
+  let e = decode_expr_from r in
   if pos r <> String.length s then error "trailing bytes after expression";
-  Expr.bump_var_counter !max_var;
   e
 
 (* ------------------------------------------------------------------ *)
@@ -418,16 +419,16 @@ let rec encode_cases b (c : State.case_tree) =
       encode_cases b a_tree;
       encode_cases b b_tree
 
-let rec decode_cases r max_var : State.case_tree =
+let rec decode_cases r : State.case_tree =
   match ru8 r with
   | 0 -> State.Case_leaf
   | 1 ->
-      let disj = decode_expr_from r max_var in
+      let disj = decode_expr_from r in
       let base_len = ru32 r in
-      let a_suffix = rlist r (fun r -> decode_expr_from r max_var) in
-      let b_suffix = rlist r (fun r -> decode_expr_from r max_var) in
-      let a_tree = decode_cases r max_var in
-      let b_tree = decode_cases r max_var in
+      let a_suffix = rlist r decode_expr_from in
+      let b_suffix = rlist r decode_expr_from in
+      let a_tree = decode_cases r in
+      let b_tree = decode_cases r in
       State.Case_split { disj; base_len; a_suffix; b_suffix; a_tree; b_tree }
   | t -> error "unknown case-tree tag %d" t
 
@@ -468,8 +469,8 @@ let encode_state (s : State.t) =
   let base = Symmem.base s.mem in
   u32 b (Bytes.length base);
   u32 b (base_checksum base);
-  u32 b s.id;
-  u32 b s.parent;
+  i64 b (Int64.of_int s.id);
+  i64 b (Int64.of_int s.parent);
   u32 b s.pc;
   u32 b s.depth;
   encode_status b s.status;
@@ -509,13 +510,12 @@ let encode_state (s : State.t) =
 let decode_state ~base buf =
   let payload_end = unseal buf in
   let r = reader ~pos:header buf in
-  let max_var = ref 0 in
   let blen = ru32 r in
   let bcrc = ru32 r in
   if blen <> Bytes.length base || bcrc <> base_checksum base then
     error "base image mismatch (peer loaded a different guest)";
-  let id = ru32 r in
-  let parent = ru32 r in
+  let id = Int64.to_int (ri64 r) in
+  let parent = Int64.to_int (ri64 r) in
   let pc = ru32 r in
   let depth = ru32 r in
   let status = decode_status r in
@@ -542,26 +542,23 @@ let decode_state ~base buf =
   let nregs = ru32 r in
   if nregs > payload_end - pos r then error "register count out of range";
   let regs =
-    Array.of_list (read_n r nregs (fun r -> decode_expr_from r max_var))
+    Array.of_list (read_n r nregs decode_expr_from)
   in
   let noverlay = ru32 r in
   if noverlay > payload_end - pos r then error "overlay count out of range";
   let overlay =
     read_n r noverlay (fun r ->
         let addr = ru32 r in
-        let e = decode_expr_from r max_var in
+        let e = decode_expr_from r in
         if Expr.width e <> 8 then error "overlay entry is not a byte";
         (addr, e))
   in
-  let constraints = rlist r (fun r -> decode_expr_from r max_var) in
+  let constraints = rlist r decode_expr_from in
   let ret_stack = rlist r ru32 in
-  let cases = decode_cases r max_var in
+  let cases = decode_cases r in
   let devices = decode_devices r in
   if pos r <> payload_end then error "trailing bytes after snapshot";
   let mem = Symmem.of_overlay ~base overlay in
-  (* Never mint a fresh id that collides with a shipped one. *)
-  Expr.bump_var_counter !max_var;
-  State.bump_id_counter (max id parent);
   {
     State.id;
     parent;

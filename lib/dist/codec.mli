@@ -12,8 +12,11 @@
     Decoding is strict: truncation, corruption (the trailing checksum),
     a wrong magic or version, unknown tags, malformed widths or trailing
     bytes all raise {!Error}.  Expressions are rebuilt with raw constructors —
-    never re-simplified — and variable/state ids are preserved verbatim,
-    with the local fresh-id counters bumped past every decoded id. *)
+    never re-simplified — and variable/state ids are preserved verbatim
+    as 64-bit words.  Decoding touches no id counter: ids are unique
+    because each process mints them in its own id space
+    ({!S2e_core.State.enter_id_space}), and a decoded variable whose id
+    is interned here under another name or width is an {!Error}. *)
 
 open S2e_expr
 open S2e_core
@@ -67,15 +70,15 @@ val encode_expr : Expr.t -> string
     not stored. *)
 
 val decode_expr : string -> Expr.t
-(** Exact structural inverse of {!encode_expr} (no re-simplification),
-    bumping the fresh-variable counter past every decoded id.
-    @raise Error on malformed input. *)
+(** Exact structural inverse of {!encode_expr} (no re-simplification).
+    @raise Error on malformed input, or on a variable id interned here
+    under another name or width. *)
 
 val encode_state : State.t -> string
 (** Self-contained snapshot of one execution state. *)
 
 val decode_state : base:Bytes.t -> string -> State.t
 (** Rebuild a state over the local [base] image.  The snapshot's base
-    fingerprint must match [base]; variable and state id counters are
-    bumped past every decoded id so later local forks cannot collide.
-    @raise Error on malformed input or base-image mismatch. *)
+    fingerprint must match [base].
+    @raise Error on malformed input, base-image mismatch or a variable
+    id clash (see {!decode_expr}). *)

@@ -34,7 +34,7 @@
     attempt, so items that repeatedly kill workers are dropped after
     [max_item_attempts].
     When every worker is gone and work remains, the coordinator explores
-    items itself (solo mode) on the serial slicer a worker would use,
+    items itself (solo mode) on a one-engine pool sliced like a worker's,
     rather than aborting — the bottom rung of the degradation ladder.
     SIGINT (when [handle_sigint]) and wall-clock/path budgets drain
     gracefully: busy workers checkpoint their frontiers, every worker
@@ -48,7 +48,7 @@
     that is requeued is counted once, by the worker that finishes it. *)
 
 module Executor = S2e_core.Executor
-module Events = S2e_core.Events
+module Parallel = S2e_core.Parallel
 module State = S2e_core.State
 module Obs = S2e_obs
 
@@ -127,7 +127,17 @@ type wrk = {
   mutable w_frontier : int;  (* last reported frontier size *)
   mutable w_rate : float;  (* EWA of observed paths+states per second *)
   mutable w_dispatched : float;  (* when the current item was sent *)
+  mutable w_space : int;  (* id space of the process, kept across rejoins *)
 }
+
+(* Id spaces granted to worker processes.  Never reused in this process,
+   across runs too, so no two workers — nor the coordinator, which stays
+   in space 0 — mint the same variable or state id. *)
+let last_space = ref 0
+
+let fresh_space () =
+  incr last_space;
+  !last_space
 
 (* A TCP connection that has not completed its Hello/Rejoin handshake
    yet; dropped if it stays silent past its deadline. *)
@@ -281,6 +291,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
       w_frontier = 0;
       w_rate = 0.;
       w_dispatched = 0.;
+      w_space = 0;
     }
   in
   workers := List.init procs (fun slot -> new_wrk ~id:slot ~kind:Owned);
@@ -308,6 +319,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         ~other_fds:(inheritable_fds ())
     in
     w.w_pid <- pid;
+    w.w_space <- fresh_space ();
     w.w_status <- Starting;
     w.w_alive <- true;
     w.w_shutdown <- false;
@@ -472,7 +484,13 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     match
       Proto.send p.p_fd
         (Proto.Welcome
-           { wid = w.w_id; token; lease = heartbeat_timeout; resume })
+           {
+             wid = w.w_id;
+             token;
+             lease = heartbeat_timeout;
+             resume;
+             space = w.w_space;
+           })
     with
     | () -> true
     | exception (Proto.Closed | Codec.Error _) -> false
@@ -524,6 +542,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
           incr next_wid;
           let token = gen_token () in
           let w = new_wrk ~id:wid ~kind:(Remote { token }) in
+          w.w_space <- fresh_space ();
           if attach p w ~pid ~token then begin
             workers := !workers @ [ w ];
             incr joins;
@@ -576,14 +595,14 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   (* When no worker is alive (remote workers left, owned restarts
      exhausted, or none were ever configured) the coordinator explores
      items itself rather than aborting: slower, but the run completes.
-     It drives the serial slicer a [jobs = 1] worker uses, built on first
-     need.  Slices stay short so the listener keeps being polled; a
-     worker joining mid-item takes over once the solo frontier is handed
-     back to the queue. *)
-  let solo = lazy (Worker.serial_slicer ~slice:0.05 ~make_engine ()) in
+     It slices a one-engine pool, built on first need, the way a
+     [jobs = 1] worker does.  Slices stay short so the listener keeps
+     being polled; a worker joining mid-item takes over once the solo
+     frontier is handed back to the queue. *)
+  let solo = lazy (Parallel.pool ~jobs:1 ~make_engine) in
   let solo_item = ref None in
   let solo_paths = ref 0 in
-  let solo_drain (sl : Worker.slicer) =
+  let solo_drain pool =
     List.iter
       (fun s ->
         List.iter
@@ -591,14 +610,17 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
             paths := p :: !paths;
             incr solo_paths)
           (Worker.paths_of_state ~cases s))
-      (sl.sl_drain ())
+      (Parallel.drain pool)
   in
   let solo_start () =
     let it = Queue.pop queue in
-    let sl = Lazy.force solo in
-    match Codec.decode_state ~base:sl.sl_base it.it_blob with
+    let pool = Lazy.force solo in
+    match
+      Codec.decode_state ~base:(Parallel.engine pool).Executor.base_mem
+        it.it_blob
+    with
     | s ->
-        sl.sl_start s;
+        Parallel.adopt pool s;
         solo_item := Some it;
         on_event (Solo { item = it.it_id })
     | exception Codec.Error _ ->
@@ -606,10 +628,10 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
         abandoned := (it.it_id, it.it_attempts) :: !abandoned
   in
   let solo_step it =
-    let sl = Lazy.force solo in
-    sl.sl_run ~deadline;
-    solo_drain sl;
-    if sl.sl_frontier () = [] then begin
+    let pool = Lazy.force solo in
+    Worker.run_slice pool ~slice:0.05 ~deadline;
+    solo_drain pool;
+    if Parallel.frontier pool = [] then begin
       solo_item := None;
       on_event (Completed { pid = 0; item = it.it_id; paths = 0 })
     end
@@ -618,13 +640,13 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
      queue, exactly like a worker checkpoint. *)
   let solo_checkpoint () =
     if Option.is_some !solo_item then begin
-      let sl = Lazy.force solo in
-      sl.sl_quiesce ();
-      solo_drain sl;
+      let pool = Lazy.force solo in
+      Parallel.quiesce pool;
+      solo_drain pool;
       List.iter
         (fun s -> enqueue_blob (Codec.encode_state s))
-        (sl.sl_frontier ());
-      sl.sl_drop ();
+        (Parallel.frontier pool);
+      Parallel.drop pool;
       solo_item := None
     end
   in

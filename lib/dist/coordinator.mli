@@ -1,8 +1,9 @@
 (** Coordinator: multi-process and multi-host distribution of the
     exploration frontier with crash-tolerant work accounting, one TCP
     admission path for spawned and remote workers (leases, session
-    rejoin as the one recovery path), coordinator-solo degradation, and
-    merged telemetry.  See {!explore}. *)
+    rejoin as the one recovery path, a private id space per worker
+    process), coordinator-solo degradation, and merged telemetry.  See
+    {!explore}. *)
 
 module Executor = S2e_core.Executor
 module State = S2e_core.State
@@ -115,9 +116,13 @@ val explore :
     address (127.0.0.1 for a listener bound to any address), and remote
     workers ([s2e_cli worker --connect]) may dial [listener] and join or
     leave mid-run.  Each worker is admitted by a [Hello]/[Welcome]
-    handshake that grants a session (wid + token) and a liveness
-    {e lease} of [heartbeat_timeout] seconds (default 10); work items
-    and checkpointed states ship whole.  A [Hello] or [Rejoin] whose pid
+    handshake that grants a session (wid + token), a liveness
+    {e lease} of [heartbeat_timeout] seconds (default 10) and an id
+    space ({!State.enter_id_space}): fresh for every spawned, respawned
+    or remote process and never reused in this process, kept on
+    [Rejoin].  The coordinator itself mints in space 0, so no two
+    processes mint the same variable or state id.  Work items and
+    checkpointed states ship whole.  A [Hello] or [Rejoin] whose pid
     matches a live spawned slot, from the address owned workers dial
     from, admits that owned worker, whatever the slot's state; a peer
     elsewhere is a remote worker whatever its pid.  Owned workers are
@@ -154,8 +159,8 @@ val explore :
     lease loses its connection like any other.
 
     {b Degradation ladder.}  When {e no} worker is alive for 0.35 s, the
-    coordinator explores queued items itself on a serial worker slicer
-    (solo mode) in short slices, still polling the listener so a
+    coordinator explores queued items itself on a one-engine
+    {!S2e_core.Parallel.pool} (solo mode) in short slices, still polling the listener so a
     late-joining worker can take over.  [procs = 0] runs solo unless a
     remote worker joins.  The run only abandons work for items that
     repeatedly kill owned workers, or when its own budget expires.

@@ -26,10 +26,9 @@ exception Closed
 (** Peer hung up (EOF/EPIPE/reset), sent a damaged frame, or stopped
     mid-frame — on a worker fd this means the session is lost. *)
 
-(* v8: Result/Checkpoint carry the worker registry's delta since its
-   last report in place of the engine record; Bye carries the remainder;
-   Hello/Rejoin lost their unread [jobs]. *)
-let version = 8
+(* v9: Welcome grants the worker its id space; snapshots (codec v6)
+   carry ids as i64. *)
+let version = 9
 
 (** A terminated path, reduced to what the coordinator reports: the
     status string and the canonical test case. *)
@@ -73,13 +72,20 @@ type msg =
   | Bye of { obs : Obs.Metrics.snapshot; now : float; trace : string }
       (** worker → coordinator: the registry delta since the last
           report plus the last trace chunk, sent just before exit *)
-  | Welcome of { wid : int; token : string; lease : float; resume : bool }
+  | Welcome of {
+      wid : int;
+      token : string;
+      lease : float;
+      resume : bool;
+      space : int;
+    }
       (** coordinator → worker: admission over TCP.  [wid]/[token]
           identify the session for later {!Rejoin}; [lease] is the
           liveness window in seconds (a worker silent past it is
           presumed dead and its item requeued).  [resume] tells a
           rejoining worker to carry on with the item it holds; without
-          it the worker discards that item's frontier. *)
+          it the worker discards that item's frontier.  [space] is the
+          session's id space, the same on every rejoin. *)
   | Rejoin of {
       wid : int;
       token : string;
@@ -205,12 +211,13 @@ let encode_msg m =
       encode_obs b obs;
       f64 b now;
       str b trace
-  | Welcome { wid; token; lease; resume } ->
+  | Welcome { wid; token; lease; resume; space } ->
       u8 b 10;
       u32 b wid;
       str b token;
       f64 b lease;
-      u8 b (if resume then 1 else 0)
+      u8 b (if resume then 1 else 0);
+      u32 b space
   | Rejoin { wid; token; pid; held } ->
       u8 b 11;
       u32 b wid;
@@ -272,7 +279,8 @@ let decode_msg r ~stop =
         let token = rstr r in
         let lease = rf64 r in
         let resume = ru8 r <> 0 in
-        Welcome { wid; token; lease; resume }
+        let space = ru32 r in
+        Welcome { wid; token; lease; resume; space }
     | 11 ->
         let wid = ru32 r in
         let token = rstr r in

@@ -59,11 +59,19 @@ type msg =
   | Bye of { obs : Obs.Metrics.snapshot; now : float; trace : string }
       (** [obs]: the registry delta since the last [Result] or
           [Checkpoint] *)
-  | Welcome of { wid : int; token : string; lease : float; resume : bool }
+  | Welcome of {
+      wid : int;
+      token : string;
+      lease : float;
+      resume : bool;
+      space : int;
+    }
       (** coordinator → worker: TCP admission.  [wid]/[token] name the
           session for {!Rejoin}; [lease] the liveness window in seconds;
           [resume] lets a rejoining worker carry on with its held
-          item. *)
+          item; [space] is the session's id space
+          ({!S2e_core.State.enter_id_space}), fresh per worker process
+          and kept across rejoins. *)
   | Rejoin of {
       wid : int;
       token : string;

@@ -1,19 +1,14 @@
 (** Worker-process side of distributed exploration.
 
-    A worker owns a private {!Executor} stack (engines, searcher,
-    translation cache, solver contexts) and explores one {e item} — a
-    serialized fork-point state — at a time.  Exploration is sliced:
-    each slice runs for a short wall-clock budget, then the control
-    socket is polled.  That keeps steal, shutdown and liveness latency
-    bounded by the slice length without threading interrupts through the
-    engine.
-
-    With [jobs = 1] (the default) the worker drives one {e persistent}
-    engine with {!Executor.run_loop} slices, so the translation-block
-    cache and the solver context's query cache stay warm across slices
-    and items — the distributed hot path matches the serial engine's.
-    With [jobs > 1] each slice fans the frontier out across OCaml
-    domains via {!S2e_core.Parallel.explore_frontier}.
+    A worker owns one {!S2e_core.Parallel.pool} for its whole life
+    ([jobs] engines, each with its searcher, translation cache and
+    solver context) and explores one {e item} — a serialized fork-point
+    state — at a time.  Exploration is sliced: each slice runs the pool
+    for a short wall-clock budget, then the control socket is polled.
+    That keeps steal, shutdown and liveness latency bounded by the slice
+    length without threading interrupts through the engine, and since
+    the engines persist, caches stay warm across slices, items and
+    reconnects at any [jobs].
 
     Protocol discipline (the crash-consistency contract of {!Proto}):
     terminated paths and the registry delta since the last report leave
@@ -25,9 +20,7 @@
 
 module Parallel = S2e_core.Parallel
 module Executor = S2e_core.Executor
-module Events = S2e_core.Events
 module State = S2e_core.State
-module Solver = S2e_solver.Solver
 module Obs = S2e_obs
 module Fault = S2e_fault.Fault
 
@@ -52,101 +45,16 @@ let paths_of_state ~cases (s : State.t) =
     | [] -> [ { Proto.p_status = status; p_case = [] } ]
     | tcs -> List.map (fun tc -> { Proto.p_status = status; p_case = tc }) tcs
 
-(* One item's exploration, sliced.  The control loop below is written
-   once against this interface (and the coordinator's solo mode drives
-   the serial one); the two implementations differ in how a slice
-   runs. *)
-type slicer = {
-  sl_base : Bytes.t;  (* local base image, for decoding items *)
-  sl_start : State.t -> unit;  (* begin an item at its decoded root *)
-  sl_run : deadline:float -> unit;  (* advance exploration one slice *)
-  sl_frontier : unit -> State.t list;  (* unexplored remainder *)
-  sl_drop : unit -> unit;  (* discard the frontier (after a checkpoint) *)
-  sl_drain : unit -> State.t list;
-      (* states terminated since the last drain, oldest first *)
-  sl_quiesce : unit -> unit;
-      (* release merge-parked states and strip engine-local rendezvous
-         ids before the frontier leaves this process *)
-}
-
-(* jobs = 1: one engine for the whole worker lifetime.  Items are adopted
-   into its searcher; slices continue the same run loop, so caches stay
-   warm and the engine behaves exactly like a serial run interrupted
-   every [slice] seconds. *)
-let serial_slicer ~slice ~make_engine () =
-  let eng : Executor.t = make_engine () in
-  eng.Executor.solver <- Solver.create_ctx ();
-  let terminated = ref [] in
-  Events.reg_state_end eng.Executor.events (fun s ->
-      terminated := s :: !terminated);
-  {
-    sl_base = eng.Executor.base_mem;
-    sl_start =
-      (fun s0 ->
-        terminated := [];
-        Executor.adopt eng s0);
-    sl_run =
-      (fun ~deadline ->
-        let now = Unix.gettimeofday () in
-        let limits =
-          {
-            Executor.max_instructions = None;
-            max_seconds = Some (Float.min slice (deadline -. now));
-            max_completed = None;
-          }
-        in
-        Executor.run_loop ~limits eng);
-    sl_frontier = (fun () -> eng.Executor.live);
-    sl_drop =
-      (fun () -> List.iter (Executor.disown eng) eng.Executor.live);
-    sl_drain =
-      (fun () ->
-        let pending = List.rev !terminated in
-        terminated := [];
-        pending);
-    sl_quiesce = (fun () -> eng.Executor.quiesce ());
-  }
-
-(* jobs > 1: each slice fans the current frontier across domains with
-   fresh engines (states are self-contained, adoption is O(1)). *)
-let parallel_slicer ~jobs ~slice ~make_engine () =
-  let base = (make_engine ()).Executor.base_mem in
-  let frontier = ref [] in
-  let terminated = ref [] in
-  {
-    sl_base = base;
-    sl_start =
-      (fun s0 ->
-        frontier := [ s0 ];
-        terminated := []);
-    sl_run =
-      (fun ~deadline ->
-        let now = Unix.gettimeofday () in
-        let limits =
-          {
-            Executor.max_instructions = None;
-            max_seconds = Some (Float.min slice (deadline -. now));
-            max_completed = None;
-          }
-        in
-        let r = Parallel.explore_frontier ~jobs ~limits ~make_engine !frontier in
-        terminated := List.rev_append r.Parallel.completed !terminated;
-        frontier := r.Parallel.frontier;
-        (* The slice's engines die here; any rendezvous ids the frontier
-           carries are theirs and must not leak into the next slice's
-           fresh controllers, whose ids restart. *)
-        List.iter (fun (s : State.t) -> s.State.rendezvous <- []) !frontier);
-    sl_frontier = (fun () -> !frontier);
-    sl_drop = (fun () -> frontier := []);
-    sl_drain =
-      (fun () ->
-        let pending = List.rev !terminated in
-        terminated := [];
-        pending);
-    sl_quiesce =
-      (fun () ->
-        List.iter (fun (s : State.t) -> s.State.rendezvous <- []) !frontier);
-  }
+(* Advance [pool] by one slice of at most [slice] seconds, ending no
+   later than [deadline]. *)
+let run_slice pool ~slice ~deadline =
+  let limits =
+    {
+      Executor.no_limits with
+      max_seconds = Some (Float.min slice (deadline -. Unix.gettimeofday ()));
+    }
+  in
+  Parallel.run ~limits pool
 
 (* The item a worker has started and not retired yet.  It outlives a
    lost connection: if the coordinator answers the rejoin with [resume],
@@ -165,7 +73,7 @@ type held = {
    subtract.  Returns [`Shutdown] on an orderly drain and [`Lost] when
    the connection died (the caller reconnects, still holding an
    unretired item). *)
-let run_session ~sl ~heartbeat ~lease ~held ~reported c =
+let run_session ~pool ~slice ~heartbeat ~lease ~held ~reported c =
   let pid = Unix.getpid () in
   (* A worker heartbeating exactly at the lease boundary flaps; keep at
      least four beats per lease. *)
@@ -238,10 +146,10 @@ let run_session ~sl ~heartbeat ~lease ~held ~reported c =
        heartbeat that finds the connection gone is reported only once
        every drained state is converted, so a resumed item misses none. *)
     let drain () =
-      match sl.sl_drain () with
+      match Parallel.drain pool with
       | [] -> ()
       | pending ->
-          let frontier = List.length (sl.sl_frontier ()) in
+          let frontier = List.length (Parallel.frontier pool) in
           let lost = ref false in
           List.iter
             (fun s ->
@@ -261,20 +169,20 @@ let run_session ~sl ~heartbeat ~lease ~held ~reported c =
       held := None
     in
     let checkpoint () =
-      sl.sl_quiesce ();
+      Parallel.quiesce pool;
       drain ();
-      let states = List.map Codec.encode_state (sl.sl_frontier ()) in
+      let states = List.map Codec.encode_state (Parallel.frontier pool) in
       retire (fun obs ->
           Proto.Checkpoint
             { item = h.h_item; paths = List.rev h.h_paths; obs; states });
-      sl.sl_drop ()
+      Parallel.drop pool
     in
     let finished = ref false in
     while not !finished do
       (* Service control traffic between slices. *)
       (match Proto.recv_opt c ~timeout:0. with
       | Some Proto.Steal ->
-          if List.length (sl.sl_frontier ()) >= 2 then begin
+          if List.length (Parallel.frontier pool) >= 2 then begin
             checkpoint ();
             finished := true
           end
@@ -283,10 +191,10 @@ let run_session ~sl ~heartbeat ~lease ~held ~reported c =
           checkpoint ();
           bye ();
           raise Done
-      | Some Proto.Ping -> hb (List.length (sl.sl_frontier ()))
+      | Some Proto.Ping -> hb (List.length (Parallel.frontier pool))
       | Some _ | None -> ());
       if not !finished then begin
-        if sl.sl_frontier () = [] then begin
+        if Parallel.frontier pool = [] then begin
           drain ();
           retire (fun obs ->
               Proto.Result { item = h.h_item; paths = List.rev h.h_paths; obs });
@@ -298,9 +206,9 @@ let run_session ~sl ~heartbeat ~lease ~held ~reported c =
           finished := true
         end
         else begin
-          sl.sl_run ~deadline:h.h_deadline;
+          run_slice pool ~slice ~deadline:h.h_deadline;
           drain ();
-          maybe_hb (List.length (sl.sl_frontier ()))
+          maybe_hb (List.length (Parallel.frontier pool))
         end
       end
     done
@@ -309,7 +217,8 @@ let run_session ~sl ~heartbeat ~lease ~held ~reported c =
     let h_deadline =
       if budget <= 0. then infinity else Unix.gettimeofday () +. budget
     in
-    sl.sl_start (Codec.decode_state ~base:sl.sl_base blob);
+    let base = (Parallel.engine pool).Executor.base_mem in
+    Parallel.adopt pool (Codec.decode_state ~base blob);
     let h = { h_item = item; h_deadline; h_cases = cases; h_paths = [] } in
     held := Some h;
     work h
@@ -349,10 +258,6 @@ let init_process () =
   Obs.Metrics.reset ();
   Obs.Trace.reset ()
 
-let make_slicer ~jobs ~slice ~make_engine () =
-  if jobs = 1 then serial_slicer ~slice ~make_engine ()
-  else parallel_slicer ~jobs ~slice ~make_engine ()
-
 (* ------------------------------------------------------------------ *)
 (* Dial, join, survive disconnects                                    *)
 (* ------------------------------------------------------------------ *)
@@ -385,13 +290,17 @@ let backoff attempt =
   let base = Float.min 2.0 (0.05 *. (2. ** float_of_int attempt)) in
   base *. (0.5 +. jitter ())
 
+type session = { wid : int; token : string; space : int }
+
 (* Send Hello (fresh) or Rejoin (returning, naming the item still
-   held) and wait for the verdict. *)
+   held) and wait for the verdict.  A new session's id space is entered
+   before any item can arrive; a rejoined one keeps minting where it
+   left off. *)
 let handshake c ~session ~held =
   let pid = Unix.getpid () in
   (match !session with
   | None -> Proto.send c (Proto.Hello { version = Proto.version; pid })
-  | Some (wid, token) ->
+  | Some { wid; token; _ } ->
       let held = Option.map (fun h -> h.h_item) held in
       Proto.send c (Proto.Rejoin { wid; token; pid; held }));
   let give_up = Unix.gettimeofday () +. 10. in
@@ -399,8 +308,11 @@ let handshake c ~session ~held =
     if Unix.gettimeofday () > give_up then `Lost
     else
       match Proto.recv_opt c ~timeout:0.25 with
-      | Some (Proto.Welcome { wid; token; lease; resume }) ->
-          session := Some (wid, token);
+      | Some (Proto.Welcome { wid; token; lease; resume; space }) ->
+          (match !session with
+          | Some s when s.space = space -> ()
+          | _ -> State.enter_id_space space);
+          session := Some { wid; token; space };
           `Welcome (lease, resume)
       | Some (Proto.Deny { reason }) -> `Denied reason
       | Some _ | None -> wait ()
@@ -410,9 +322,9 @@ let handshake c ~session ~held =
 let serve_tcp ?(jobs = 1) ?(slice = 0.05) ?(heartbeat = 0.25)
     ?(max_retries = 10) ~host ~port ~(make_engine : unit -> Executor.t) () =
   init_process ();
-  (* One slicer for the whole worker lifetime: caches stay warm across
-     reconnects, exactly as they do across items. *)
-  let sl = make_slicer ~jobs ~slice ~make_engine () in
+  (* One pool for the whole worker lifetime: caches stay warm across
+     reconnects, exactly as they do across slices and items. *)
+  let pool = Parallel.pool ~jobs ~make_engine in
   let session = ref None in
   let held = ref None in
   (* Nothing reported yet: the first report carries everything since the
@@ -451,13 +363,13 @@ let serve_tcp ?(jobs = 1) ?(slice = 0.05) ?(heartbeat = 0.25)
               (* The coordinator requeued the held item: discard its
                  half-explored frontier, and the counts of that work,
                  so no path or count is double-counted. *)
-              sl.sl_quiesce ();
-              ignore (sl.sl_drain ());
-              sl.sl_drop ();
+              Parallel.quiesce pool;
+              ignore (Parallel.drain pool);
+              Parallel.drop pool;
               held := None;
               reported := Obs.Metrics.snapshot ()
             end;
-            match run_session ~sl ~heartbeat ~lease ~held ~reported fd with
+            match run_session ~pool ~slice ~heartbeat ~lease ~held ~reported fd with
             | `Shutdown ->
                 close ();
                 stop := true

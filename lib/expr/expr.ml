@@ -195,12 +195,22 @@ let mk_const value width =
 
 let mk_var id name width =
   (* Hash and shallow equality key on the variable id alone: ids are
-     globally unique, so name/width are attributes, not identity. *)
+     unique across processes by construction (see [enter_id_space]), so
+     an interned node under the same id with another name or width is a
+     broken invariant, never an alias to return. *)
   let mhash = mix 2 id in
-  intern
-    (Var
-       { id; name; width;
-         meta = { uid = next_uid (); mhash; msize = 1; mvars = Int_set.singleton id } })
+  match
+    intern
+      (Var
+         { id; name; width;
+           meta = { uid = next_uid (); mhash; msize = 1; mvars = Int_set.singleton id } })
+  with
+  | Var v as e when v.width = width && String.equal v.name name -> e
+  | Var v ->
+      invalid_arg
+        (Printf.sprintf "Expr.var: id %d is %s:%d here, not %s:%d" id v.name
+           v.width name width)
+  | _ -> assert false
 
 let mk_unop op arg width =
   let am = meta arg in
@@ -324,12 +334,10 @@ let var_counter = Atomic.make 0
 let fresh_var ?(width = 32) name =
   mk_var (Atomic.fetch_and_add var_counter 1 + 1) name width
 
-(* Raise the counter to at least [n] so variables decoded from another
-   process never collide with locally minted ones. *)
-let rec bump_var_counter n =
-  let cur = Atomic.get var_counter in
-  if cur < n && not (Atomic.compare_and_set var_counter cur n) then
-    bump_var_counter n
+let id_space_bits = 32
+
+(* Space [k] owns the ids in [k * 2^32, (k + 1) * 2^32). *)
+let enter_id_space k = Atomic.set var_counter (k lsl id_space_bits)
 
 (* Equality: pointer comparison resolves same-domain comparisons (both
    ways — interning makes structurally equal nodes physically equal);

@@ -100,12 +100,18 @@ val bool_f : t
 val of_bool : bool -> t
 
 val fresh_var : ?width:int -> string -> t
-(** A fresh symbolic variable with a unique id. *)
+(** A fresh symbolic variable with an id unique in this process's id
+    space. *)
 
-val bump_var_counter : int -> unit
-(** Raise the fresh-variable counter to at least the given value.  Used
-    when adopting variables serialized by another process so locally
-    minted ids never collide with decoded ones. *)
+val id_space_bits : int
+(** Id space [k] owns the ids [k * 2^id_space_bits] up to the next
+    space.  Every process starts in space 0. *)
+
+val enter_id_space : int -> unit
+(** Mint the following {!fresh_var} ids from the start of space [k].  A
+    distributed worker enters the space its coordinator granted it
+    before decoding any state, so the ids it mints never meet ids minted
+    by another process. *)
 
 val is_const : t -> bool
 val to_const : t -> int64 option
@@ -160,7 +166,9 @@ val sext : width:int -> t -> t
 (** Structure-preserving constructors: intern but never fold or
     simplify.  For deserializers that must reproduce a wire structure
     exactly (the dist codec's determinism contract) and for tests that
-    need a specific shape.  Width invariants are still asserted. *)
+    need a specific shape.  Width invariants are still asserted, and
+    [var] raises [Invalid_argument] when a variable with its id but
+    another name or width is interned in this domain. *)
 module Raw : sig
   val const : width:int -> int64 -> t
   val var : id:int -> name:string -> width:int -> t

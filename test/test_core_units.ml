@@ -253,37 +253,6 @@ let test_state_fork_isolation () =
   Alcotest.(check int) "depth bumped" (s.State.depth + 1) child.State.depth;
   Alcotest.(check int) "parent recorded" s.State.id child.State.parent
 
-let test_execution_tree () =
-  (* Attach a tree to a real exploration and check its structure. *)
-  let img =
-    S2e_guest.Guest.build
-      ~driver:("nulldrv", S2e_guest.Drivers_src.nulldrv)
-      ~workload:("w", {|
-int main() {
-  int x = __s2e_sym_int(1);
-  if (x > 10) { if (x > 100) return 3; return 2; }
-  return 1;
-}
-|})
-      ()
-  in
-  let engine = Executor.create () in
-  S2e_guest.Guest.load_into_engine engine img;
-  Executor.set_unit engine [ "w" ];
-  let tree = Tree.attach engine in
-  let s0 = Executor.boot engine ~entry:img.entry () in
-  ignore (Executor.run engine s0);
-  (* Three paths: each state node is one terminated path. *)
-  Alcotest.(check int) "three path nodes" 3 (Tree.size tree);
-  Alcotest.(check int) "two forks" 2 tree.Tree.forks;
-  let all_halted =
-    Hashtbl.fold
-      (fun _ n acc -> acc && n.Tree.n_status = "halted")
-      tree.Tree.nodes true
-  in
-  Alcotest.(check bool) "all paths halted" true all_halted;
-  Alcotest.(check bool) "tree has depth" true (Tree.depth_below tree tree.Tree.root >= 2)
-
 let test_zero_register () =
   let s = dummy_state 0 in
   State.set_reg s S2e_isa.Insn.reg_zero (Expr.const 99L);
@@ -309,6 +278,5 @@ let tests =
       test_dbt_cache_and_marks;
     Alcotest.test_case "consistency taxonomy (Table 1)" `Quick test_consistency_table;
     Alcotest.test_case "state fork isolation" `Quick test_state_fork_isolation;
-    Alcotest.test_case "execution tree" `Quick test_execution_tree;
     Alcotest.test_case "zero register" `Quick test_zero_register;
   ]

@@ -81,6 +81,25 @@ int main() {
   return 0;
 } |}
 
+(* 2 x 2^9 = 1024 paths that mint an input in every loop iteration,
+   after the first fork, under one of two names: a process that adopts
+   another's state then meets ids that process minted, in the same
+   order of magnitude as its own. *)
+let workload_minted_late =
+  {|
+int main() {
+  int x = __s2e_sym_int(1);
+  int acc = 0;
+  if (x & 1) acc = 7;
+  for (int i = 0; i < 9; i = i + 1) {
+    int v = 0;
+    if (i & 1) v = __s2e_sym_int(2); else v = __s2e_sym_int(3);
+    if (v & 1) acc = acc + i;
+  }
+  if (acc > 30) return 1;
+  return 0;
+} |}
+
 let make_engine_for workload () =
   let linked = Cc.link ~runtime_asm:runtime [ ("prog", workload) ] in
   let engine = Executor.create () in
@@ -104,7 +123,7 @@ let make_engine_for workload () =
 let test_expr_roundtrip () =
   (* Expr.Raw builds these shapes verbatim (no smart-constructor folding),
      which is exactly what the codec promises to reproduce. *)
-  let v = Expr.Raw.var ~id:7 ~name:"sym1_0" ~width:8 in
+  let v = Expr.fresh_var ~width:8 "sym1_0" in
   let exprs =
     [
       Expr.Raw.const ~width:16 0x1234L;
@@ -127,6 +146,30 @@ let test_expr_roundtrip () =
          must be the canonical node itself. *)
       Alcotest.(check bool) "expr roundtrips physically" true (e == e'))
     exprs
+
+(* Variable identity is the id alone, so an id that arrives under
+   another name or width than the node interned here must be refused:
+   aliasing it would silently change what the decoded constraints
+   mean. *)
+let test_decode_var_clash_raises () =
+  let x = Expr.fresh_var ~width:32 "clash_x" in
+  let blob = Codec.encode_expr x in
+  Alcotest.(check bool) "own encoding decodes to the interned node" true
+    (Codec.decode_expr blob == x);
+  (* A variable encodes as [tag | id | width | name length | name]. *)
+  let name_at = String.length blob - String.length "clash_x" in
+  let renamed = String.sub blob 0 name_at ^ "clash_y" in
+  let narrowed = Bytes.of_string blob in
+  Bytes.set narrowed (name_at - 5) (Char.chr 8);
+  let raises what blob =
+    match Codec.decode_expr blob with
+    | e ->
+        Alcotest.failf "%s: decoded to %s instead of raising" what
+          (Expr.to_string e)
+    | exception Codec.Error _ -> ()
+  in
+  raises "same id, other name" renamed;
+  raises "same id, other width" (Bytes.to_string narrowed)
 
 (* Explore a few paths, then snapshot a mid-run frontier state: it has a
    symbolic memory overlay, non-trivial path constraints and live device
@@ -261,6 +304,58 @@ let test_procs2_matches_serial () =
   Alcotest.(check bool) "worker solver contexts did the solving" true
     (S2e_obs.Metrics.get_int r.Coordinator.obs "solver.queries" > 0)
 
+(* Workers mint ids in disjoint spaces: inputs created after the first
+   fork, in whichever process explores them, never meet another
+   process's ids when states move between workers.  Repeated because
+   a clash depends on how items are scheduled. *)
+let test_late_inputs_match_serial () =
+  let make_engine = make_engine_for workload_minted_late in
+  let serial_cases, _ = serial_case_set workload_minted_late in
+  Alcotest.(check int) "1024 serial paths" 1024 (List.length serial_cases);
+  for _ = 1 to 6 do
+    let r =
+      Coordinator.explore ~procs:2 ~cases:true
+        ~spawn:(Coordinator.Fork { jobs = 1; slice = 0.01; make_engine })
+        ~make_engine
+        ~boot:(fun eng -> Executor.boot eng ~entry:0x1000 ())
+        ()
+    in
+    Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
+    Alcotest.(check (list string))
+      "identical test-case multiset" serial_cases (dist_case_set r)
+  done
+
+(* Each worker keeps one pool of [jobs] engines for its whole life, so
+   the blocks it translates are bounded by what its engines touch, not
+   by how many slices the run took. *)
+let test_jobs2_workers_keep_their_engines () =
+  let make_engine = make_engine_for workload_4096 in
+  let before = S2e_obs.Metrics.snapshot () in
+  let serial_cases, serial = serial_case_set workload_4096 in
+  let serial_misses =
+    S2e_obs.Metrics.(get_int (delta ~before (snapshot ())) "dbt.tb_misses")
+  in
+  S2e_obs.Metrics.reset ();
+  let procs = 2 and jobs = 2 in
+  let r =
+    Coordinator.explore ~procs ~cases:true
+      ~spawn:(Coordinator.Fork { jobs; slice = 0.01; make_engine })
+      ~make_engine
+      ~boot:(fun eng -> Executor.boot eng ~entry:0x1000 ())
+      ()
+  in
+  Alcotest.(check int) "nothing left unexplored" 0 r.Coordinator.unexplored;
+  Alcotest.(check (list string))
+    "identical test-case sets" serial_cases (dist_case_set r);
+  Alcotest.(check int) "same completion count"
+    serial.Parallel.stats.Executor.states_completed
+    r.Coordinator.stats.Executor.states_completed;
+  Alcotest.(check int) "same fork count" serial.Parallel.stats.Executor.forks
+    r.Coordinator.stats.Executor.forks;
+  let misses = S2e_obs.Metrics.get_int r.Coordinator.obs "dbt.tb_misses" in
+  if misses > ((procs * jobs) + 1) * serial_misses then
+    Alcotest.failf "%d translations against %d serial" misses serial_misses
+
 let test_kill_worker_mid_run () =
   let make_engine = make_engine_for workload_64 in
   let serial_cases, _ = serial_case_set workload_64 in
@@ -370,7 +465,8 @@ let test_corrupt_frame_is_disconnect () =
           Proto.Bye
             { obs = [ ("dist.steals", S2e_obs.Metrics.Int 2) ]; now = 3.25;
               trace = "" };
-          Proto.Welcome { wid = 5; token = "tok"; lease = 10.; resume = true };
+          Proto.Welcome
+            { wid = 5; token = "tok"; lease = 10.; resume = true; space = 9 };
           Proto.Rejoin { wid = 5; token = "tok"; pid = 41; held = Some 3 };
           Proto.Rejoin { wid = 5; token = "tok"; pid = 41; held = None };
           Proto.Deny { reason = "draining" };
@@ -842,8 +938,14 @@ let tests =
     Alcotest.test_case "expression codec roundtrip" `Quick test_expr_roundtrip;
     Alcotest.test_case "state snapshot roundtrip" `Quick test_state_roundtrip;
     Alcotest.test_case "strict decode errors" `Quick test_strict_decode_errors;
+    Alcotest.test_case "a decoded variable id clash raises" `Quick
+      test_decode_var_clash_raises;
     Alcotest.test_case "procs=2 drains same path set as serial" `Quick
       test_procs2_matches_serial;
+    Alcotest.test_case "inputs minted after a fork match serial" `Quick
+      test_late_inputs_match_serial;
+    Alcotest.test_case "jobs=2 workers keep their engines" `Quick
+      test_jobs2_workers_keep_their_engines;
     Alcotest.test_case "killed worker's states are requeued" `Quick
       test_kill_worker_mid_run;
     Alcotest.test_case "a killed worker's retired counts arrive" `Quick
