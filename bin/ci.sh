@@ -45,7 +45,7 @@ grep -q '"kind":"final"' "$stats_file" \
   || { echo "CI: no final snapshot line" >&2; exit 1; }
 dune exec bin/s2e_cli.exe -- stats "$stats_file" > "$tmp/stats.txt" \
   || { echo "CI: stats renderer rejected the JSONL" >&2; exit 1; }
-shared='^(paths completed|states created|forks|instructions|solver|sat search|incremental|resilience): '
+shared='^(paths completed|states created|forks|instructions|solver|sat search|cnf|incremental|resilience): '
 grep -E "$shared" "$tmp/summary.txt" > "$tmp/summary.shared"
 grep -E "$shared" "$tmp/stats.txt" > "$tmp/stats.shared"
 [ "$(wc -l < "$tmp/summary.shared")" -ge 5 ] \
@@ -113,6 +113,16 @@ grep '|' "$rtl_dist" | sort > "$rtl_dist.cases"
 diff "$rtl_serial.cases" "$rtl_dist.cases" > /dev/null \
   || { echo "CI: rtl8029 exerciser procs=2 cases differ from serial" >&2; exit 1; }
 echo "CI: rtl8029 procs differential passed ($(wc -l < "$rtl_dist.cases") cases, procs=2 == jobs=1)"
+# Its serial leg is the comparison-heavy search-trajectory pin: case
+# extraction there is many small cold solves over unsigned and signed
+# comparisons, so a change to how comparisons are encoded that moves a
+# decision fails here even where the pcnet pins below hold (folding
+# constant majority gates moved its conflicts from 1458 to 0).
+got=$(sed -n 's/^sat search: //p' "$rtl_serial")
+want='690831 decisions, 1458 conflicts'
+[ "$got" = "$want" ] \
+  || { echo "CI: rtl8029 exerciser serial run: sat search '$got', expected '$want'" >&2; exit 1; }
+echo "CI: rtl8029 search-trajectory pin passed ($want)"
 
 # Merge smoke test: --merge=auto must emit exactly the enumerated
 # (--merge=off, the default) run's test cases after case-tree expansion,
@@ -240,6 +250,15 @@ for pin in "$deep_fresh:400723 decisions, 4195 conflicts" \
     || { echo "CI: pcnet exerciser $(basename "$f" .txt) run: sat search '$got', expected '$want'" >&2; exit 1; }
 done
 echo "CI: search-trajectory pin passed (pcnet exerciser fresh and incremental decisions and conflicts exact)"
+# CNF-size pin: the fresh leg's SAT variables and problem clauses (the
+# `cnf:` line).  A change that makes the blaster emit more gates fails
+# here; one that shrinks the CNF updates this value and says so in
+# CHANGES.md.
+got=$(sed -n 's/^cnf: //p' "$deep_fresh")
+want='16647369 variables, 23976621 clauses'
+[ "$got" = "$want" ] \
+  || { echo "CI: pcnet exerciser fresh run: cnf '$got', expected '$want'" >&2; exit 1; }
+echo "CI: CNF-size pin passed (pcnet exerciser fresh: $want)"
 
 # Chaos solver differential: with an injected-unknown plan armed on a
 # fixed seed, incremental must degrade exactly as fresh does — same

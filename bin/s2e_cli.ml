@@ -362,9 +362,12 @@ let print_solver_lines obs =
     (n "solver.queries") (n "solver.sat_queries") (n "solver.cache_hits")
     (n "solver.unknowns")
     (Obs.Metrics.get_float obs "solver.query_s");
-  if n "solver.sat_queries" > 0 then
+  if n "solver.sat_queries" > 0 then begin
     Fmt.pr "sat search: %d decisions, %d conflicts@." (n "solver.decisions")
       (n "solver.conflicts");
+    Fmt.pr "cnf: %d variables, %d clauses@." (n "solver.sat_vars")
+      (n "solver.sat_clauses")
+  end;
   if n "solver.inc_hits" + n "solver.inc_partials" > 0 then
     Fmt.pr
       "incremental: %d full prefix hits, %d partial, %d clauses learned \
@@ -994,7 +997,8 @@ let stats_cmd =
             counts
         end
     | _ -> ());
-    (* Per-worker breakdown from the per-shard views. *)
+    (* Per-worker breakdown from the per-shard views: live domains' own
+       shards and the retired shard. *)
     (match Obs.Jsonl.member "shards" final with
     | Some (Obs.Jsonl.Arr shards) when List.length shards > 1 ->
         Fmt.pr "per-worker (registry shard):@.";
@@ -1004,7 +1008,9 @@ let stats_cmd =
             let id =
               Option.value ~default:(-1.) (Obs.Jsonl.num_member "shard" sh)
             in
-            Fmt.pr "  shard %.0f: %d instr, %d paths, %d forks, %d steals@." id
+            (* Shard -1 holds every exited domain's counts. *)
+            Fmt.pr "  %s: %d instr, %d paths, %d forks, %d steals@."
+              (if id < 0. then "retired" else Printf.sprintf "shard %.0f" id)
               (g "engine.instructions")
               (g "engine.states_completed")
               (g "engine.forks") (g "parallel.steals"))

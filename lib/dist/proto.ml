@@ -329,6 +329,23 @@ let rec read_exact fd buf ofs len =
     else read_exact fd buf (ofs + n) (len - n)
   end
 
+(* Which side sends a message and what kind it is, as
+   ["coordinator.work"] or ["worker.result"]: every kind travels one way. *)
+let frame_name = function
+  | Work _ -> "coordinator.work"
+  | Steal -> "coordinator.steal"
+  | Ping -> "coordinator.ping"
+  | Shutdown -> "coordinator.shutdown"
+  | Welcome _ -> "coordinator.welcome"
+  | Deny _ -> "coordinator.deny"
+  | Hello _ -> "worker.hello"
+  | Heartbeat _ -> "worker.heartbeat"
+  | Nak _ -> "worker.nak"
+  | Result _ -> "worker.result"
+  | Checkpoint _ -> "worker.checkpoint"
+  | Bye _ -> "worker.bye"
+  | Rejoin _ -> "worker.rejoin"
+
 let send fd m =
   let payload = encode_msg m in
   let len = String.length payload in
@@ -342,8 +359,11 @@ let send fd m =
     (Int32.of_int (Codec.fnv32 payload ~pos:0 ~len));
   (* The fault plan flips one payload byte and leaves the length intact,
      so the receiver reads the whole frame and its checksum catches the
-     damage. *)
+     damage.  A [dist.corrupted.<side>.<kind>] counter names each
+     damaged frame, so a chaos run that misbehaves says which frames its
+     faults hit. *)
   if Fault.(fire Proto_corrupt) then begin
+    Obs.Metrics.incr (Obs.Metrics.counter ("dist.corrupted." ^ frame_name m));
     let off = 4 + (len / 2) in
     Bytes.set frame off (Char.chr (Char.code (Bytes.get frame off) lxor 0x40))
   end;

@@ -6,8 +6,11 @@
     bucket — is a plain array store into the calling domain's own shard:
     no atomics, no locks, no false sharing with other domains.  Shards are
     created lazily through [Domain.DLS] the first time a domain touches
-    the registry and are never unregistered, so counts survive
-    [Domain.join] and a snapshot taken after joining workers is exact.
+    the registry.  When a domain other than the main one exits, its shard
+    is folded into the registry's one {e retired} shard, so counts
+    survive [Domain.join], a snapshot taken after joining workers is
+    exact, and a process that spawns domains run after run keeps a
+    bounded shard list.
 
     [snapshot] merges the shards lock-free: it reads the live arrays of
     every shard without synchronization.  Mid-run this may observe values
@@ -47,10 +50,44 @@ type t = {
   mutable entries : entry list; (* newest first *)
   mutable isize : int;
   mutable fsize : int;
-  mutable shards : shard list; (* newest first, never removed *)
+  (* Live domains' shards, newest first, then the retired shard once a
+     domain has exited.  Replaced whole under [mutex], so a lock-free
+     snapshot reads either the list before a domain retired or the one
+     after. *)
+  mutable shards : shard list;
   mutable nshards : int;
   key : shard Domain.DLS.key;
 }
+
+let retired_id = -1
+
+(* Fold an exiting domain's shard [s] into the retired shard: every cell
+   adds, except a Max gauge's, which keeps the larger value.  The fold is
+   built in a fresh shard and published with the list that drops [s], so
+   no snapshot counts [s] twice or loses it. *)
+let retire t s =
+  Mutex.lock t.mutex;
+  let old =
+    List.find_opt (fun r -> r.shard_id = retired_id) t.shards
+    |> Option.value ~default:{ shard_id = retired_id; ints = [||]; floats = [||] }
+  in
+  let len f = List.fold_left (fun n r -> max n (Array.length (f r))) in
+  let ints = Array.make (len (fun r -> r.ints) t.isize [ old; s ]) 0 in
+  let floats = Array.make (len (fun r -> r.floats) t.fsize [ old; s ]) 0. in
+  List.iter
+    (fun r ->
+      Array.iteri (fun i v -> ints.(i) <- ints.(i) + v) r.ints;
+      Array.iteri (fun i v -> floats.(i) <- floats.(i) +. v) r.floats)
+    [ old; s ];
+  let int_at r i = if i < Array.length r.ints then r.ints.(i) else 0 in
+  List.iter
+    (fun e ->
+      if e.e_kind = K_gauge Max then
+        ints.(e.e_ibase) <- max (int_at old e.e_ibase) (int_at s e.e_ibase))
+    t.entries;
+  let live = List.filter (fun r -> r != s && r != old) t.shards in
+  t.shards <- live @ [ { shard_id = retired_id; ints; floats } ];
+  Mutex.unlock t.mutex
 
 let create () =
   let holder = ref None in
@@ -70,6 +107,8 @@ let create () =
             t.nshards <- t.nshards + 1;
             t.shards <- s :: t.shards;
             Mutex.unlock t.mutex;
+            if not (Domain.is_main_domain ()) then
+              Domain.at_exit (fun () -> retire t s);
             s)
   in
   let t =

@@ -3,10 +3,13 @@
     Counters, gauges and fixed-bucket histograms whose cells live in
     per-domain shards: an update is a plain array store into the calling
     domain's shard (no locks, no atomics on the hot path), and
-    {!snapshot} merges the shards lock-free.  Shards persist after their
-    domain dies, so a snapshot taken after [Domain.join] of all writers
-    is exact; a snapshot taken mid-run may be a few increments stale but
-    never tears or crashes.  Registration and {!reset} are the only
+    {!snapshot} merges the shards lock-free.  An exiting domain's shard
+    is folded into one retired shard (counters, float accumulators,
+    histograms and [Sum] gauges add, [Max] gauges take the max), so a
+    snapshot taken after [Domain.join] of all writers is exact and the
+    shard list stays bounded however many domains come and go; a
+    snapshot taken mid-run may be a few increments stale but never tears
+    or crashes.  Registration and {!reset} are the only
     synchronized (cold) paths. *)
 
 type t
@@ -61,7 +64,9 @@ val snapshot : ?reg:t -> unit -> snapshot
 
 val shard_snapshots : ?reg:t -> unit -> (int * snapshot) list
 (** Per-shard (unmerged) views keyed by shard id in creation order: the
-    per-worker breakdown when each worker runs in its own domain. *)
+    per-worker breakdown while each worker runs in its own domain.  The
+    retired shard, holding every exited domain's counts, comes first
+    with id [-1]. *)
 
 val find : snapshot -> string -> value option
 

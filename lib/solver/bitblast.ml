@@ -103,23 +103,31 @@ let gate_maj ctx a b c =
 
 (* --- arithmetic circuits --------------------------------------------- *)
 
-let adder ctx ?(carry_in = None) a b =
+(* Ripple-carry a + b + [cin], bit 0 first, each bit's sum gates before
+   its majority.  Only what the caller reads is built: the sum bits when
+   [sum] is set (else [out] stays empty), and the top bit's carry out when
+   [carry_out] is.  A dropped gate would only have been created after its
+   inputs and read by nothing, so propagation assigns it before the
+   lowest-index branching rule reaches it and it never enters conflict
+   analysis: dropping it changes no decision (DESIGN.md §12). *)
+let ripple ctx ~sum ~carry_out cin a b =
   let w = Array.length a in
-  let out = Array.make w ctx.false_lit in
-  let carry = ref (match carry_in with Some c -> c | None -> ctx.false_lit) in
+  let out = Array.make (if sum then w else 0) ctx.false_lit in
+  let carry = ref cin in
   for i = 0 to w - 1 do
-    let s = gate_xor ctx (gate_xor ctx a.(i) b.(i)) !carry in
-    let c = gate_maj ctx a.(i) b.(i) !carry in
-    out.(i) <- s;
-    carry := c
+    if sum then out.(i) <- gate_xor ctx (gate_xor ctx a.(i) b.(i)) !carry;
+    if carry_out || i < w - 1 then carry := gate_maj ctx a.(i) b.(i) !carry
   done;
   (out, !carry)
 
+let adder ctx a b = fst (ripple ctx ~sum:true ~carry_out:false ctx.false_lit a b)
+
 let negate_bits a = Array.map Sat.lit_neg a
 
-let subtractor ctx a b =
-  (* a - b = a + ~b + 1; final carry = 1 iff no borrow (a >= b unsigned). *)
-  adder ctx ~carry_in:(Some ctx.true_lit) a (negate_bits b)
+(* a - b = a + ~b + 1; its carry out is 1 iff nothing borrows (a >= b
+   unsigned). *)
+let subtractor ctx ~carry_out a b =
+  ripple ctx ~sum:true ~carry_out ctx.true_lit a (negate_bits b)
 
 let mux_vec ctx c a b = Array.init (Array.length a) (fun i -> gate_ite ctx c a.(i) b.(i))
 
@@ -136,8 +144,7 @@ let multiplier ctx a b =
       Array.init w (fun j -> if j < i then ctx.false_lit else a.(j - i))
     in
     let masked = Array.map (fun l -> gate_and ctx b.(i) l) shifted in
-    let sum, _ = adder ctx !acc masked in
-    acc := sum
+    acc := adder ctx !acc masked
   done;
   !acc
 
@@ -153,7 +160,7 @@ let divider ctx a b =
   for i = w - 1 downto 0 do
     (* r = (r << 1) | a_i *)
     let shifted = Array.init (w + 1) (fun j -> if j = 0 then a.(i) else !r.(j - 1)) in
-    let diff, no_borrow = subtractor ctx shifted bw in
+    let diff, no_borrow = subtractor ctx ~carry_out:true shifted bw in
     q.(i) <- no_borrow;
     r := mux_vec ctx no_borrow diff shifted
   done;
@@ -187,10 +194,11 @@ let eq_bits ctx a b =
   done;
   !acc
 
+(* a < b unsigned iff a - b borrows: the borrow chain of a + ~b + 1 alone,
+   one majority gate per bit and no sum bit. *)
 let ult_bits ctx a b =
-  (* a < b unsigned iff subtraction a - b borrows. *)
-  let _, no_borrow = subtractor ctx a b in
-  Sat.lit_neg no_borrow
+  Sat.lit_neg
+    (snd (ripple ctx ~sum:false ~carry_out:true ctx.true_lit a (negate_bits b)))
 
 let slt_bits ctx a b =
   let w = Array.length a in
@@ -225,13 +233,12 @@ and blast_uncached ctx e =
   | Unop { op = Bnot; arg; _ } -> negate_bits (blast ctx arg)
   | Unop { op = Neg; arg; _ } ->
       let a = negate_bits (blast ctx arg) in
-      let one = const_bits ctx w 1L in
-      fst (adder ctx a one)
+      adder ctx a (const_bits ctx w 1L)
   | Binop { op; lhs; rhs; _ } -> (
       let a = blast ctx lhs and b = blast ctx rhs in
       match op with
-      | Add -> fst (adder ctx a b)
-      | Sub -> fst (subtractor ctx a b)
+      | Add -> adder ctx a b
+      | Sub -> fst (subtractor ctx ~carry_out:false a b)
       | Mul -> multiplier ctx a b
       | Udiv -> fst (divider ctx a b)
       | Urem -> snd (divider ctx a b)

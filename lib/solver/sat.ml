@@ -42,6 +42,8 @@ type stats = {
   restarts : int;
   learned : int; (* learned clauses ever created (excluding learned units) *)
   learned_kept : int; (* learned clauses currently live (post-reduction) *)
+  vars : int;
+  clauses : int; (* problem clauses stored; [reduce_db] drops learned ones only *)
 }
 
 type t = {
@@ -991,4 +993,6 @@ let stats s =
     restarts = s.restarts;
     learned = s.learned_total;
     learned_kept = s.n_learned_live;
+    vars = s.nvars;
+    clauses = s.nclauses - s.n_learned_live;
   }

@@ -95,6 +95,10 @@ type stats = {
   learned : int;  (** learned clauses ever created (excluding units) *)
   learned_kept : int;
       (** learned clauses currently live, i.e. surviving reduction/pops *)
+  vars : int;  (** variables created *)
+  clauses : int;
+      (** problem clauses stored: those {!add_clause} kept with two or more
+          literals after level-0 simplification *)
 }
 
 val stats : t -> stats

@@ -74,6 +74,11 @@ let m_sat_kept = Obs.Metrics.gauge ~merge:Obs.Metrics.Sum "solver.sat_kept"
    and so re-propagates only the frames that changed (DESIGN.md §12). *)
 let m_inc_propagations = Obs.Metrics.counter "solver.inc_propagations"
 
+(* CNF size over every cold and incremental call: SAT variables and
+   problem clauses created (the ring's as per-instance deltas). *)
+let m_sat_vars = Obs.Metrics.counter "solver.sat_vars"
+let m_sat_clauses = Obs.Metrics.counter "solver.sat_clauses"
+
 (* Search effort over every cold and incremental call: branching
    decisions and conflicts.  A solve that never conflicts leaves every
    activity at 0 and branches on the lowest unassigned index alone
@@ -194,6 +199,8 @@ type instance = {
   mutable ipropagated : int; (* Sat propagations last added to the registry *)
   mutable idecisions : int; (* Sat decisions last added to the registry *)
   mutable iconflicts : int; (* Sat conflicts last added to the registry *)
+  mutable ivars : int; (* Sat variables last added to the registry *)
+  mutable iclauses : int; (* Sat problem clauses last added to the registry *)
 }
 
 (* Ring capacity: sibling probes and parent/child chains need very few
@@ -380,6 +387,10 @@ let note_sat_stats ctx inst =
   inst.idecisions <- sst.Sat.decisions;
   Obs.Metrics.add m_conflicts (sst.Sat.conflicts - inst.iconflicts);
   inst.iconflicts <- sst.Sat.conflicts;
+  Obs.Metrics.add m_sat_vars (sst.Sat.vars - inst.ivars);
+  inst.ivars <- sst.Sat.vars;
+  Obs.Metrics.add m_sat_clauses (sst.Sat.clauses - inst.iclauses);
+  inst.iclauses <- sst.Sat.clauses;
   Obs.Metrics.set m_sat_kept
     (Array.fold_left
        (fun acc -> function
@@ -413,6 +424,8 @@ let run_sat ctx constraints =
   Obs.Metrics.add m_sat_learned sst.Sat.learned;
   Obs.Metrics.add m_decisions sst.Sat.decisions;
   Obs.Metrics.add m_conflicts sst.Sat.conflicts;
+  Obs.Metrics.add m_sat_vars sst.Sat.vars;
+  Obs.Metrics.add m_sat_clauses sst.Sat.clauses;
   match r with
   | Sat.Sat ->
       let m = Bitblast.model bctx in
@@ -490,6 +503,8 @@ let run_incremental ctx ~q_inc constraints =
             ipropagated = 0;
             idecisions = 0;
             iconflicts = 0;
+            ivars = 0;
+            iclauses = 0;
           }
         in
         ctx.insts.(!slot) <- Some inst;

@@ -483,6 +483,7 @@ let test_corrupt_frame_is_disconnect () =
 let test_corrupt_transport_full_run () =
   let make_engine = make_engine_for workload_32 in
   let serial_cases, _ = serial_case_set workload_32 in
+  let before = S2e_obs.Metrics.snapshot () in
   let r =
     with_plan "proto=corrupt:0.3" (fun () ->
         Coordinator.explore ~procs:2 ~cases:true
@@ -505,7 +506,23 @@ let test_corrupt_transport_full_run () =
     "path set identical to serial" serial_cases (dist_case_set r);
   (* ...while the chaos demonstrably happened and was accounted for. *)
   Alcotest.(check bool) "faults were injected" true (r.Coordinator.injected > 0);
-  Alcotest.(check bool) "owned workers rejoined" true
+  (* The frames this run damaged, by sending side and kind, so that a
+     run which injected faults but rejoined no worker names them. *)
+  let corrupted =
+    List.filter_map
+      (fun (name, v) ->
+        match v with
+        | S2e_obs.Metrics.Int n
+          when n > 0 && String.starts_with ~prefix:"dist.corrupted." name ->
+            let kind = String.sub name 15 (String.length name - 15) in
+            Some (Printf.sprintf "%s x%d" kind n)
+        | _ -> None)
+      (S2e_obs.Metrics.delta ~before r.Coordinator.obs)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "owned workers rejoined (%d reconnects; corrupted: %s)"
+       r.Coordinator.reconnects (String.concat ", " corrupted))
+    true
     (r.Coordinator.reconnects > 0);
   Alcotest.(check int) "merged telemetry reports every injected fault"
     r.Coordinator.injected

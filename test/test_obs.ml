@@ -15,30 +15,44 @@ let test_counter_merge_across_domains () =
   let reg = Metrics.create () in
   let c = Metrics.counter ~reg "test.hits" in
   let per_domain = 100_000 in
+  let counted = Atomic.make 0 and release = Atomic.make false in
   let domains =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to per_domain do
               Metrics.incr c
+            done;
+            Atomic.incr counted;
+            while not (Atomic.get release) do
+              Unix.sleepf 0.001
             done))
   in
+  while Atomic.get counted < 4 do
+    Unix.sleepf 0.001
+  done;
+  (* While its domain lives, each shard holds exactly its own share. *)
+  let hits shards =
+    List.filter_map
+      (fun (id, s) ->
+        match Metrics.get_int s "test.hits" with 0 -> None | n -> Some (id, n))
+      shards
+  in
+  let live = hits (Metrics.shard_snapshots ~reg ()) in
+  Alcotest.(check int) "one shard per writer domain" 4 (List.length live);
+  List.iter
+    (fun (_, n) -> Alcotest.(check int) "per-shard share" per_domain n)
+    live;
+  Atomic.set release true;
   List.iter Domain.join domains;
   let snap = Metrics.snapshot ~reg () in
   Alcotest.(check int)
     "4 x 100k increments merge exactly" (4 * per_domain)
     (Metrics.get_int snap "test.hits");
-  (* Shards persist after their writer domain dies: one shard per spawned
-     domain, each holding exactly its own share. *)
-  let shards = Metrics.shard_snapshots ~reg () in
-  let nonzero =
-    List.filter (fun (_, s) -> Metrics.get_int s "test.hits" > 0) shards
-  in
-  Alcotest.(check int) "one shard per writer domain" 4 (List.length nonzero);
-  List.iter
-    (fun (_, s) ->
-      Alcotest.(check int) "per-shard share" per_domain
-        (Metrics.get_int s "test.hits"))
-    nonzero
+  (* Exited domains fold into the one retired shard. *)
+  Alcotest.(check (list (pair int int)))
+    "joined domains' counts sit in the retired shard"
+    [ (-1, 4 * per_domain) ]
+    (hits (Metrics.shard_snapshots ~reg ()))
 
 let test_snapshot_under_concurrent_increments () =
   let reg = Metrics.create () in
@@ -294,12 +308,42 @@ let test_registry_totals_jobs_independent () =
     (List.assoc "engine.instructions" serial > 0
     && List.assoc "engine.forks" serial = 31)
 
+(* A pool kept across slices spawns [jobs] domains per slice.  Each
+   exited domain's shard folds into the retired one, so the shard list
+   stays bounded by the live domains plus the main and retired shards,
+   and the totals stay those of a serial drain. *)
+let test_pool_slices_retire_shards () =
+  let serial = totals 1 in
+  Metrics.reset ();
+  let jobs = 2 in
+  let pool = Parallel.pool ~jobs ~make_engine in
+  Parallel.adopt pool (boot (Parallel.engine pool));
+  for _ = 1 to 8 do
+    Parallel.run
+      ~limits:{ Executor.no_limits with max_completed = Some 3 }
+      pool
+  done;
+  Parallel.run pool;
+  Alcotest.(check int) "nine slices drain the tree" 0
+    (List.length (Parallel.frontier pool));
+  let shards = List.length (Metrics.shard_snapshots ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d shards <= jobs + 2" shards)
+    true
+    (shards <= jobs + 2);
+  List.iter2
+    (fun (name, a) (_, b) -> Alcotest.(check int) (name ^ " = serial") a b)
+    serial
+    (read_totals (Metrics.snapshot ()))
+
 (* The registry-totals test forks worker processes, so it runs before
    every test here that spawns a domain. *)
 let tests =
   [
     Alcotest.test_case "registry totals independent of jobs" `Quick
       test_registry_totals_jobs_independent;
+    Alcotest.test_case "pool slices retire their domains' shards" `Quick
+      test_pool_slices_retire_shards;
     Alcotest.test_case "counter merge across domains" `Quick
       test_counter_merge_across_domains;
     Alcotest.test_case "snapshot under concurrent increments" `Quick

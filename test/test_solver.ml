@@ -796,6 +796,16 @@ let replay_cold constraints =
     let r = Sat.solve ~max_conflicts:200_000 sat in
     Some (sat, bctx, r)
 
+(* The replay answers as [check_model] did: same verdict, same model. *)
+let check_replay r bctx sr =
+  match (r, sr) with
+  | Solver.Sat m, Sat.Sat ->
+      Alcotest.(check bool) "replay finds check_model's model" true
+        (Expr.Int_map.equal Int64.equal m (Bitblast.model bctx))
+  | _ ->
+      Alcotest.(check string) "replay verdict = check_model verdict"
+        (verdict_tag r) (result_tag sr)
+
 let expr_corpus buf =
   let rng = Random.State.make [| 0xE1; 12 |] in
   for i = 1 to 30 do
@@ -832,13 +842,7 @@ let expr_corpus buf =
     match replay_cold constraints with
     | None -> ()
     | Some (sat, bctx, sr) ->
-        (match (r, sr) with
-        | Solver.Sat m, Sat.Sat ->
-            Alcotest.(check bool) "replay finds check_model's model" true
-              (Expr.Int_map.equal Int64.equal m (Bitblast.model bctx))
-        | _ ->
-            Alcotest.(check string) "replay verdict = check_model verdict"
-              (verdict_tag r) (result_tag sr));
+        check_replay r bctx sr;
         sat_trace buf (Printf.sprintf "expr%d" i) sat 0 sr
   done
 
@@ -849,6 +853,95 @@ let test_trajectory_lock () =
   expr_corpus buf;
   Alcotest.(check string) "cold-solve trajectory digest"
     "9cee5f02dc2bc7fe027997494c089eda"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* The lock above blasts width-1 operators only, so it cannot see how
+   comparisons and adders are encoded.  This one pins the cold trajectory
+   on seeded 8/16/32-bit constraint lists mixing unsigned and signed
+   comparisons, their negations, and sums and differences against
+   constants and between variables.  Its digest covers verdicts, models,
+   decisions, conflicts, restarts and learned clauses, recorded before
+   the comparison circuits lost their unread sum gates; propagation and
+   clause counts are left out, since dropping a gate nothing reads lowers
+   them without moving a decision. *)
+
+let arith_const rng w =
+  Expr.const ~width:w (Random.State.int64 rng (Int64.shift_left 1L w))
+
+let arith_term rng vars w =
+  let var () = vars.(Random.State.int rng (Array.length vars)) in
+  match Random.State.int rng 6 with
+  | 0 | 1 -> var ()
+  | 2 -> Expr.add (var ()) (arith_const rng w)
+  | 3 -> Expr.sub (var ()) (arith_const rng w)
+  | 4 -> Expr.add (var ()) (var ())
+  | _ -> Expr.sub (var ()) (var ())
+
+let arith_constraint rng vars w =
+  let lhs = arith_term rng vars w in
+  let rhs =
+    if Random.State.int rng 3 = 0 then arith_const rng w
+    else arith_term rng vars w
+  in
+  let cmp =
+    match Random.State.int rng 4 with
+    | 0 -> Expr.ult
+    | 1 -> Expr.ule
+    | 2 -> Expr.slt
+    | _ -> Expr.sle
+  in
+  let c = cmp lhs rhs in
+  if Random.State.int rng 3 = 0 then Expr.log_not c else c
+
+let arith_corpus buf =
+  let rng = Random.State.make [| 0xA717; 27 |] in
+  let solves = ref 0 and conflicting = ref 0 in
+  for i = 1 to 90 do
+    let w = [| 8; 16; 32 |].(i mod 3) in
+    let nvars = 2 + Random.State.int rng 4 in
+    let vars =
+      Array.init nvars (fun j -> Expr.fresh_var ~width:w (Printf.sprintf "a%d" j))
+    in
+    let constraints =
+      List.init (4 + Random.State.int rng 12) (fun _ -> arith_constraint rng vars w)
+    in
+    let ctx = Solver.create_ctx ~max_conflicts:200_000 () in
+    let before = S2e_obs.Metrics.snapshot () in
+    let r = Solver.check_model ~ctx constraints in
+    let d = S2e_obs.Metrics.(delta ~before (snapshot ())) in
+    let get = S2e_obs.Metrics.get_int d in
+    Printf.bprintf buf "arith%d %s d%d c%d l%d " i (verdict_tag r)
+      (get "solver.decisions") (get "solver.conflicts") (get "solver.sat_learned");
+    (match r with
+    | Solver.Sat m ->
+        Array.iter
+          (fun v ->
+            let id = match v with Expr.Var { id; _ } -> id | _ -> assert false in
+            match Expr.Int_map.find_opt id m with
+            | Some b -> Printf.bprintf buf "%Ld," b
+            | None -> Buffer.add_char buf '-')
+          vars
+    | Solver.Unsat | Solver.Unknown -> ());
+    Buffer.add_char buf '\n';
+    match replay_cold constraints with
+    | None -> ()
+    | Some (sat, bctx, sr) ->
+        check_replay r bctx sr;
+        let st = Sat.stats sat in
+        Printf.bprintf buf "replay %s d%d c%d r%d l%d\n" (result_tag sr)
+          st.Sat.decisions st.Sat.conflicts st.Sat.restarts st.Sat.learned;
+        incr solves;
+        if st.Sat.conflicts > 0 then incr conflicting
+  done;
+  (!solves, !conflicting)
+
+let test_arith_trajectory_lock () =
+  let buf = Buffer.create 8192 in
+  let solves, conflicting = arith_corpus buf in
+  Alcotest.(check bool) "at least 30% of the solves conflict" true
+    (10 * conflicting >= 3 * solves);
+  Alcotest.(check string) "cold-solve arithmetic trajectory digest"
+    "482ebed502626dfd24be850b8edb5733"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* --- branching order ----------------------------------------------- *)
@@ -1078,6 +1171,8 @@ let tests =
     Alcotest.test_case "urlparse: incremental == fresh cases" `Quick
       test_urlparse_mode_differential;
     Alcotest.test_case "cold-solve trajectory lock" `Quick test_trajectory_lock;
+    Alcotest.test_case "cold-solve arithmetic trajectory lock" `Quick
+      test_arith_trajectory_lock;
     Alcotest.test_case "Sat.reset answers like Sat.create" `Quick
       test_sat_reset_is_create;
     Alcotest.test_case "check_model after a larger query = fresh domain"
