@@ -317,6 +317,16 @@ for w in solver-pcnet exec-urlparse cases-rtl8029 merge-url2 procs-url3; do
     awk -v a="$alloc" 'BEGIN { exit !(a <= 0.80) }' \
       || { echo "CI: exec-urlparse allocated $alloc GB, above the 0.80 GB gate" >&2; exit 1; }
     echo "CI: allocation gate passed (exec-urlparse gc.alloc_gb $alloc <= 0.80)"
+    # Heap gate: with guest memory in 8-byte copy-on-write chunks over one
+    # shared base image (DESIGN.md §8c) the traced unit peaks near 10.5 MB;
+    # one overlay node per written byte and a base copy per boot read 13.2.
+    heap=$(printf '%s\n' "$last" | tr ',{}' '\n\n\n' \
+      | sed -n 's/^"peak_heap_mb":\([0-9.eE+-]*\)$/\1/p')
+    [ -n "$heap" ] \
+      || { echo "CI: exec-urlparse reported no peak_heap_mb" >&2; exit 1; }
+    awk -v h="$heap" 'BEGIN { exit !(h <= 12.0) }' \
+      || { echo "CI: exec-urlparse peaked at $heap MB, above the 12.0 MB gate" >&2; exit 1; }
+    echo "CI: heap gate passed (exec-urlparse peak_heap_mb $heap <= 12.0)"
   fi
   [ "$w" = procs-url3 ] && continue
   printf '%s\n' "$last" | tr ',{}' '\n\n\n' | grep -E "^\"($counters)\":" \

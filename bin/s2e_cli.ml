@@ -353,7 +353,14 @@ let print_engine_lines obs =
   Fmt.pr "states created: %d@." (n "engine.states_created");
   Fmt.pr "forks: %d@." (n "engine.forks");
   Fmt.pr "instructions: %d (%d symbolic)@." (n "engine.instructions")
-    (n "engine.sym_instructions")
+    (n "engine.sym_instructions");
+  Fmt.pr
+    "engine: %d aborted, %d live (max %d), %d concretizations, max \
+     constraint set %d, %d steals, %d donations, %.1f MB top heap@."
+    (n "engine.aborts") (n "engine.live_states") (n "engine.max_live_states")
+    (n "engine.concretizations") (n "engine.max_constraint_set")
+    (n "parallel.steals") (n "parallel.donations")
+    (float_of_int (n "gc.top_heap_words" * (Sys.word_size / 8)) /. 1e6)
 
 let print_solver_lines obs =
   let n = Obs.Metrics.get_int obs in
@@ -924,12 +931,6 @@ let stats_cmd =
     Fmt.pr "tb cache: %.1f%% hits (%d hits, %d misses), %d invalidations@."
       (pct (f "dbt.tb_hits") (f "dbt.tb_hits" +. f "dbt.tb_misses"))
       (n "dbt.tb_hits") (n "dbt.tb_misses") (n "dbt.tb_invalidations");
-    Fmt.pr
-      "engine: %d aborted, %d live (max %d), %d concretizations, max \
-       constraint set %d, %d steals, %d donations@."
-      (n "engine.aborts") (n "engine.live_states") (n "engine.max_live_states")
-      (n "engine.concretizations") (n "engine.max_constraint_set")
-      (n "parallel.steals") (n "parallel.donations");
     (* State merging (--merge): join/reject totals plus the unmergeable
        taxonomy, whose counters are registered dynamically per reason. *)
     if n "merge.merges" + n "merge.rejected_cost" + n "merge.parked" > 0 then begin

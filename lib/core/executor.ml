@@ -189,7 +189,9 @@ let annotate t ~callee f = Hashtbl.replace t.annotations callee f
 
 (** Create the initial execution state at the image entry point. *)
 let boot t ?card_id ~entry () =
-  let mem = Symmem.create ~base:(Bytes.copy t.base_mem) in
+  (* Every state shares the loaded image: nothing writes [base_mem] after
+     loading, and the overlay keeps each state's writes. *)
+  let mem = Symmem.create ~base:t.base_mem in
   let devices = Vm.Devices.create ?card_id () in
   let s = State.create ~mem ~devices ~pc:entry in
   Obs.Metrics.incr m_states_created;

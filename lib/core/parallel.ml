@@ -267,7 +267,7 @@ let frontier p =
   Array.fold_right (fun w acc -> w.eng.Executor.live @ acc) p.workers []
 
 let run ?(limits = Executor.no_limits) p =
-  match p.workers with
+  (match p.workers with
   | [| w |] -> Executor.run_loop ~limits w.eng
   | workers ->
       let shared = p.shared in
@@ -287,7 +287,8 @@ let run ?(limits = Executor.no_limits) p =
       Array.iter Domain.join domains;
       (* Donations nobody stole before the limit fired rejoin an engine. *)
       Queue.iter (adopt p) shared.pool;
-      Queue.clear shared.pool
+      Queue.clear shared.pool);
+  Obs.Reporter.sample_heap ()
 
 let drain p =
   Array.fold_right

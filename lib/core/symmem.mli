@@ -1,8 +1,9 @@
 (** Copy-on-write symbolic memory: an immutable concrete base image shared
-    by all paths plus a persistent per-path overlay of symbolic bytes —
-    the shared machine-state representation at the heart of the paper's
-    prototype (section 5).  All update operations are persistent: they
-    return a new memory sharing structure with the old one. *)
+    by all paths plus a persistent per-path overlay of written bytes, kept
+    in aligned 8-byte chunks — the shared machine-state representation at
+    the heart of the paper's prototype (section 5).  All update operations
+    are persistent: they return a new memory sharing structure with the
+    old one. *)
 
 open S2e_expr
 
@@ -21,20 +22,23 @@ val base : t -> Bytes.t
 (** The shared concrete base image (do not mutate). *)
 
 val fold_overlay : (int -> Expr.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over overlay entries in increasing address order; used by the
+(** Fold over overlay bytes in increasing address order; used by the
     distribution codec to serialize the copy-on-write layer. *)
 
 val map_overlay : (Expr.t -> Expr.t) -> t -> t
-(** Rewrite every overlay expression in place (structurally persistent);
-    used to re-intern a state adopted from another domain. *)
+(** Rewrite every overlay byte, in increasing address order (structurally
+    persistent); used to re-intern a state adopted from another domain. *)
 
 val of_overlay : base:Bytes.t -> (int * Expr.t) list -> t
-(** Rebuild a memory from a base image plus decoded overlay entries. *)
+(** Rebuild a memory from a base image plus decoded overlay entries; a
+    later entry for an address replaces an earlier one. *)
 
 val read_byte : t -> int -> Expr.t
 (** Width-8 expression. *)
 
 val write_byte : t -> int -> Expr.t -> t
+(** Returns the memory itself when the overlay already holds this very
+    node at the address. *)
 
 val read_word : t -> int -> Expr.t
 (** Little-endian 32-bit read; adjacent concrete bytes re-fuse into a

@@ -315,21 +315,30 @@ let get_float snap name =
   | Some (Hist { sum; _ }) -> sum
   | None -> 0.
 
-let kind_of reg name =
+(* Every registered metric's kind by name, read once per merge or delta
+   so a snapshot of n names costs O(n), not a registry scan per name. *)
+let kinds reg =
   Mutex.lock reg.mutex;
-  let e = List.find_opt (fun e -> e.e_name = name) reg.entries in
+  let tbl = Hashtbl.create 128 in
+  List.iter (fun e -> Hashtbl.replace tbl e.e_name e.e_kind) reg.entries;
   Mutex.unlock reg.mutex;
-  Option.map (fun e -> e.e_kind) e
+  Hashtbl.find_opt tbl
 
 (* A window's share of every metric: everything that merges by sum
    subtracts (a Sum gauge too, so [merge_snapshots [before; delta]] gives
    [after] back); a Max gauge is a watermark and keeps the later
    reading. *)
 let delta ?(reg = default) ~before after =
+  let kind_of = kinds reg in
+  (* A name's first entry in [before], as [find] would read it. *)
+  let prior = Hashtbl.create 128 in
+  List.iter
+    (fun (name, v) -> if not (Hashtbl.mem prior name) then Hashtbl.add prior name v)
+    before;
   List.map
     (fun (name, v) ->
       let v =
-        match (kind_of reg name, v, find before name) with
+        match (kind_of name, v, Hashtbl.find_opt prior name) with
         | Some (K_gauge Max), _, _ | _, _, None -> v
         | _, Int a, Some (Int b) -> Int (a - b)
         | _, Float a, Some (Float b) -> Float (a -. b)
@@ -345,27 +354,37 @@ let delta ?(reg = default) ~before after =
       (name, v))
     after
 
+type merging = { mutable vs : value list; (* newest first *) mutable from : int }
+
 (* Merge snapshots taken in different processes (distributed workers).
    The rule comes from the metric's kind in the local registry: counters,
    Sum gauges, fcounters and histograms add; Max gauges take the max.
    Names absent from the local registry fall back to summation. *)
 let merge_snapshots ?(reg = default) snaps =
-  let names =
-    List.fold_left
-      (fun acc snap ->
-        List.fold_left
-          (fun acc (name, _) ->
-            if List.mem name acc then acc else name :: acc)
-          acc snap)
-      [] snaps
-    |> List.rev
-  in
-  List.map
+  let kind_of = kinds reg in
+  (* Each name's values, one per snapshot that holds it (its first entry
+     there), and the names in order of first appearance. *)
+  let by_name = Hashtbl.create 128 and names = ref [] in
+  List.iteri
+    (fun i snap ->
+      List.iter
+        (fun (name, v) ->
+          match Hashtbl.find_opt by_name name with
+          | None ->
+              Hashtbl.add by_name name { vs = [ v ]; from = i };
+              names := name :: !names
+          | Some m ->
+              if m.from <> i then begin
+                m.vs <- v :: m.vs;
+                m.from <- i
+              end)
+        snap)
+    snaps;
+  List.rev_map
     (fun name ->
-      let vs = List.filter_map (fun snap -> List.assoc_opt name snap) snaps in
+      let vs = List.rev (Hashtbl.find by_name name).vs in
       let v =
-        match kind_of reg name, vs with
-        | _, [] -> Int 0
+        match kind_of name, vs with
         | Some (K_gauge Max), _ ->
             Int
               (List.fold_left
@@ -405,7 +424,7 @@ let merge_snapshots ?(reg = default) snaps =
                    0. vs)
       in
       (name, v))
-    names
+    !names
 
 let reset ?(reg = default) () =
   Mutex.lock reg.mutex;

@@ -89,7 +89,14 @@ let snapshot_of_fields j =
   in
   metrics @ hists
 
+(* The process's major-heap high-water mark in words: the heap signal
+   `explore`, `serve` and `stats` print on their engine line. *)
+let top_heap = Metrics.gauge ~merge:Metrics.Max "gc.top_heap_words"
+
+let sample_heap () = Metrics.set top_heap (Gc.quick_stat ()).Gc.top_heap_words
+
 let snapshot_line t ~kind =
+  sample_heap ();
   let fields = snapshot_fields (Metrics.snapshot ~reg:t.reg ()) in
   let shards =
     Metrics.shard_snapshots ~reg:t.reg ()

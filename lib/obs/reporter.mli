@@ -25,6 +25,12 @@ val snapshot_of_fields : Jsonl.t -> Metrics.snapshot
     {!Metrics.get_int} and {!Metrics.get_float} read the decoded snapshot
     as they read the one that was written. *)
 
+val sample_heap : unit -> unit
+(** Raise the [Max] gauge ["gc.top_heap_words"] (in the default registry)
+    to this process's major-heap high-water mark, from [Gc.quick_stat].
+    Every line {!emit} writes samples it first; [Parallel.run] samples it
+    when a run returns. *)
+
 val emit : t -> kind:string -> unit
 (** Write one snapshot line immediately (used for the final line; exposed
     for tests). *)

@@ -81,6 +81,23 @@ int main() {
   return 0;
 } |}
 
+(* 2^14 = 16384 paths: an owned worker heartbeats every 0.25 s, and its
+   chaos draws happen only at heartbeats, so a run meant to see them
+   must outlast several. *)
+let workload_16384 =
+  {|
+int main() {
+  int x = __s2e_sym_int(1);
+  int y = __s2e_sym_int(1);
+  int acc = 0;
+  for (int i = 0; i < 7; i = i + 1) {
+    if ((x >> i) & 1) acc = acc + (i * 3 + 1);
+    if ((y >> i) & 1) acc = acc + (i * 5 + 2);
+  }
+  if (acc > 100) return 1;
+  return 0;
+} |}
+
 (* 2 x 2^9 = 1024 paths that mint an input in every loop iteration,
    after the first fork, under one of two names: a process that adopts
    another's state then meets ids that process minted, in the same
@@ -249,6 +266,36 @@ let test_strict_decode_errors () =
   let other = Bytes.copy base in
   Bytes.set other 0 (Char.chr (Char.code (Bytes.get other 0) lxor 1));
   raises "base image mismatch" (fun () -> Codec.decode_state ~base:other blob)
+
+(* The snapshot wire format is pinned: a fixed state whose overlay mixes
+   aligned, unaligned, chunk-crossing, symbolic and base-equal bytes must
+   keep encoding to the same bytes whatever representation Symmem uses. *)
+let golden_state () =
+  let base = Bytes.make 4096 '\000' in
+  Bytes.set base 17 '\x5a';
+  let x = Expr.Raw.var ~id:41 ~name:"golden_x" ~width:32 in
+  let y = Expr.Raw.var ~id:42 ~name:"golden_y" ~width:8 in
+  let mem = Symmem.create ~base in
+  let mem = Symmem.write_word mem 64 (Expr.const 0xDEADBEEFL) in
+  let mem = Symmem.write_word mem 70 x in
+  let mem = Symmem.write_byte mem 17 (Expr.const ~width:8 0x5aL) in
+  let mem = Symmem.write_byte mem 3 y in
+  let mem = Symmem.write_word mem 1021 (Expr.add x (Expr.const 7L)) in
+  let mem = Symmem.write_byte mem 66 y in
+  let s =
+    { (State.create ~mem ~devices:(S2e_vm.Devices.create ()) ~pc:0x1040) with
+      State.id = 7 }
+  in
+  s.State.parent <- 3;
+  State.set_reg s 5 x;
+  State.set_reg s 6 (Expr.const 0x1234L);
+  State.add_constraint s (Expr.ult x (Expr.const 100L));
+  State.add_constraint s (Expr.eq (Expr.zext ~width:32 y) (Expr.const 3L));
+  s
+
+let test_state_golden_digest () =
+  Alcotest.(check string) "encode_state digest" "669d6a5a850efb1e1245966031df1c50"
+    (Digest.to_hex (Digest.string (Codec.encode_state (golden_state ()))))
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
@@ -606,8 +653,11 @@ let boot_entry eng = Executor.boot eng ~entry:0x1000 ()
    are spawned by the coordinator instead of dialing in on their own:
    they rejoin the same way and are never restarted. *)
 let test_tcp_disconnect_chaos ~owned () =
-  let make_engine = make_engine_for workload_4096 in
-  let serial_cases, _ = serial_case_set workload_4096 in
+  (* Self-dialing workers heartbeat every 0.02 s; owned ones every
+     0.25 s, so they get the longer run. *)
+  let workload = if owned then workload_16384 else workload_4096 in
+  let make_engine = make_engine_for workload in
+  let serial_cases, _ = serial_case_set workload in
   let lfd = Proto.listen ~host:"127.0.0.1" ~port:0 in
   let port = Proto.bound_port lfd in
   let pids = ref [] in
@@ -649,8 +699,8 @@ let test_tcp_disconnect_chaos ~owned () =
    from start to finish, so every injected disconnect lands mid-item and
    nothing is requeued. *)
 let test_owned_resume () =
-  let make_engine = make_engine_for workload_4096 in
-  let serial_cases, _ = serial_case_set workload_4096 in
+  let make_engine = make_engine_for workload_16384 in
+  let serial_cases, _ = serial_case_set workload_16384 in
   let r =
     with_plan "proto=disconnect:1.0#2" (fun () ->
         Coordinator.explore ~procs:1 ~cases:true ~heartbeat_timeout:2.0
@@ -955,6 +1005,8 @@ let tests =
     Alcotest.test_case "expression codec roundtrip" `Quick test_expr_roundtrip;
     Alcotest.test_case "state snapshot roundtrip" `Quick test_state_roundtrip;
     Alcotest.test_case "strict decode errors" `Quick test_strict_decode_errors;
+    Alcotest.test_case "state snapshot golden digest" `Quick
+      test_state_golden_digest;
     Alcotest.test_case "a decoded variable id clash raises" `Quick
       test_decode_var_clash_raises;
     Alcotest.test_case "procs=2 drains same path set as serial" `Quick

@@ -2,8 +2,9 @@
    native-int evaluation against [Expr.eval], the constant cache against
    interning, the allocation-free [Solver.slice] against the pair-list
    version, the model cache's verdict memo against a plain scan, DFS lazy
-   popping against whole-stack filtering, the O(1) overlay count and
-   constraint measurements against recounts, and the DBT code-page
+   popping against whole-stack filtering, the chunked memory overlay
+   against a per-byte map, the O(1) overlay count and constraint
+   measurements against recounts, and the DBT code-page
    bitmap against exact block invalidation. *)
 
 open S2e_core
@@ -382,6 +383,145 @@ let test_overlay_count () =
   let m'' = Symmem.map_overlay (fun _ -> sym) m' in
   Alcotest.(check int) "map_overlay" (recount m'') (Symmem.overlay_size m'')
 
+(* The chunked overlay against a plain per-byte map, driven through
+   random writes (aligned, unaligned and chunk-crossing words, symbolic
+   values, rewrites of the byte already there), rewrites of every byte
+   and rebuilds from an entry list.  Every read, the byte count and the
+   ordered fold must agree after each step. *)
+module Byte_map = Map.Make (Int)
+
+type mem_op =
+  | Byte of int * int (* address, value pick *)
+  | Word of int * int
+  | Rewrite_byte of int (* store the byte read back at this address *)
+  | Rewrite_word of int
+  | Map_overlay
+  | Of_overlay of int (* shuffle seed *)
+
+let pp_mem_op = function
+  | Byte (a, v) -> Printf.sprintf "Byte(%d,%d)" a v
+  | Word (a, v) -> Printf.sprintf "Word(%d,%d)" a v
+  | Rewrite_byte a -> Printf.sprintf "Rewrite_byte %d" a
+  | Rewrite_word a -> Printf.sprintf "Rewrite_word %d" a
+  | Map_overlay -> "Map_overlay"
+  | Of_overlay k -> Printf.sprintf "Of_overlay %d" k
+
+let model_size = 64
+let model_sym8 = Expr.fresh_var ~width:8 "mb"
+let model_sym32 = Expr.fresh_var ~width:32 "mw"
+
+(* Few distinct constants, so stores often repeat what a slot holds. *)
+let model_byte v =
+  match v mod 6 with
+  | 4 -> model_sym8
+  | 5 -> Expr.extract ~hi:15 ~lo:8 model_sym32
+  | c -> Expr.const ~width:8 (Int64.of_int c)
+
+let model_word v =
+  match v mod 5 with
+  | 3 -> model_sym32
+  | 4 -> Expr.add model_sym32 (Expr.const (Int64.of_int v))
+  | c -> Expr.const (Int64.of_int (c * 0x01000100))
+
+let gen_mem_op =
+  let open QCheck2.Gen in
+  let addr = int_bound (model_size - 1) and waddr = int_bound (model_size - 4) in
+  frequency
+    [
+      (4, map2 (fun a v -> Byte (a, v)) addr nat);
+      (4, map2 (fun a v -> Word (a, v)) waddr nat);
+      (2, map (fun a -> Rewrite_byte a) addr);
+      (1, map (fun a -> Rewrite_word a) waddr);
+      (1, pure Map_overlay);
+      (1, map (fun k -> Of_overlay k) nat);
+    ]
+
+let model_base = Bytes.init model_size (fun i -> Char.chr (i mod 3))
+
+let model_read_byte r a =
+  match Byte_map.find_opt a r with
+  | Some e -> e
+  | None -> Expr.const ~width:8 (Int64.of_int (Char.code (Bytes.get model_base a)))
+
+let model_write_word r a v =
+  let byte i = Expr.extract ~hi:((8 * i) + 7) ~lo:(8 * i) v in
+  List.fold_left (fun r i -> Byte_map.add (a + i) (byte i) r) r [ 0; 1; 2; 3 ]
+
+let check_model_mem m r =
+  let ok = ref (Symmem.overlay_size m = Byte_map.cardinal r) in
+  ok := !ok && Symmem.fold_overlay (fun a e acc -> (a, e) :: acc) m [] = List.rev (Byte_map.bindings r);
+  ok := !ok && Symmem.base m == model_base;
+  for a = 0 to model_size - 1 do
+    let e = model_read_byte r a in
+    ok := !ok && Expr.equal (Symmem.read_byte m a) e;
+    ok :=
+      !ok
+      && Symmem.concrete_byte m a
+         = Option.map Int64.to_int (Expr.to_const e)
+  done;
+  for a = 0 to model_size - 4 do
+    let b i = model_read_byte r (a + i) in
+    let w =
+      Expr.concat ~high:(Expr.concat ~high:(b 3) ~low:(b 2))
+        ~low:(Expr.concat ~high:(b 1) ~low:(b 0))
+    in
+    ok := !ok && Expr.equal (Symmem.read_word m a) w
+  done;
+  !ok
+
+let step_mem_op (m, r) = function
+  | Byte (a, v) ->
+      let e = model_byte v in
+      (Symmem.write_byte m a e, Byte_map.add a e r)
+  | Word (a, v) ->
+      let e = model_word v in
+      (Symmem.write_word m a e, model_write_word r a e)
+  | Rewrite_byte a ->
+      let e = Symmem.read_byte m a in
+      let m' = Symmem.write_byte m a e in
+      if Byte_map.mem a r && m' != m then
+        QCheck2.Test.fail_reportf "rewriting byte %d built a new memory" a;
+      (m', Byte_map.add a e r)
+  | Rewrite_word a ->
+      let e = Symmem.read_word m a in
+      (Symmem.write_word m a e, model_write_word r a e)
+  | Map_overlay ->
+      (* [f] must see the bytes in increasing address order. *)
+      let seen = ref [] and want = ref [] in
+      let f e = Expr.add e (Expr.const ~width:8 1L) in
+      let m' = Symmem.map_overlay (fun e -> seen := e :: !seen; f e) m in
+      let r' = Byte_map.map (fun e -> want := e :: !want; f e) r in
+      if not (List.equal ( == ) !seen !want) then
+        QCheck2.Test.fail_report "map_overlay visited bytes out of order";
+      (m', r')
+  | Of_overlay k ->
+      (* Shuffled, with a repeated address whose later entry wins. *)
+      let rng = Random.State.make [| k |] in
+      let entries =
+        Byte_map.bindings r
+        |> List.map (fun b -> (Random.State.bits rng, b))
+        |> List.sort compare |> List.map snd
+      in
+      let entries = entries @ [ (k mod model_size, model_byte k) ] in
+      ( Symmem.of_overlay ~base:model_base entries,
+        List.fold_left (fun r (a, e) -> Byte_map.add a e r) Byte_map.empty entries )
+
+let prop_symmem_model =
+  QCheck2.Test.make ~count:300 ~name:"chunked overlay matches a per-byte map"
+    ~print:(fun ops -> String.concat "; " (List.map pp_mem_op ops))
+    QCheck2.Gen.(list_size (int_range 1 40) gen_mem_op)
+    (fun ops ->
+      let m = Symmem.create ~base:model_base in
+      let rec go st i = function
+        | [] -> true
+        | op :: rest ->
+            let ((m, r) as st) = step_mem_op st op in
+            if not (check_model_mem m r) then
+              QCheck2.Test.fail_reportf "diverged after op %d (%s)" i (pp_mem_op op);
+            go st (i + 1) rest
+      in
+      go (m, Byte_map.empty) 0 ops)
+
 let test_state_measure () =
   let rng = Random.State.make [| 0x5A7E |] in
   let s = fresh_state () in
@@ -467,6 +607,7 @@ let tests =
       test_model_cache_scan;
     Alcotest.test_case "dfs lazy pop selects as filtering does" `Quick test_dfs_lazy_pop;
     Alcotest.test_case "overlay count equals a recount" `Quick test_overlay_count;
+    QCheck_alcotest.to_alcotest prop_symmem_model;
     Alcotest.test_case "constraint count and footprint equal a recount" `Quick
       test_state_measure;
     Alcotest.test_case "dbt code-page bitmap" `Quick test_dbt_code_pages;

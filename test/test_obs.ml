@@ -1,5 +1,6 @@
 (* Tests for the lib/obs telemetry subsystem: domain-sharded registry
-   exactness, histogram bucket placement, span self-time accounting, the
+   exactness, histogram bucket placement, cross-process snapshot merging,
+   span self-time accounting, the
    JSONL codec, and the end-to-end guarantee that registry totals for a
    parallel exploration match the serial run exactly. *)
 
@@ -336,6 +337,110 @@ let test_pool_slices_retire_shards () =
     serial
     (read_totals (Metrics.snapshot ()))
 
+(* --- snapshot merging ------------------------------------------------ *)
+
+(* [Metrics.merge_snapshots] as it was written first: a list scan per
+   name, kinds given by [kind_of]. *)
+let naive_merge kind_of snaps =
+  let names =
+    List.fold_left
+      (fun acc snap ->
+        List.fold_left
+          (fun acc (name, _) -> if List.mem name acc then acc else name :: acc)
+          acc snap)
+      [] snaps
+    |> List.rev
+  in
+  List.map
+    (fun name ->
+      let vs = List.filter_map (fun snap -> List.assoc_opt name snap) snaps in
+      let v =
+        match (kind_of name, vs) with
+        | _, [] -> Metrics.Int 0
+        | `Max, _ ->
+            Metrics.Int
+              (List.fold_left
+                 (fun acc v -> match v with Metrics.Int n -> max acc n | _ -> acc)
+                 0 vs)
+        | _, Metrics.Hist h0 :: _ ->
+            let counts = Array.make (Array.length h0.counts) 0 in
+            let sum = ref 0. in
+            List.iter
+              (function
+                | Metrics.Hist h when h.bounds = h0.bounds ->
+                    Array.iteri
+                      (fun i c ->
+                        if i < Array.length counts then counts.(i) <- counts.(i) + c)
+                      h.counts;
+                    sum := !sum +. h.sum
+                | _ -> ())
+              vs;
+            Metrics.Hist { bounds = h0.bounds; counts; sum = !sum }
+        | _, _ ->
+            if List.for_all (function Metrics.Int _ -> true | _ -> false) vs then
+              Metrics.Int
+                (List.fold_left
+                   (fun acc v -> match v with Metrics.Int n -> acc + n | _ -> acc)
+                   0 vs)
+            else
+              Metrics.Float
+                (List.fold_left
+                   (fun acc v ->
+                     match v with
+                     | Metrics.Int n -> acc +. float_of_int n
+                     | Metrics.Float f -> acc +. f
+                     | Metrics.Hist _ -> acc)
+                   0. vs)
+      in
+      (name, v))
+    names
+
+let merge_reg = Metrics.create ()
+let merge_bounds = [| 1.; 10. |]
+
+let () =
+  ignore (Metrics.counter ~reg:merge_reg "m.count");
+  ignore (Metrics.fcounter ~reg:merge_reg "m.secs");
+  ignore (Metrics.gauge ~reg:merge_reg ~merge:Metrics.Max "m.peak");
+  ignore (Metrics.gauge ~reg:merge_reg ~merge:Metrics.Max "m.top");
+  ignore (Metrics.gauge ~reg:merge_reg ~merge:Metrics.Sum "m.live");
+  ignore (Metrics.histogram ~reg:merge_reg ~bounds:merge_bounds "m.lat")
+
+let merge_names =
+  [| "m.count"; "m.secs"; "m.peak"; "m.top"; "m.live"; "m.lat"; "m.unreg" |]
+
+(* Mostly each name's own kind, sometimes another, so the merge's
+   mixed-cell fallbacks run too; names may repeat within a snapshot. *)
+let random_snapshot rng =
+  let value name =
+    let n = Random.State.int rng 1000 in
+    match (name, Random.State.int rng 6) with
+    | _, 0 -> Metrics.Float (float_of_int n /. 8.)
+    | _, 1 ->
+        let bounds = if n mod 4 = 0 then [| 5. |] else merge_bounds in
+        Metrics.Hist
+          {
+            bounds;
+            counts = Array.init (Array.length bounds + 1) (fun i -> n + i);
+            sum = float_of_int n /. 4.;
+          }
+    | "m.secs", _ -> Metrics.Float (float_of_int n /. 16.)
+    | "m.lat", _ ->
+        Metrics.Hist { bounds = merge_bounds; counts = [| n; 1; n mod 7 |]; sum = 0.5 }
+    | _ -> Metrics.Int n
+  in
+  List.init (Random.State.int rng 12) (fun _ ->
+      let name = merge_names.(Random.State.int rng (Array.length merge_names)) in
+      (name, value name))
+
+let prop_merge_snapshots =
+  QCheck2.Test.make ~count:300 ~name:"merge_snapshots equals the naive fold"
+    QCheck2.Gen.nat (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let snaps = List.init (Random.State.int rng 6) (fun _ -> random_snapshot rng) in
+      let kind_of = function "m.peak" | "m.top" -> `Max | _ -> `Other in
+      Metrics.merge_snapshots ~reg:merge_reg snaps = naive_merge kind_of snaps)
+
 (* The registry-totals test forks worker processes, so it runs before
    every test here that spawns a domain. *)
 let tests =
@@ -349,6 +454,7 @@ let tests =
     Alcotest.test_case "snapshot under concurrent increments" `Quick
       test_snapshot_under_concurrent_increments;
     Alcotest.test_case "gauge Sum vs Max merge" `Quick test_gauge_merge_modes;
+    QCheck_alcotest.to_alcotest prop_merge_snapshots;
     Alcotest.test_case "registration idempotent" `Quick
       test_registration_idempotent;
     Alcotest.test_case "histogram bucket boundaries" `Quick
