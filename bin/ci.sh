@@ -43,6 +43,12 @@ lines=$(wc -l < "$stats_file")
 [ "$lines" -ge 3 ] || { echo "CI: expected >=3 snapshots, got $lines" >&2; exit 1; }
 grep -q '"kind":"final"' "$stats_file" \
   || { echo "CI: no final snapshot line" >&2; exit 1; }
+# Engines count into their own records and flush them to the registry
+# at path ends: a periodic line must already show executed instructions
+# (a flush only at run end would leave every periodic line at zero).
+grep '"kind":"periodic"' "$stats_file" \
+  | grep -q '"engine\.instructions":[1-9]' \
+  || { echo "CI: no periodic snapshot shows engine.instructions > 0" >&2; exit 1; }
 dune exec bin/s2e_cli.exe -- stats "$stats_file" > "$tmp/stats.txt" \
   || { echo "CI: stats renderer rejected the JSONL" >&2; exit 1; }
 shared='^(paths completed|states created|forks|instructions|solver|sat search|cnf|incremental|resilience): '

@@ -63,10 +63,6 @@ type t = {
   mutable on_syscall : (State.t -> unit) list;
   mutable on_env_return : (env_return -> unit) list;
   mutable on_state_end : (State.t -> unit) list;
-  mutable on_state_merge : (State.t -> State.t -> unit) list;
-      (* (absorbed, survivor): the absorbed state was folded into the
-         survivor by an ite-join and leaves the frontier without
-         terminating — it fires neither fork nor state_end *)
   mutable on_bug : (bug -> unit) list;
   mutable on_print : (State.t -> Expr.t -> unit) list;
 }
@@ -84,7 +80,6 @@ let create () =
     on_syscall = [];
     on_env_return = [];
     on_state_end = [];
-    on_state_merge = [];
     on_bug = [];
     on_print = [];
   }
@@ -101,7 +96,6 @@ let reg_interrupt t f = t.on_interrupt <- t.on_interrupt @ [ f ]
 let reg_syscall t f = t.on_syscall <- t.on_syscall @ [ f ]
 let reg_env_return t f = t.on_env_return <- t.on_env_return @ [ f ]
 let reg_state_end t f = t.on_state_end <- t.on_state_end @ [ f ]
-let reg_state_merge t f = t.on_state_merge <- t.on_state_merge @ [ f ]
 let reg_bug t f = t.on_bug <- t.on_bug @ [ f ]
 let reg_print t f = t.on_print <- t.on_print @ [ f ]
 
@@ -124,7 +118,5 @@ let interrupt t s irq = List.iter (fun f -> f s irq) t.on_interrupt
 let syscall t s = List.iter (fun f -> f s) t.on_syscall
 let env_return t er = List.iter (fun f -> f er) t.on_env_return
 let state_end t s = List.iter (fun f -> f s) t.on_state_end
-let state_merge t ~absorbed ~survivor =
-  List.iter (fun f -> f absorbed survivor) t.on_state_merge
 let bug t b = List.iter (fun f -> f b) t.on_bug
 let print t s v = List.iter (fun f -> f s v) t.on_print

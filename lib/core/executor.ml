@@ -20,9 +20,10 @@ module Solver = S2e_solver.Solver
 module Obs = S2e_obs
 
 (* Telemetry (lib/obs): the engine's counter store across domains,
-   processes and every CLI surface.  The per-engine [stats] record below
-   keeps only the few counts one engine's readers need, set at the same
-   sites as their registry twins. *)
+   processes and every CLI surface.  On the hot path the engine counts
+   only into its own [stats] record below, with plain field stores;
+   {!flush} adds the record's growth since the last flush to these
+   metrics. *)
 let m_instructions = Obs.Metrics.counter "engine.instructions"
 let m_sym_instructions = Obs.Metrics.counter "engine.sym_instructions"
 let m_forks = Obs.Metrics.counter "engine.forks"
@@ -66,49 +67,58 @@ let default_config () =
     max_states = 8192;
   }
 
-(* What one engine's readers need of its own counts: the run limits, the
-   {!Parallel} merge, tools and benchmarks.  Every other engine count
-   lives only in the registry above. *)
+(* The engine's count store: one field per [engine.*] metric, written
+   with plain stores where the event happens.  Counters only grow.  The
+   [max_live_states] and [footprint_watermark] marks span the engine's
+   life; the three [window_*] marks span the time since the last
+   {!flush}, which hands them to the registry's [Max] gauges and
+   restarts them. *)
 type stats = {
   mutable states_completed : int;
   mutable forks : int;
-  mutable concrete_instret : int;
+  mutable concrete_instret : int; (* engine.instructions *)
   mutable max_live_states : int;
   mutable footprint_watermark : int; (* sum of live state footprints, max *)
+  mutable sym_instructions : int;
+  mutable states_created : int;
+  mutable concretizations : int;
+  mutable aborts : int;
+  mutable degradations : int;
+  mutable incomplete_paths : int;
+  mutable absorbed_states : int;
+      (* folded into a survivor by a merge: they leave the frontier
+         without ending.  The registry counts them as [merge.merges]. *)
+  mutable live_states : int; (* [List.length live] *)
+  mutable window_live : int;
+  mutable window_footprint : int;
+  mutable window_constraints : int; (* largest path constraint set *)
 }
 
 let new_stats () =
-  {
-    states_completed = 0;
-    forks = 0;
-    concrete_instret = 0;
-    max_live_states = 0;
-    footprint_watermark = 0;
-  }
+  { states_completed = 0; forks = 0; concrete_instret = 0; max_live_states = 0;
+    footprint_watermark = 0; sym_instructions = 0; states_created = 0;
+    concretizations = 0; aborts = 0; degradations = 0; incomplete_paths = 0;
+    absorbed_states = 0; live_states = 0; window_live = 0;
+    window_footprint = 0; window_constraints = 0 }
 
-(** The record of a registry snapshot: what a run summed over processes
-    (a distributed run's merged registries) reports in place of a merge
-    of per-engine records. *)
-let stats_of_obs obs =
-  let n = Obs.Metrics.get_int obs in
-  {
-    states_completed = n "engine.states_completed";
-    forks = n "engine.forks";
-    concrete_instret = n "engine.instructions";
-    max_live_states = n "engine.max_live_states";
-    footprint_watermark = n "engine.footprint_words";
-  }
-
-(** Fold [src] into [into]: counters add, high watermarks take the max.
-    {!Parallel}'s aggregation across its domain workers. *)
+(** Fold [src] into [into]: counters and live states add, high
+    watermarks take the max.  {!Parallel}'s aggregation across its
+    domain workers. *)
 let merge_stats ~(into : stats) (src : stats) =
   into.states_completed <- into.states_completed + src.states_completed;
   into.forks <- into.forks + src.forks;
   into.concrete_instret <- into.concrete_instret + src.concrete_instret;
-  if src.max_live_states > into.max_live_states then
-    into.max_live_states <- src.max_live_states;
-  if src.footprint_watermark > into.footprint_watermark then
-    into.footprint_watermark <- src.footprint_watermark
+  into.max_live_states <- Int.max into.max_live_states src.max_live_states;
+  into.footprint_watermark <-
+    Int.max into.footprint_watermark src.footprint_watermark;
+  into.sym_instructions <- into.sym_instructions + src.sym_instructions;
+  into.states_created <- into.states_created + src.states_created;
+  into.concretizations <- into.concretizations + src.concretizations;
+  into.aborts <- into.aborts + src.aborts;
+  into.degradations <- into.degradations + src.degradations;
+  into.incomplete_paths <- into.incomplete_paths + src.incomplete_paths;
+  into.absorbed_states <- into.absorbed_states + src.absorbed_states;
+  into.live_states <- into.live_states + src.live_states
 
 type t = {
   config : config;
@@ -118,6 +128,8 @@ type t = {
   mutable unit_ranges : (int * int) list; (* code ranges of the unit *)
   mutable searcher : Searcher.t;
   stats : stats;
+  mutable flushed : stats; (* [stats] as of the last {!flush} *)
+  mutable sampled_at : int; (* fork count of the last footprint sample *)
   (* Solver context this engine threads through every query.  Defaults to
      the process-wide [Solver.default_ctx]; parallel workers install a
      private context each so caches and statistics never race. *)
@@ -143,6 +155,8 @@ let create ?(config = default_config ()) ?(solver = Solver.default_ctx) () =
     unit_ranges = [];
     searcher = Searcher.dfs ();
     stats = new_stats ();
+    flushed = new_stats ();
+    sampled_at = -1;
     solver;
     live = [];
     base_mem = Bytes.create 0;
@@ -150,6 +164,32 @@ let create ?(config = default_config ()) ?(solver = Solver.default_ctx) () =
     var_tags = [];
     quiesce = (fun () -> ());
   }
+
+(** The engine's only registry write: add each counter's growth since
+    the last flush, set the gauges, and hand each window's high-water
+    mark to its [Max] gauge, restarting the window from the current live
+    count (from zero for the footprint and constraint-set marks).  Run
+    it in the engine's domain: it writes that domain's shard. *)
+let flush t =
+  let s = t.stats and f = t.flushed in
+  let add m now before = if now <> before then Obs.Metrics.add m (now - before) in
+  add m_instructions s.concrete_instret f.concrete_instret;
+  add m_sym_instructions s.sym_instructions f.sym_instructions;
+  add m_forks s.forks f.forks;
+  add m_states_created s.states_created f.states_created;
+  add m_states_completed s.states_completed f.states_completed;
+  add m_concretizations s.concretizations f.concretizations;
+  add m_aborts s.aborts f.aborts;
+  add m_degradations s.degradations f.degradations;
+  add m_incomplete s.incomplete_paths f.incomplete_paths;
+  Obs.Metrics.set m_live s.live_states;
+  Obs.Metrics.set m_max_live s.window_live;
+  Obs.Metrics.set m_footprint s.window_footprint;
+  Obs.Metrics.set m_max_constraints s.window_constraints;
+  s.window_live <- s.live_states;
+  s.window_footprint <- 0;
+  s.window_constraints <- 0;
+  t.flushed <- { s with forks = s.forks }
 
 (** A view of a linked guest image: origin, raw code bytes, and module
     ranges [(name, code_start, code_end, data_end)].  Kept structural so the
@@ -194,7 +234,7 @@ let boot t ?card_id ~entry () =
   let mem = Symmem.create ~base:t.base_mem in
   let devices = Vm.Devices.create ?card_id () in
   let s = State.create ~mem ~devices ~pc:entry in
-  Obs.Metrics.incr m_states_created;
+  t.stats.states_created <- t.stats.states_created + 1;
   if Obs.Trace.enabled () then Obs.Trace.path_start ~path:s.id ~parent:(-1) ();
   s
 
@@ -221,24 +261,60 @@ let trace_status = function
   | State.Faulted _ -> 3
   | State.Aborted _ -> 4
 
-let trace_path_end (s : State.t) =
-  if Obs.Trace.enabled () then
-    Obs.Trace.path_end ~path:s.id ~status:(trace_status s.status)
-      ~incomplete:s.incomplete ()
+(* ------------------------------------------------------------------ *)
+(* State lifecycle: every birth, death and absorption goes through one  *)
+(* helper, and only these touch [live] and its counts.                 *)
+(* ------------------------------------------------------------------ *)
 
-let end_state t (s : State.t) status =
-  s.status <- status;
-  trace_path_end s;
-  t.stats.states_completed <- t.stats.states_completed + 1;
-  Obs.Metrics.incr m_states_completed;
-  if s.incomplete then Obs.Metrics.incr m_incomplete;
-  (match status with
-  | State.Aborted _ -> Obs.Metrics.incr m_aborts
-  | _ -> ());
-  Events.state_end t.events s;
+(** Adopt [s] into this engine's frontier: a booted or forked state, or
+    one another engine forked. *)
+let adopt t (s : State.t) =
+  t.live <- s :: t.live;
+  let st = t.stats in
+  st.live_states <- st.live_states + 1;
+  st.max_live_states <- Int.max st.max_live_states st.live_states;
+  st.window_live <- Int.max st.window_live st.live_states;
+  t.searcher.add s
+
+(** Remove [s] from this engine's frontier without terminating it: the
+    donation half of work stealing. *)
+let disown t (s : State.t) =
   t.searcher.remove s;
   t.live <- List.filter (fun s' -> s'.State.id <> s.State.id) t.live;
-  Obs.Metrics.set m_live (List.length t.live);
+  t.stats.live_states <- List.length t.live
+
+(* One birth: [child], forked from [parent] with its constraints and pc
+   set, joins the frontier. *)
+let spawn t (parent : State.t) (child : State.t) cond =
+  let st = t.stats in
+  st.forks <- st.forks + 1;
+  st.states_created <- st.states_created + 1;
+  if Obs.Trace.enabled () then
+    Obs.Trace.path_start ~path:child.id ~parent:parent.id ();
+  Events.fork t.events parent child cond;
+  adopt t child
+
+(* One death: [s] ends with [status] and leaves the frontier. *)
+let retire t (s : State.t) status =
+  s.status <- status;
+  if Obs.Trace.enabled () then
+    Obs.Trace.path_end ~path:s.id ~status:(trace_status status)
+      ~incomplete:s.incomplete ();
+  let st = t.stats in
+  st.states_completed <- st.states_completed + 1;
+  if s.incomplete then st.incomplete_paths <- st.incomplete_paths + 1;
+  (match status with State.Aborted _ -> st.aborts <- st.aborts + 1 | _ -> ());
+  Events.state_end t.events s;
+  disown t s
+
+(** Fold [absorbed] out of the frontier without ending it: a merge
+    joined it into another state. *)
+let absorb t (absorbed : State.t) =
+  t.stats.absorbed_states <- t.stats.absorbed_states + 1;
+  disown t absorbed
+
+let end_state t (s : State.t) status =
+  retire t s status;
   raise Path_end
 
 let report_bug t (s : State.t) kind message =
@@ -252,7 +328,7 @@ let concretize t (s : State.t) e =
   match e with
   | Expr.Const { value; _ } -> value
   | _ ->
-      Obs.Metrics.incr m_concretizations;
+      t.stats.concretizations <- t.stats.concretizations + 1;
       Obs.Span.timed concretize_phase (fun () ->
           match Solver.get_value ~ctx:t.solver ~constraints:s.constraints e with
           | Some v ->
@@ -357,28 +433,19 @@ let do_write t (s : State.t) addr_e v size =
 (* Forking and branches                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The depth and live-state budgets every fork must fit. *)
+let can_fork t (s : State.t) =
+  s.depth < t.config.max_fork_depth && t.stats.live_states < t.config.max_states
+
 let do_fork t (s : State.t) cond ~taken_pc ~fall_pc =
   Obs.Span.timed fork_phase (fun () ->
       (* Parent takes the branch; child takes the fall-through. *)
       let child = State.fork s in
-      t.stats.forks <- t.stats.forks + 1;
-      Obs.Metrics.incr m_states_created;
-      Obs.Metrics.incr m_forks;
       State.add_constraint s cond;
       State.add_constraint child (Expr.log_not cond);
       s.pc <- taken_pc;
       child.pc <- fall_pc;
-      t.live <- child :: t.live;
-      let live_count = List.length t.live in
-      if live_count > t.stats.max_live_states then
-        t.stats.max_live_states <- live_count;
-      Obs.Metrics.set m_live live_count;
-      Obs.Metrics.set m_max_live live_count;
-      if Obs.Trace.enabled () then
-        Obs.Trace.path_start ~path:child.id ~parent:s.id ();
-      Events.fork t.events s child cond;
-      t.searcher.add child;
-      child)
+      spawn t s child cond)
 
 (* Graceful degradation on solver Unknown at a fork (watchdog timeout,
    conflict-budget exhaustion or an injected solver fault): instead of
@@ -386,8 +453,8 @@ let do_fork t (s : State.t) cond ~taken_pc ~fall_pc =
    get hard — commit to one side, mark the path incomplete, and account
    for the degradation.  [add]/[pc] are the chosen side's constraint and
    target. *)
-let degrade_to (s : State.t) ~add ~pc =
-  Obs.Metrics.incr m_degradations;
+let degrade_to t (s : State.t) ~add ~pc =
+  t.stats.degradations <- t.stats.degradations + 1;
   s.incomplete <- true;
   State.add_constraint s add;
   s.pc <- pc
@@ -400,10 +467,39 @@ let degrade_to (s : State.t) ~add ~pc =
    fresh and incremental runs could degrade down different sides and the
    chaos differential (same case set under an injected fault plan) would
    not hold. *)
-let degrade_concrete (s : State.t) cond ~taken_pc ~fall_pc =
+let degrade_concrete t (s : State.t) cond ~taken_pc ~fall_pc =
   if Expr.eval Expr.Int_map.empty cond = 1L then
-    degrade_to s ~add:cond ~pc:taken_pc
-  else degrade_to s ~add:(Expr.log_not cond) ~pc:fall_pc
+    degrade_to t s ~add:cond ~pc:taken_pc
+  else degrade_to t s ~add:(Expr.log_not cond) ~pc:fall_pc
+
+(* Follow, degrade or fork as the solver judges the two sides of a
+   branch; [infeasible] is what a path with neither side feasible does.
+   One shared-prefix query pair: in incremental solver mode the two
+   probes land on the same live SAT instance. *)
+let branch_on_feasibility t (s : State.t) cond ~taken_pc ~fall_pc ~infeasible =
+  match Solver.check_branch ~ctx:t.solver ~constraints:s.constraints cond with
+  | Solver.Sat _, Solver.Unsat ->
+      State.add_constraint s cond;
+      s.pc <- taken_pc
+  | Solver.Unsat, Solver.Sat _ ->
+      State.add_constraint s (Expr.log_not cond);
+      s.pc <- fall_pc
+  | Solver.Unsat, Solver.Unsat -> infeasible ()
+  | Solver.Unknown, Solver.Unsat ->
+      (* Only one side can possibly be feasible; follow it, but its
+         feasibility was never proven. *)
+      degrade_to t s ~add:cond ~pc:taken_pc
+  | Solver.Unsat, Solver.Unknown ->
+      degrade_to t s ~add:(Expr.log_not cond) ~pc:fall_pc
+  | (Solver.Unknown, _ | _, Solver.Unknown) ->
+      degrade_concrete t s cond ~taken_pc ~fall_pc
+  | Solver.Sat _, Solver.Sat _ ->
+      if can_fork t s then do_fork t s cond ~taken_pc ~fall_pc
+      else begin
+        (* Depth/state budget exhausted: follow one feasible side. *)
+        State.add_constraint s cond;
+        s.pc <- taken_pc
+      end
 
 (* Decide a branch with a symbolic condition. *)
 let symbolic_branch t (s : State.t) cond ~taken_pc ~fall_pc =
@@ -413,94 +509,31 @@ let symbolic_branch t (s : State.t) cond ~taken_pc ~fall_pc =
   if multipath then begin
     if not (Consistency.check_feasibility model) then begin
       (* RC-CC: follow both CFG edges, no solver, no constraints. *)
-      if s.depth < t.config.max_fork_depth && List.length t.live < t.config.max_states
-      then begin
+      if can_fork t s then begin
         let child = State.fork s in
-        t.stats.forks <- t.stats.forks + 1;
-        Obs.Metrics.incr m_states_created;
-        Obs.Metrics.incr m_forks;
         s.pc <- taken_pc;
         child.pc <- fall_pc;
-        t.live <- child :: t.live;
-        Obs.Metrics.set m_live (List.length t.live);
-        if Obs.Trace.enabled () then
-          Obs.Trace.path_start ~path:child.id ~parent:s.id ();
-        Events.fork t.events s child cond;
-        t.searcher.add child
+        spawn t s child cond
       end
       else s.pc <- taken_pc
     end
-    else begin
-      (* One shared-prefix query pair: in incremental solver mode the two
-         probes land on the same live SAT instance. *)
-      let feas_true, feas_false =
-        Solver.check_branch ~ctx:t.solver ~constraints:s.constraints cond
-      in
-      match feas_true, feas_false with
-      | Solver.Sat _, Solver.Unsat ->
-          State.add_constraint s cond;
-          s.pc <- taken_pc
-      | Solver.Unsat, Solver.Sat _ ->
-          State.add_constraint s (Expr.log_not cond);
-          s.pc <- fall_pc
-      | Solver.Unsat, Solver.Unsat ->
-          end_state t s (State.Aborted "infeasible path")
-      | Solver.Unknown, Solver.Unsat ->
-          (* Only one side can possibly be feasible; follow it, but its
-             feasibility was never proven. *)
-          degrade_to s ~add:cond ~pc:taken_pc
-      | Solver.Unsat, Solver.Unknown ->
-          degrade_to s ~add:(Expr.log_not cond) ~pc:fall_pc
-      | (Solver.Unknown, _ | _, Solver.Unknown) ->
-          degrade_concrete s cond ~taken_pc ~fall_pc
-      | Solver.Sat _, Solver.Sat _ ->
-          if s.depth < t.config.max_fork_depth
-             && List.length t.live < t.config.max_states
-          then ignore (do_fork t s cond ~taken_pc ~fall_pc)
-          else begin
-            (* Depth/state budget exhausted: follow one feasible side. *)
-            State.add_constraint s cond;
-            s.pc <- taken_pc
-          end
-    end
+    else
+      branch_on_feasibility t s cond ~taken_pc ~fall_pc ~infeasible:(fun () ->
+          end_state t s (State.Aborted "infeasible path"))
   end
   else begin
     match if unit_here then Consistency.Concretize else Consistency.env_branch model with
     | Consistency.Follow_symbolic ->
         (* SC-SE in the environment: fork there too. *)
-        let feas_true, feas_false =
-          Solver.check_branch ~ctx:t.solver ~constraints:s.constraints cond
-        in
-        (match feas_true, feas_false with
-        | Solver.Sat _, Solver.Unsat ->
-            State.add_constraint s cond;
-            s.pc <- taken_pc
-        | Solver.Unknown, Solver.Unsat ->
-            degrade_to s ~add:cond ~pc:taken_pc
-        | Solver.Unsat, Solver.Unknown ->
-            degrade_to s ~add:(Expr.log_not cond) ~pc:fall_pc
-        | Solver.Unsat, _ ->
+        branch_on_feasibility t s cond ~taken_pc ~fall_pc ~infeasible:(fun () ->
             State.add_constraint s (Expr.log_not cond);
-            s.pc <- fall_pc
-        | (Solver.Unknown, _ | _, Solver.Unknown) ->
-            degrade_concrete s cond ~taken_pc ~fall_pc
-        | Solver.Sat _, Solver.Sat _ ->
-            if s.depth < t.config.max_fork_depth
-               && List.length t.live < t.config.max_states
-            then ignore (do_fork t s cond ~taken_pc ~fall_pc)
-            else begin
-              State.add_constraint s cond;
-              s.pc <- taken_pc
-            end)
+            s.pc <- fall_pc)
     | Consistency.Abort -> (
         (* LC: a branch on symbolic data in the environment is only an
            inconsistency when the data is genuinely undetermined — values
            pinned by earlier constraints (e.g. a null-checked pointer) are
            followed like concrete ones. *)
-        let feas_true, feas_false =
-          Solver.check_branch ~ctx:t.solver ~constraints:s.constraints cond
-        in
-        match feas_true, feas_false with
+        match Solver.check_branch ~ctx:t.solver ~constraints:s.constraints cond with
         | (Solver.Sat _ | Solver.Unknown), Solver.Unsat ->
             State.add_constraint s cond;
             s.pc <- taken_pc
@@ -865,39 +898,35 @@ let exec_tb_body t (s : State.t) =
   let ticks =
     if s.sym_instret > sym_before then max 1 (n / t.config.timer_divisor) else n
   in
-  t.stats.concrete_instret <- t.stats.concrete_instret + n;
-  Obs.Metrics.add m_instructions n;
-  Obs.Metrics.add m_sym_instructions (s.sym_instret - sym_before);
-  Obs.Metrics.set m_max_constraints (State.constraint_count s);
+  let st = t.stats in
+  st.concrete_instret <- st.concrete_instret + n;
+  st.sym_instructions <- st.sym_instructions + (s.sym_instret - sym_before);
+  let c = State.constraint_count s in
+  if c > st.window_constraints then st.window_constraints <- c;
   s.virtual_time <- Int64.add s.virtual_time (Int64.of_int ticks);
   if s.status = State.Active && not s.irqs_suppressed then begin
     let irqs = Vm.Devices.tick s.devices ticks in
     List.iter (fun irq -> s.pending_irqs <- s.pending_irqs @ [ irq ]) irqs
   end
 
-let exec_tb t (s : State.t) =
-  Obs.Span.timed execute_phase (fun () -> exec_tb_body t s)
-
 (** Execute one translation block of [s], absorbing path termination.
     Building block for external schedulers ({!Parallel}). *)
-let exec_block t s = try exec_tb t s with Path_end -> ()
+let exec_block t s =
+  try Obs.Span.timed execute_phase (fun () -> exec_tb_body t s)
+  with Path_end -> ()
 
-(** Adopt [s] into this engine's frontier: used when a parallel worker
-    receives a state forked (or booted) by another engine. *)
-let adopt t (s : State.t) =
-  t.live <- s :: t.live;
-  let live_count = List.length t.live in
-  if live_count > t.stats.max_live_states then t.stats.max_live_states <- live_count;
-  Obs.Metrics.set m_live live_count;
-  Obs.Metrics.set m_max_live live_count;
-  t.searcher.add s
-
-(** Remove [s] from this engine's frontier without terminating it: the
-    donation half of work stealing. *)
-let disown t (s : State.t) =
-  t.searcher.remove s;
-  t.live <- List.filter (fun s' -> s'.State.id <> s.State.id) t.live;
-  Obs.Metrics.set m_live (List.length t.live)
+(** The engine's step between two blocks, whichever loop drives it:
+    sample the live states' footprint once per 16th fork (not on every
+    block run at that count), and flush once a path has ended. *)
+let after_block t =
+  let st = t.stats in
+  if st.forks land 15 = 0 && st.forks <> t.sampled_at then begin
+    t.sampled_at <- st.forks;
+    let fp = List.fold_left (fun acc s -> acc + State.footprint s) 0 t.live in
+    if fp > st.footprint_watermark then st.footprint_watermark <- fp;
+    if fp > st.window_footprint then st.window_footprint <- fp
+  end;
+  if st.states_completed <> t.flushed.states_completed then flush t
 
 type run_limits = {
   max_instructions : int option;
@@ -922,31 +951,22 @@ let run_loop ~(limits : run_limits) t =
     | Some m -> t.stats.states_completed >= m
     | None -> false
   in
-  (* The fork count of the last footprint sample: the watermark is
-     sampled once per 16th fork, not on every block run at that count. *)
-  let sampled = ref (-1) in
   let rec loop () =
     if not (over_budget ()) then
       match t.searcher.select () with
       | None -> ()
       | Some s ->
-          (try exec_tb t s with Path_end -> ());
-          if t.stats.forks land 15 = 0 && t.stats.forks <> !sampled then begin
-            sampled := t.stats.forks;
-            let fp = List.fold_left (fun acc s -> acc + State.footprint s) 0 t.live in
-            if fp > t.stats.footprint_watermark then
-              t.stats.footprint_watermark <- fp;
-            Obs.Metrics.set m_footprint fp
-          end;
+          exec_block t s;
+          after_block t;
           loop ()
   in
-  loop ()
+  loop ();
+  flush t
 
 (** Explore from [initial] until the searcher drains or a limit is hit.
     Returns the number of completed paths. *)
 let run ?(limits = no_limits) t initial =
-  t.live <- [ initial ];
-  t.searcher.add initial;
+  adopt t initial;
   run_loop ~limits t;
   t.stats.states_completed
 
@@ -956,44 +976,16 @@ let run ?(limits = no_limits) t initial =
     Fork events fire with a [true] condition. *)
 let plugin_fork t (s : State.t) =
   let child = State.fork s in
-  t.stats.forks <- t.stats.forks + 1;
-  Obs.Metrics.incr m_states_created;
-  Obs.Metrics.incr m_forks;
-  t.live <- child :: t.live;
-  let live_count = List.length t.live in
-  if live_count > t.stats.max_live_states then t.stats.max_live_states <- live_count;
-  Obs.Metrics.set m_live live_count;
-  Obs.Metrics.set m_max_live live_count;
-  if Obs.Trace.enabled () then
-    Obs.Trace.path_start ~path:child.id ~parent:s.id ();
-  Events.fork t.events s child Expr.bool_t;
-  t.searcher.add child;
+  spawn t s child Expr.bool_t;
   child
 
 (** Kill every live path except [keep] (PathKiller support). *)
 let kill_others t keep reason =
   List.iter
     (fun (s : State.t) ->
-      if s.id <> keep.State.id && State.is_active s then begin
-        s.status <- State.Killed reason;
-        trace_path_end s;
-        t.stats.states_completed <- t.stats.states_completed + 1;
-        Obs.Metrics.incr m_states_completed;
-        Events.state_end t.events s;
-        t.searcher.remove s
-      end)
-    t.live;
-  t.live <- List.filter State.is_active t.live;
-  Obs.Metrics.set m_live (List.length t.live)
+      if s.id <> keep.State.id && State.is_active s then
+        retire t s (State.Killed reason))
+    t.live
 
 let kill_state t (s : State.t) reason =
-  if State.is_active s then begin
-    s.status <- State.Killed reason;
-    trace_path_end s;
-    t.stats.states_completed <- t.stats.states_completed + 1;
-    Obs.Metrics.incr m_states_completed;
-    Events.state_end t.events s;
-    t.searcher.remove s;
-    t.live <- List.filter State.is_active t.live;
-    Obs.Metrics.set m_live (List.length t.live)
-  end
+  if State.is_active s then retire t s (State.Killed reason)

@@ -104,48 +104,38 @@ let over_budget (limits : Executor.run_limits) shared ~started =
 (* Worker                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Fork/termination events are counted during a translation block and
-   folded into the shared scheduler state between blocks: the event fires
-   before the child is registered with the victim's searcher, so donating
-   in the handler itself would race with the executor's own bookkeeping. *)
+(* A block's births, deaths and absorptions are read off the engine's
+   count record between blocks, as growth since the last look, and
+   folded into the shared scheduler state there: donating from inside
+   the block would race with the executor's own bookkeeping. *)
 type worker = {
   eng : Executor.t;
-  mutable forks : int;            (* children born this block *)
-  mutable ends : int;             (* states terminated this block *)
-  mutable merges : int;           (* states absorbed by an ite-join *)
+  mutable seen : Executor.stats;  (* the engine's counts at the last look *)
   mutable ended : State.t list;   (* terminations since the last drain *)
 }
 
-(* The hooks are registered once per engine.  A lone engine needs only
-   the termination collector: its runs are plain {!Executor.run_loop}s. *)
-let make_worker ~jobs eng =
-  let w = { eng; forks = 0; ends = 0; merges = 0; ended = [] } in
-  Events.reg_state_end eng.Executor.events (fun s ->
-      w.ends <- w.ends + 1;
-      w.ended <- s :: w.ended);
-  if jobs > 1 then begin
-    Events.reg_fork eng.Executor.events (fun _parent _child _cond ->
-        w.forks <- w.forks + 1);
-    (* A merged-away state leaves the system without terminating: it is
-       no longer outstanding, but it is not a completed path either. *)
-    Events.reg_state_merge eng.Executor.events (fun _absorbed _survivor ->
-        w.merges <- w.merges + 1)
-  end;
+let look w = w.seen <- { w.eng.Executor.stats with forks = w.eng.stats.forks }
+
+(* The termination collector is registered once per engine. *)
+let make_worker eng =
+  let w = { eng; seen = Executor.new_stats (); ended = [] } in
+  Events.reg_state_end eng.Executor.events (fun s -> w.ended <- s :: w.ended);
   w
 
 (* Fold the block's fork/termination deltas into the scheduler and donate
-   frontier states while peers are starving.  Returns with [shared.m]
-   unlocked. *)
+   frontier states while peers are starving.  A merged-away state leaves
+   the system without terminating: no longer outstanding, but not a
+   completed path either.  Returns with [shared.m] unlocked. *)
 let sync_after_block shared w =
-  let forks = w.forks and ends = w.ends and merges = w.merges in
-  w.forks <- 0;
-  w.ends <- 0;
-  w.merges <- 0;
+  let st = w.eng.Executor.stats and seen = w.seen in
+  let forks = st.forks - seen.forks
+  and ends = st.states_completed - seen.states_completed
+  and absorbed = st.absorbed_states - seen.absorbed_states in
+  look w;
   if ends > 0 then ignore (Atomic.fetch_and_add shared.completed ends);
   Mutex.lock shared.m;
-  shared.outstanding <- shared.outstanding + forks - ends - merges;
-  if shared.outstanding > shared.max_live then
-    shared.max_live <- shared.outstanding;
+  shared.outstanding <- shared.outstanding + forks - ends - absorbed;
+  shared.max_live <- Int.max shared.max_live shared.outstanding;
   if shared.outstanding = 0 then Condition.broadcast shared.cv
   else begin
     (* Donate from the oldest end of our frontier (fork points nearest the
@@ -153,7 +143,7 @@ let sync_after_block shared w =
     let rec donate () =
       if
         shared.idle > Queue.length shared.pool
-        && List.length w.eng.Executor.live > 1
+        && w.eng.Executor.stats.live_states > 1
       then begin
         (* States holding a rendezvous are steal-exempt: their merge ids
            are engine-local, and keeping carriers home keeps merging
@@ -211,6 +201,7 @@ let request_stop shared =
 
 let worker_loop shared (limits : Executor.run_limits) ~started w =
   let eng = w.eng in
+  look w;
   let rec loop () =
     if over_budget limits shared ~started then request_stop shared;
     if not (Atomic.get shared.stop) then
@@ -221,6 +212,7 @@ let worker_loop shared (limits : Executor.run_limits) ~started w =
           ignore
             (Atomic.fetch_and_add shared.instret
                (eng.Executor.stats.concrete_instret - i0));
+          Executor.after_block eng;
           sync_after_block shared w;
           loop ()
       | None -> (
@@ -234,7 +226,9 @@ let worker_loop shared (limits : Executor.run_limits) ~started w =
               loop ()
           | None -> ())
   in
-  loop ()
+  loop ();
+  (* Inside the worker's domain: its shard retires with the counts. *)
+  Executor.flush eng
 
 (* ------------------------------------------------------------------ *)
 (* Engine pool                                                         *)
@@ -253,7 +247,7 @@ let pool ~jobs ~(make_engine : unit -> Executor.t) =
     Array.init jobs (fun _ ->
         let eng = make_engine () in
         eng.Executor.solver <- Solver.create_ctx ();
-        make_worker ~jobs eng)
+        make_worker eng)
   in
   { workers; shared = make_shared (); next = 0 }
 
@@ -276,8 +270,7 @@ let run ?(limits = Executor.no_limits) p =
       Atomic.set shared.completed 0;
       Atomic.set shared.instret 0;
       shared.outstanding <- List.length (frontier p);
-      if shared.outstanding > shared.max_live then
-        shared.max_live <- shared.outstanding;
+      shared.max_live <- Int.max shared.max_live shared.outstanding;
       let domains =
         Array.map
           (fun w ->
@@ -300,7 +293,9 @@ let drain p =
 
 let drop p =
   Array.iter
-    (fun w -> List.iter (Executor.disown w.eng) w.eng.Executor.live)
+    (fun w ->
+      List.iter (Executor.disown w.eng) w.eng.Executor.live;
+      Executor.flush w.eng)
     p.workers
 
 let quiesce p = Array.iter (fun w -> w.eng.Executor.quiesce ()) p.workers
@@ -317,8 +312,7 @@ let explore ?(jobs = 1) ?(limits = Executor.no_limits)
   Array.iter
     (fun w -> Executor.merge_stats ~into:stats w.eng.Executor.stats)
     p.workers;
-  if p.shared.max_live > stats.max_live_states then
-    stats.max_live_states <- p.shared.max_live;
+  stats.max_live_states <- Int.max stats.max_live_states p.shared.max_live;
   {
     jobs;
     completed = drain p;

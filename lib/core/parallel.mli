@@ -29,9 +29,9 @@ type result = {
 }
 
 type pool
-(** [jobs] engines with their event hooks registered, kept across runs:
-    translation caches and solver contexts stay warm from one run (or
-    slice) to the next. *)
+(** [jobs] engines with their termination collectors registered, kept
+    across runs: translation caches and solver contexts stay warm from
+    one run (or slice) to the next. *)
 
 val pool : jobs:int -> make_engine:(unit -> Executor.t) -> pool
 (** [make_engine] runs once per engine and must return a fully
@@ -61,7 +61,7 @@ val drain : pool -> State.t list
 
 val drop : pool -> unit
 (** Remove the whole frontier without terminating it (after it was
-    shipped elsewhere). *)
+    shipped elsewhere), and flush each engine's counts. *)
 
 val quiesce : pool -> unit
 (** Call every engine's [quiesce] hook: release merge-parked states and

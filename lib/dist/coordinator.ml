@@ -77,11 +77,32 @@ type event =
           lease expiry); session kept *)
   | Solo of { item : int }  (** coordinator exploring an item itself *)
 
+(* The engine record of a registry snapshot: what a run summed over
+   processes reports in place of a merge of per-engine records. *)
+let stats_of_obs obs =
+  let n = Obs.Metrics.get_int obs in
+  {
+    (Executor.new_stats ()) with
+    states_completed = n "engine.states_completed";
+    forks = n "engine.forks";
+    concrete_instret = n "engine.instructions";
+    max_live_states = n "engine.max_live_states";
+    footprint_watermark = n "engine.footprint_words";
+    sym_instructions = n "engine.sym_instructions";
+    states_created = n "engine.states_created";
+    concretizations = n "engine.concretizations";
+    aborts = n "engine.aborts";
+    degradations = n "engine.degradations";
+    incomplete_paths = n "engine.incomplete_paths";
+    absorbed_states = n "merge.merges";
+    live_states = n "engine.live_states";
+  }
+
 type result = {
   procs : int;
   paths : Proto.path list;
       (** every terminated path, with its test case when [cases] was set *)
-  stats : Executor.stats;  (** {!Executor.stats_of_obs} of this run *)
+  stats : Executor.stats;  (** [stats_of_obs] of this run *)
   obs : Obs.Metrics.snapshot;
       (** the local registry plus every worker delta received *)
   steals : int;  (** checkpoints triggered by steal requests *)
@@ -220,10 +241,11 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   (* This run's counts are the local registry's since here plus every
      worker delta.  Boot locally: path/fork accounting then matches
      {!Parallel.explore} (boot counts one created state on the
-     coordinator side). *)
+     coordinator side, published by the flush). *)
   let obs0 = Obs.Metrics.snapshot () in
   let eng = make_engine () in
   let s0 = boot eng in
+  Executor.flush eng;
   let paths = ref [] in
   (* Running sum of the registry deltas workers have reported. *)
   let remote = ref [] in
@@ -680,7 +702,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
     match limits.Executor.max_completed, limits.Executor.max_instructions with
     | None, None -> false
     | max_completed, max_instructions -> (
-        let st = Executor.stats_of_obs (run_obs ()) in
+        let st = stats_of_obs (run_obs ()) in
         (match max_completed with
         | Some m -> st.Executor.states_completed >= m
         | None -> false)
@@ -917,7 +939,7 @@ let explore ?(procs = 2) ?(limits = Executor.no_limits) ?(max_restarts = 8)
   {
     procs;
     paths = List.rev !paths;
-    stats = Executor.stats_of_obs (run_obs ());
+    stats = stats_of_obs (run_obs ());
     obs;
     steals = !steals;
     requeues = !requeues;

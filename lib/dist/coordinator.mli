@@ -46,9 +46,9 @@ type result = {
   paths : Proto.path list;
       (** every terminated path, with its test case when [cases] was set *)
   stats : Executor.stats;
-      (** {!Executor.stats_of_obs} of exactly this run: the local
-          registry's counts since [explore] began plus every worker
-          delta received.  The two watermarks are maxima over the
+      (** The engine counts of exactly this run: the local registry's
+          counts since [explore] began plus every worker delta
+          received.  The two watermarks are maxima over the
           workers and this process's registry, which is not reset. *)
   obs : Obs.Metrics.snapshot;
       (** the local registry (cumulative over the process) merged with

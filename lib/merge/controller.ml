@@ -52,7 +52,6 @@ let m_released = Obs.Metrics.counter "merge.released"
 let m_forced = Obs.Metrics.counter "merge.released_forced"
 let m_no_point = Obs.Metrics.counter "merge.no_point"
 let m_carrier_aborts = Obs.Metrics.counter "merge.carrier_aborts"
-let m_live = Obs.Metrics.gauge ~merge:Obs.Metrics.Sum "engine.live_states"
 let t_merge = Obs.Trace.intern "merge"
 let t_reject = Obs.Trace.intern "merge.reject"
 
@@ -188,16 +187,12 @@ let on_state_end ctl (s : State.t) =
 (* Fold the absorbed side [w] out of the engine: it leaves the frontier
    without terminating.  Its future arrivals at outer entries are now
    covered by the surviving merged state, so they are "lost" here. *)
-let consume ctl (w : State.t) survivor =
+let consume ctl (w : State.t) =
   (match w.rendezvous with
   | _ :: rest -> List.iter (fun (id, _, _) -> arrival_lost ctl id) rest
   | [] -> ());
   w.rendezvous <- [];
-  let eng = ctl.eng in
-  eng.Executor.live <-
-    List.filter (fun s' -> s'.State.id <> w.State.id) eng.Executor.live;
-  Obs.Metrics.set m_live (List.length eng.Executor.live);
-  Events.state_merge eng.Executor.events ~absorbed:w ~survivor
+  Executor.absorb ctl.eng w
 
 (* Abandon a rendezvous pair-wise: both sides resume enumeration.  The
    entry stays while more arrivals are outstanding — a later pair may
@@ -264,7 +259,7 @@ let rec handle_arrival ctl (s : State.t) =
                 with
                 | Ok cost ->
                     ignore (clear_waiting ctl e);
-                    consume ctl w s;
+                    consume ctl w;
                     Obs.Metrics.incr m_merges;
                     if Obs.Trace.enabled () then
                       Obs.Trace.instant ~path:s.id ~a:suffix_len ~b:cost

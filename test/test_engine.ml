@@ -381,6 +381,56 @@ int main() {
   in
   Alcotest.(check (list int)) "all CFG edges" [ 1; 2; 99 ] outcomes
 
+let test_rc_cc_fork_counts_live () =
+  (* RC-CC forks go through the engine's one birth path, and [run] adopts
+     its initial state: the live watermark sees both. *)
+  let config = Executor.default_config () in
+  config.consistency <- Consistency.RC_CC;
+  let engine, _ =
+    make_engine ~config ~unit_modules:[ "prog" ]
+      [
+        ("prog", {|
+int main() {
+  int x = __s2e_sym_int(1);
+  if (x > 10) {
+    if (x < 5) return 99;
+    return 1;
+  }
+  return 2;
+} |});
+      ]
+  in
+  let s0 = Executor.boot engine ~entry:0x1000 () in
+  ignore (Executor.run engine s0);
+  let st = engine.Executor.stats in
+  Alcotest.(check bool)
+    (Printf.sprintf "max_live_states %d >= 2" st.max_live_states)
+    true (st.max_live_states >= 2);
+  Alcotest.(check int) "every live state ended" 0 st.live_states
+
+let test_kill_state_counts_incomplete () =
+  (* A killed path that was marked incomplete counts as one, as an
+     ended one does. *)
+  let engine, _ =
+    make_engine ~unit_modules:[ "prog" ]
+      [ ("prog", {| int main() { return 0; } |}) ]
+  in
+  let s = Executor.boot engine ~entry:0x1000 () in
+  Executor.adopt engine s;
+  s.State.incomplete <- true;
+  let before = S2e_obs.Metrics.snapshot () in
+  Executor.kill_state engine s "test";
+  Executor.flush engine;
+  let d = S2e_obs.Metrics.(delta ~before (snapshot ())) in
+  Alcotest.(check int) "engine.incomplete_paths + 1" 1
+    (S2e_obs.Metrics.get_int d "engine.incomplete_paths");
+  Alcotest.(check int) "engine.states_completed + 1" 1
+    (S2e_obs.Metrics.get_int d "engine.states_completed");
+  Alcotest.(check int) "record counts it too" 1
+    engine.Executor.stats.incomplete_paths;
+  Alcotest.(check (list int)) "left the frontier" []
+    (List.map (fun (s : State.t) -> s.id) engine.Executor.live)
+
 let test_assert_bug_detection () =
   let engine, _ =
     make_engine ~unit_modules:[ "prog" ]
@@ -421,4 +471,8 @@ let tests =
     Alcotest.test_case "RC-OC unconstrained return" `Quick test_rc_oc_unconstrained_return;
     Alcotest.test_case "RC-CC ignores feasibility" `Quick test_rc_cc_no_solver;
     Alcotest.test_case "assertion bug detection" `Quick test_assert_bug_detection;
+    Alcotest.test_case "RC-CC fork counts live states" `Quick
+      test_rc_cc_fork_counts_live;
+    Alcotest.test_case "kill_state counts an incomplete path" `Quick
+      test_kill_state_counts_incomplete;
   ]

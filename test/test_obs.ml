@@ -265,15 +265,30 @@ let read_totals snap =
       "engine.forks";
       "engine.states_created";
       "engine.states_completed";
+      "engine.concretizations";
+      "engine.aborts";
+      "engine.degradations";
+      "engine.incomplete_paths";
       "solver.queries";
     ]
 
 (* Drain the workload's full execution tree with [jobs] workers and return
-   the default registry's merged totals. *)
+   the default registry's merged totals, after checking that the engines
+   flushed exactly what their records counted. *)
 let totals jobs =
   Metrics.reset ();
-  ignore (Parallel.explore ~jobs ~make_engine ~boot ());
-  read_totals (Metrics.snapshot ())
+  let r = Parallel.explore ~jobs ~make_engine ~boot () in
+  let totals = read_totals (Metrics.snapshot ()) in
+  let st = r.Parallel.stats in
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check int) (name ^ " = stats") n (List.assoc name totals))
+    [
+      ("engine.instructions", st.Executor.concrete_instret);
+      ("engine.forks", st.forks);
+      ("engine.states_completed", st.states_completed);
+    ];
+  totals
 
 (* The same drain over two forked worker processes, read from the
    coordinator's merged registry: the source of a distributed run

@@ -105,6 +105,13 @@ let test_parallel_solver_isolation () =
     (S2e_obs.Metrics.(get_int (delta ~before (snapshot ())) "solver.queries")
     > 0)
 
+let test_parallel_footprint_sampled () =
+  (* Both loops share the engine's between-block step, so a jobs=2 drain
+     samples the live states' footprint as a serial one does. *)
+  let r = explore 2 in
+  Alcotest.(check bool) "footprint watermark above 0" true
+    (r.Parallel.stats.Executor.footprint_watermark > 0)
+
 let tests =
   [
     Alcotest.test_case "jobs=1 equals Executor.run" `Quick
@@ -113,4 +120,6 @@ let tests =
       test_parallel_same_path_set;
     Alcotest.test_case "worker solver contexts isolated" `Quick
       test_parallel_solver_isolation;
+    Alcotest.test_case "jobs=2 samples the footprint" `Quick
+      test_parallel_footprint_sampled;
   ]
